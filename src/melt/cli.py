@@ -558,23 +558,44 @@ def cmd_finetune(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict) -> int:
+    """Score predictions against gold labels.
+
+    Every prediction id must be a gold id and appear once, and every gold
+    test example of a target that has predictions must be predicted.
+    """
     gold_examples = ingest_stance_jsonl(cfg["gold"])
     gold_by_id = {e.example_id: e for e in gold_examples}
     rows = []
+    seen = set()
     with open(cfg["predictions"], "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = []
+        repeated = []
         for record in reader:
-            ex = gold_by_id.get(record["example_id"])
+            example_id = record["example_id"]
+            ex = gold_by_id.get(example_id)
             if ex is None:
-                missing.append(record["example_id"])
+                missing.append(example_id)
                 continue
+            if example_id in seen:
+                repeated.append(example_id)
+                continue
+            seen.add(example_id)
             rows.append((ex.stance_target, ex.label, record["pred"]))
         if missing:
             raise CliError("predictions reference ids absent from the gold file: "
                            + ", ".join(sorted(missing)))
+        if repeated:
+            raise CliError("predictions repeat example ids: "
+                           + ", ".join(sorted(set(repeated))))
     if not rows:
         raise CliError("predictions file holds no rows")
+    predicted_targets = {target for target, _, _ in rows}
+    unpredicted = sorted(e.example_id for e in gold_examples
+                         if e.split == "test" and e.stance_target in predicted_targets
+                         and e.example_id not in seen)
+    if unpredicted:
+        raise CliError("predictions leave out gold test examples: " + ", ".join(unpredicted))
     table = metrics_mod.per_target_report(rows, pooled=cfg["pooled"])
     text = metrics_mod.render_target_table(table)
     pooled_rep = metrics_mod.report(

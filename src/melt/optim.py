@@ -40,13 +40,29 @@ def adamw_step(param: np.ndarray, grad: np.ndarray, state: AdamWState, lr: float
     if grad is None:
         raise MissingGradError(f"parameter '{name}' has no gradient")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
+    # Same operations, order and scalar grouping as the textbook form
+    #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
+    #   param -= lr*wd*param;  param -= lr * (m/c1) / (sqrt(v/c2) + eps)
+    # so results are bit-identical to it, with two work arrays instead of
+    # a temporary per operation. ``grad`` is only read.
+    m, v = state.m, state.v
+    work = np.multiply(grad, 1.0 - state.beta1)
+    m *= state.beta1
+    m += work
+    np.multiply(grad, grad, out=work)
+    work *= 1.0 - state.beta2
+    v *= state.beta2
+    v += work
     if state.weight_decay != 0.0:
-        param -= lr * state.weight_decay * param
-    param -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        np.multiply(param, lr * state.weight_decay, out=work)
+        param -= work
+    denom = np.divide(v, 1.0 - state.beta2 ** state.t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=work)
+    work *= lr
+    work /= denom
+    param -= work
 
 
 def warmup_lr(step: int, base_lr: float, warmup_steps: int) -> float:

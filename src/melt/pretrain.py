@@ -163,20 +163,8 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
             plans = [apply_masking(c, rng, vectors, pool, seed=config.seed ^ epoch)
                      for c in batch]
             lr = warmup_lr(global_step, config.base_lr, config.warmup_steps)
-            preds, targets = _forward_masked(model, batch, plans, vectors,
-                                             train=True, rng=rng)
-            if preds is None:
-                result.steps.append(StepRecord(global_step, lr, 0.0))
-                global_step += 1
-                continue
-            loss = masked_loss(preds, targets)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise TrainingDivergedError(global_step)
-            backward(loss)
-            if config.grad_clip is not None:
-                _clip_grads(opt.params, config.grad_clip)
-            opt.step(lr)
+            loss_val = _train_step(model, opt, batch, plans, vectors, rng, lr,
+                                   config.grad_clip, global_step)
             result.steps.append(StepRecord(global_step, lr, loss_val))
             global_step += 1
         dev_mse = evaluate_dev(model, dev_chunks, dev_plans, vectors,
@@ -187,6 +175,29 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
             result.best_epoch = epoch
             result.best_params = {name: p.data.copy() for name, p in model.named_parameters()}
     return result
+
+
+def _train_step(model: MeltModel, opt: AdamW, batch: Sequence[SequenceChunk],
+                plans: Sequence[MaskPlan], vectors: Mapping[str, np.ndarray],
+                rng: np.random.Generator, lr: float, grad_clip: Optional[float],
+                step: int) -> float:
+    """One forward/backward/update; returns the loss (0.0 when nothing is selected).
+
+    Only the float leaves this frame, so the step's graph and its
+    intermediate gradients are freed before the caller runs dev evaluation.
+    """
+    preds, targets = _forward_masked(model, batch, plans, vectors, train=True, rng=rng)
+    if preds is None:
+        return 0.0
+    loss = masked_loss(preds, targets)
+    loss_val = float(loss.data)
+    if not np.isfinite(loss_val):
+        raise TrainingDivergedError(step)
+    backward(loss)
+    if grad_clip is not None:
+        _clip_grads(opt.params, grad_clip)
+    opt.step(lr)
+    return loss_val
 
 
 def _clip_grads(params, max_norm: float) -> None:

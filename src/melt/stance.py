@@ -17,6 +17,7 @@ import numpy as np
 from .corpus import LABELS, SequenceChunk, StanceExample, build_finetune_sequence
 from .model import MeltModel, embed_token_batch
 from .optim import AdamW
+from .pretrain import TrainingDivergedError
 from .tensor import (Tensor, backward, cross_entropy, dropout, gather_positions,
                      matmul, sigmoid, softmax)
 
@@ -154,11 +155,33 @@ def _mean_loss(model, head, word_level, examples, history_len, batch_size) -> fl
     return total / n
 
 
+def _train_step(model, head, word_level, opt: AdamW, batch: Sequence[StanceExample],
+                history_len: Optional[int], p_drop: float, rng: np.random.Generator,
+                step: int) -> float:
+    """One forward/backward/update; returns the batch's mean cross-entropy.
+
+    Only the float leaves this frame, so the step's graph and its
+    intermediate gradients are freed before the caller runs dev evaluation.
+    """
+    logits = _forward_examples(model, head, word_level, batch, history_len,
+                               p_drop=p_drop, train=True, rng=rng)
+    loss = cross_entropy(logits, [ex.label_index for ex in batch])
+    loss_val = float(loss.data)
+    if not np.isfinite(loss_val):
+        raise TrainingDivergedError(step)
+    backward(loss)
+    opt.step()
+    return loss_val
+
+
 def finetune(model: MeltModel, head: StanceHead, word_level,
              train_examples: Sequence[StanceExample],
              dev_examples: Sequence[StanceExample], cfg: FinetuneConfig,
              history_len: Optional[int] = None) -> FinetuneResult:
-    """Cross-entropy fine-tuning with early stopping on dev loss."""
+    """Cross-entropy fine-tuning with early stopping on dev loss.
+
+    Raises TrainingDivergedError when a training loss is not finite.
+    """
     if not train_examples:
         raise ValueError("training set is empty")
     if not dev_examples:
@@ -171,18 +194,17 @@ def finetune(model: MeltModel, head: StanceHead, word_level,
     result = FinetuneResult(model=model, head=head, word_level=word_level)
     best_snap = _snapshot(params)
     since_best = 0
+    step = 0
     for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(len(train_examples))
         epoch_loss, seen = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_examples[i] for i in order[start:start + cfg.batch_size]]
-            logits = _forward_examples(model, head, word_level, batch, history_len,
-                                       p_drop=cfg.dropout, train=True, rng=rng)
-            loss = cross_entropy(logits, [ex.label_index for ex in batch])
-            backward(loss)
-            opt.step()
-            epoch_loss += float(loss.data) * len(batch)
+            loss_val = _train_step(model, head, word_level, opt, batch, history_len,
+                                   cfg.dropout, rng, step)
+            epoch_loss += loss_val * len(batch)
             seen += len(batch)
+            step += 1
         dev_loss = _mean_loss(model, head, word_level, dev_examples, history_len,
                               cfg.batch_size)
         result.history.append((epoch, epoch_loss / seen, dev_loss))

@@ -160,10 +160,7 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     g = np.asarray(g, dtype=t.data.dtype)
-    if t.grad is None:
-        t.grad = np.array(g)
-    else:
-        t.grad = t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -205,6 +202,11 @@ def backward(loss: Tensor) -> None:
     Gradients of reachable tensors are reset first (each call yields fresh
     derivatives); tensors not feeding into ``loss`` are left untouched.
     Fan-out is handled by summation during the single reverse sweep.
+
+    Gradient arrays are shared, not copied: a pass-through rule (add,
+    reshape, transpose, sum) hands on its incoming array or a view of it,
+    so one array can be the ``grad`` of several tensors. Treat every
+    ``grad`` as read-only; nothing here modifies one in place.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -249,8 +251,10 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
     b = _ensure(b, a.dtype)
 
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.shape))
 
     return _from_op(a.data * b.data, (a, b), back)
 
@@ -265,7 +269,11 @@ def neg(a: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with batching over leading axes.
 
-    Gradients follow dA = dC @ B^T and dB = A^T @ dC, summed over any
+    Gradients follow dA = dC @ B^T and dB = A^T @ dC; each is computed only
+    for an operand that requires it. When ``b`` is a 2-D weight, ``a`` is
+    viewed as one (rows, k) matrix over all its leading axes, so the forward
+    product and both gradients are single 2-D GEMMs and dB never holds one
+    product per batch element. Otherwise the gradients are summed over any
     broadcast batch axes.
     """
     if a.ndim < 2 or b.ndim < 2:
@@ -273,9 +281,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
 
+    if b.ndim == 2:
+        k, n = b.shape
+        a2 = a.data.reshape(-1, k)
+
+        def back(g):
+            g2 = g.reshape(-1, n)
+            if a.requires_grad:
+                _accum(a, (g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _accum(b, a2.T @ g2)
+
+        return _from_op((a2 @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), back)
+
     def back(g):
-        _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-        _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
 
     return _from_op(np.matmul(a.data, b.data), (a, b), back)
 
@@ -446,14 +469,27 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    """Exact Gaussian-error-linear unit, 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    Forward and backward each reuse one buffer; the in-place steps keep the
+    operation order of the formula, so the results are bit-identical to it.
+    """
+    cdf = x.data * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def back(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
-        _accum(x, g * (cdf + x.data * pdf))
+        dx = x.data * -0.5
+        dx *= x.data
+        np.exp(dx, out=dx)
+        dx *= _INV_SQRT2PI
+        dx *= x.data
+        dx += cdf
+        dx *= g
+        _accum(x, dx)
 
-    return _from_op((x.data * cdf).astype(x.data.dtype, copy=False), (x,), back)
+    return _from_op(x.data * cdf, (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:

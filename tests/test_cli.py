@@ -174,6 +174,19 @@ class TestFinetune:
                                   "--word-encoder", f"precomputed:{vec_path}"))
         assert code == 0
 
+    def test_non_finite_loss_exits_with_distinct_code(self, tmp_path, stance_file):
+        examples = stance_corpus(120, n_history=6, seed=21, split_fracs=(0.6, 0.2))
+        from melt.corpus import all_messages
+        nan = np.full(16, np.nan, dtype=np.float32)
+        vec_path = tmp_path / "nan.tsv"
+        write_vector_file(vec_path, 16, ((m.message_id, nan) for m in all_messages(examples)))
+        out_dir = tmp_path / "ft_nan"
+        with np.errstate(all="ignore"):  # the blow-up itself is the point
+            code = main(finetune_args(stance_file, out_dir, "--rand-init",
+                                      "--word-encoder", f"precomputed:{vec_path}"))
+        assert code == 3
+        assert not (out_dir / "predictions.csv").exists()
+
     def test_mfc_arch(self, tmp_path, stance_file):
         out_dir = tmp_path / "mfc"
         assert main(["finetune", "--stance", str(stance_file), "--out", str(out_dir),
@@ -238,6 +251,26 @@ class TestEvaluate:
                      str(stance_file)])
         assert code == 2
         assert "ghost-id" in capsys.readouterr().err
+
+    def test_repeated_id_rejected(self, tmp_path, stance_file, capsys):
+        preds = self.perfect_predictions(tmp_path, stance_file)
+        first_row = preds.read_text().splitlines()[1]
+        with open(preds, "a", newline="") as fh:
+            fh.write(first_row + "\n")
+        code = main(["evaluate", "--predictions", str(preds), "--gold",
+                     str(stance_file)])
+        assert code == 2
+        assert first_row.split(",")[0] in capsys.readouterr().err
+
+    def test_missing_test_example_of_predicted_target_rejected(self, tmp_path, stance_file,
+                                                               capsys):
+        preds = self.perfect_predictions(tmp_path, stance_file)
+        header, dropped, *kept = preds.read_text().splitlines()
+        preds.write_text("\n".join([header, *kept]) + "\n")
+        code = main(["evaluate", "--predictions", str(preds), "--gold",
+                     str(stance_file)])
+        assert code == 2
+        assert dropped.split(",")[0] in capsys.readouterr().err
 
     def test_five_target_table_has_five_rows_plus_aggregate(self, tmp_path):
         from melt.corpus import STANCE_TARGETS

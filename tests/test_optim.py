@@ -43,6 +43,41 @@ class TestAdamwStep:
             assert st.t == expected
 
 
+def _out_of_place_adamw(param, grad, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """The reference formula; the in-place update must reproduce it bit for bit."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * (grad * grad)
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    if weight_decay != 0.0:
+        param = param - lr * weight_decay * param
+    param = param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return param, m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+def test_in_place_step_is_bit_identical_to_out_of_place_formula(dtype, weight_decay):
+    rng = np.random.default_rng(12)
+    param = rng.standard_normal((7, 5)).astype(dtype)
+    st = AdamWState(m=np.zeros_like(param), v=np.zeros_like(param),
+                    weight_decay=weight_decay)
+    m_buf, v_buf = st.m, st.v
+    ref_p, ref_m, ref_v = param.copy(), st.m.copy(), st.v.copy()
+    for step in range(1, 9):
+        grad = rng.standard_normal(param.shape).astype(dtype)
+        grad_before = grad.copy()
+        lr = warmup_lr(step, 4e-3, 4)
+        adamw_step(param, grad, st, lr)
+        ref_p, ref_m, ref_v = _out_of_place_adamw(
+            ref_p, grad, ref_m, ref_v, step, lr, st.beta1, st.beta2, st.eps, weight_decay)
+        assert grad.tobytes() == grad_before.tobytes()
+        assert st.m is m_buf and st.v is v_buf
+        assert param.tobytes() == ref_p.tobytes()
+        assert st.m.tobytes() == ref_m.tobytes()
+        assert st.v.tobytes() == ref_v.tobytes()
+
+
 def test_partition_invariance_with_zero_decay():
     rng = np.random.default_rng(0)
     values = rng.uniform(-1, 1, 4).astype(np.float32)

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -41,6 +42,43 @@ class TestMatmul:
         backward((a @ b).sum())
         np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T, rtol=1e-6)
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((3, 2)), rtol=1e-6)
+
+    @pytest.mark.parametrize("case", ["4d_a", "transposed_a", "constant_a"])
+    def test_weight_product_matches_finite_differences(self, case):
+        rng = np.random.default_rng(zlib.crc32(case.encode()))
+        if case == "4d_a":
+            a_data = rng.uniform(-2, 2, (2, 3, 4, 5))
+        elif case == "transposed_a":
+            a_data = rng.uniform(-2, 2, (2, 5, 4)).transpose(0, 2, 1)
+            assert not a_data.flags.c_contiguous
+        else:
+            a_data = rng.uniform(-2, 2, (3, 4, 5))
+        a = Tensor(a_data, requires_grad=case != "constant_a")
+        b = Tensor(rng.uniform(-2, 2, (5, 3)), requires_grad=True)
+        weights = Tensor(rng.uniform(0.2, 1, a_data.shape[:-1] + (3,)))
+
+        def build():
+            return T.mul(a @ b, weights).sum()
+
+        backward(build())
+        for x in (a, b) if a.requires_grad else (b,):
+            numeric = numeric_grad(lambda: float(build().data), x.data)
+            assert max_rel_err(x.grad, numeric) < 1e-4
+        if not a.requires_grad:
+            assert a.grad is None
+
+    def test_weight_gradient_never_materialises_per_sequence_products(self):
+        rng = np.random.default_rng(6)
+        a = Tensor(rng.standard_normal((32, 8, 64)), requires_grad=True)
+        b = Tensor(rng.standard_normal((64, 96)), requires_grad=True)
+        loss = (a @ b).sum()
+        tracemalloc.start()
+        try:
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 64 * 96 * b.data.itemsize
 
 
 class TestSoftmax:
@@ -247,6 +285,21 @@ def test_forward_ops_stay_finite_on_finite_inputs():
         xs = [Tensor(rng.uniform(-2, 2, s), requires_grad=True) for s in shapes]
         out = build(*xs)
         assert np.isfinite(out.data).all(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_is_bit_identical_to_its_formula(dtype):
+    from scipy.special import erf
+    rng = np.random.default_rng(13)
+    x = (rng.standard_normal((6, 50)) * 3).astype(dtype)
+    g = rng.standard_normal((6, 50)).astype(dtype)
+    cdf = 0.5 * (1.0 + erf(x * T._INV_SQRT2))
+    pdf = np.exp(-0.5 * x * x) * T._INV_SQRT2PI
+    t = Tensor(x, requires_grad=True)
+    out = gelu(t)
+    backward(T.mul(out, Tensor(g)).sum())
+    assert out.data.tobytes() == (x * cdf).tobytes()
+    assert t.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
 
 
 def test_dropout_scaling_and_eval_identity():
