@@ -31,8 +31,8 @@ from .model import MeltConfig, MeltModel
 from .pretrain import (CheckpointError, PretrainConfig, TrainingDivergedError,
                        load_checkpoint, save_checkpoint)
 from .stance import FinetuneConfig, StanceHead
-from .wordenc import (HashEmbeddingEncoder, VectorFileError, compute_message_vectors,
-                      load_precomputed)
+from .wordenc import (HashEmbeddingEncoder, NonFiniteVectorError, VectorFileError,
+                      compute_message_vectors, load_precomputed)
 
 ENV_PREFIX = "MELT_"
 
@@ -226,6 +226,22 @@ def _word_meta(cfg: dict) -> dict:
         return {"kind": "hash", "dim": cfg["d_model"], "buckets": cfg["word_buckets"],
                 "seed": cfg["word_seed"]}
     return {"kind": "precomputed", "dim": cfg["d_model"], "path": choice.split(":", 1)[1]}
+
+
+def _check_word_encoder(recorded: Optional[dict], cfg: dict) -> None:
+    """Reject word settings that differ from those the checkpoint was pre-trained with.
+
+    The width is taken from the checkpoint already, and a vector file's path
+    is not compared, since the file may have moved.
+    """
+    if recorded is None:
+        return
+    wanted = _word_meta(cfg)
+    for key in ("kind", "buckets", "seed"):
+        if recorded.get(key) != wanted.get(key):
+            raise CliError(f"checkpoint was pre-trained with word encoder {key} "
+                           f"{recorded.get(key)!r}, but fine-tuning asks for "
+                           f"{wanted.get(key)!r}")
 
 
 def _melt_config(cfg: dict) -> MeltConfig:
@@ -490,6 +506,7 @@ def cmd_finetune(cfg: dict) -> int:
         cfg["ff_dim"] = model0.config.ff_dim
         cfg["heads"] = model0.config.n_heads
         cfg["seq_len"] = model0.config.max_seq
+        _check_word_encoder(header.get("word_encoder"), cfg)
     source = _make_word_source(cfg)
     vectors = compute_message_vectors(corpus_mod.all_messages(examples), source)
     if getattr(source, "dim", cfg["d_model"]) != model0.config.d_model:
@@ -642,7 +659,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = resolve_config(args.command, args)
         echo_config(cfg, cfg.get("out"))
         return HANDLERS[args.command](cfg)
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, NonFiniteVectorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CliError, CorpusFormatError, VectorFileError, CheckpointError,

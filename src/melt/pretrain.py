@@ -201,16 +201,22 @@ def _train_step(model: MeltModel, opt: AdamW, batch: Sequence[SequenceChunk],
 
 
 def _clip_grads(params, max_norm: float) -> None:
+    """Scale every gradient down to a global norm of ``max_norm``.
+
+    Works on the dense form of each gradient, so a clipped row-sparse
+    gradient reaches AdamW dense.
+    """
     total = 0.0
     for _, p in params:
         if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
+            total += float((np.asarray(p.grad, dtype=np.float64) ** 2).sum())
     norm = np.sqrt(total)
     if norm > max_norm:
         scale = max_norm / norm
         for _, p in params:
             if p.grad is not None:
-                p.grad = p.grad * np.asarray(scale, dtype=p.grad.dtype)
+                g = np.asarray(p.grad)
+                p.grad = g * np.asarray(scale, dtype=g.dtype)
 
 
 def load_params_into(model: MeltModel, params: Mapping[str, np.ndarray]) -> None:

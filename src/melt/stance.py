@@ -134,13 +134,20 @@ def _forward_examples(model: MeltModel, head: StanceHead, word_level,
     return head.forward(pooled, p_drop=p_drop, train=train, rng=rng)
 
 
-def _snapshot(params: Sequence[Tuple[str, Tensor]]) -> Dict[str, np.ndarray]:
-    return {name: p.data.copy() for name, p in params}
+def _snapshot(params: Sequence[Tuple[str, Tensor]],
+              into: Optional[Dict[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
+    """Copies of the parameters' values, written into ``into``'s arrays if given."""
+    if into is None:
+        return {name: p.data.copy() for name, p in params}
+    for name, p in params:
+        np.copyto(into[name], p.data)
+    return into
 
 
 def _restore(params: Sequence[Tuple[str, Tensor]], snap: Mapping[str, np.ndarray]) -> None:
+    """Hand the snapshot's arrays to the parameters; ``snap`` is not used again."""
     for name, p in params:
-        p.data = snap[name].copy()
+        p.data = snap[name]
 
 
 def _mean_loss(model, head, word_level, examples, history_len, batch_size) -> float:
@@ -211,7 +218,7 @@ def finetune(model: MeltModel, head: StanceHead, word_level,
         if dev_loss < result.best_dev_loss:
             result.best_dev_loss = dev_loss
             result.best_epoch = epoch
-            best_snap = _snapshot(params)
+            _snapshot(params, into=best_snap)
             since_best = 0
         else:
             since_best += 1
@@ -288,7 +295,10 @@ def train_feature_head(features: np.ndarray, labels: Sequence[int],
                        dev_features: np.ndarray, dev_labels: Sequence[int],
                        cfg: FinetuneConfig, hidden1: int = 768,
                        hidden2: int = 384) -> StanceHead:
-    """Train a StanceHead-shaped classifier over fixed feature vectors."""
+    """Train a StanceHead-shaped classifier over fixed feature vectors.
+
+    Raises TrainingDivergedError when a training loss is not finite.
+    """
     if features.shape[0] == 0:
         raise ValueError("training set is empty")
     head = StanceHead(features.shape[1], hidden1=hidden1, hidden2=hidden2, seed=cfg.seed)
@@ -300,6 +310,7 @@ def train_feature_head(features: np.ndarray, labels: Sequence[int],
     best = float("inf")
     best_snap = _snapshot(params)
     since_best = 0
+    step = 0
     for _epoch in range(cfg.max_epochs):
         order = rng.permutation(features.shape[0])
         for start in range(0, len(order), cfg.batch_size):
@@ -307,13 +318,16 @@ def train_feature_head(features: np.ndarray, labels: Sequence[int],
             logits = head.forward(Tensor(features[idx]), p_drop=cfg.dropout,
                                   train=True, rng=rng)
             loss = cross_entropy(logits, labels[idx])
+            if not np.isfinite(float(loss.data)):
+                raise TrainingDivergedError(step)
             backward(loss)
             opt.step()
+            step += 1
         dev_logits = head.forward(Tensor(dev_features))
         dev_loss = float(cross_entropy(dev_logits, dev_labels).data)
         if dev_loss < best:
             best = dev_loss
-            best_snap = _snapshot(params)
+            _snapshot(params, into=best_snap)
             since_best = 0
         else:
             since_best += 1

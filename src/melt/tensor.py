@@ -6,6 +6,11 @@ training runs in float32, while float64 inputs are accepted so numerical
 checks can run at higher precision. Each op records its inputs and a local
 backward rule on the output tensor; ``backward`` replays them once in
 reverse topological order.
+
+A gradient is a dense array of the tensor's shape, except that a row gather
+(``gather_rows``) hands its table a ``RowGrad``: only the rows it touched,
+so a large embedding table never gets a table-sized zero gradient.
+``np.asarray(grad)`` gives the dense gradient in either case.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor",
+    "RowGrad",
     "ShapeError",
     "tape",
     "backward",
@@ -52,6 +58,26 @@ def _as_array(data, dtype=None) -> np.ndarray:
     return arr.astype(np.float32)
 
 
+class RowGrad:
+    """Row-sparse gradient: ``values[i]`` is the gradient of row ``rows[i]``.
+
+    ``rows`` are sorted and distinct; every other row of the ``shape``-shaped
+    gradient is zero. ``np.asarray`` builds the dense gradient.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=self.values.dtype)
+        dense[self.rows] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 class Tensor:
     """A dense n-dimensional float array, optionally carrying a gradient.
 
@@ -64,7 +90,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
+        self.grad: Optional[Union[np.ndarray, RowGrad]] = None
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
 
@@ -156,11 +182,13 @@ def _from_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g) -> None:
+    """Add ``g`` to ``t.grad``; a second contribution to a RowGrad densifies it."""
     if not t.requires_grad:
         return
-    g = np.asarray(g, dtype=t.data.dtype)
-    t.grad = g if t.grad is None else t.grad + g
+    if not isinstance(g, RowGrad):
+        g = np.asarray(g, dtype=t.data.dtype)
+    t.grad = g if t.grad is None else np.asarray(t.grad) + np.asarray(g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -207,6 +235,9 @@ def backward(loss: Tensor) -> None:
     reshape, transpose, sum) hands on its incoming array or a view of it,
     so one array can be the ``grad`` of several tensors. Treat every
     ``grad`` as read-only; nothing here modifies one in place.
+
+    A table read only through one ``gather_rows`` gets a ``RowGrad``;
+    ``np.asarray(t.grad)`` is the dense gradient for every tensor.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -366,13 +397,20 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Rows of ``a`` at ``indices``; repeated indices accumulate gradient."""
+    """Rows of ``a`` at ``indices``; repeated indices accumulate gradient.
+
+    The gradient of ``a`` is a RowGrad over the distinct rows read (a
+    negative index names the same row as its positive form). Each row sums
+    its contributions from zero in index order, as a dense ``np.add.at``
+    would, so ``np.asarray`` of it is bit-identical to that.
+    """
     idx = np.asarray(indices)
 
     def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
-        _accum(a, ga)
+        rows, inverse = np.unique(idx % a.shape[0], return_inverse=True)
+        values = np.zeros((len(rows),) + a.shape[1:], dtype=a.data.dtype)
+        np.add.at(values, inverse.reshape(idx.shape), g)
+        _accum(a, RowGrad(rows, values, a.shape))
 
     return _from_op(a.data[idx], (a,), back)
 

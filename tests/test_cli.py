@@ -147,6 +147,16 @@ class TestFinetune:
         assert code == 0
         assert (out_dir / "predictions.csv").exists()
 
+    def test_word_encoder_mismatch_with_checkpoint_rejected(self, tmp_path, corpus_file,
+                                                            stance_file, capsys):
+        pre = run_pretrain(tmp_path, corpus_file)  # MODEL_FLAGS pre-train with --word-seed 3
+        out_dir = tmp_path / "ft_seed4"
+        code = main(finetune_args(stance_file, out_dir, "--word-seed", "4",
+                                  "--checkpoint", str(pre / "checkpoint.melt")))
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
+
     def test_requires_checkpoint_or_rand_init(self, tmp_path, stance_file):
         assert main(finetune_args(stance_file, tmp_path / "x")) == 2
 

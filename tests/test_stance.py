@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from melt import stance
 from melt.corpus import RawMessage, StanceExample
 from melt.model import MeltConfig, MeltModel
+from melt.pretrain import TrainingDivergedError
 from melt.stance import (FinetuneConfig, StanceHead, finetune, mfc_baseline,
-                         mfc_predict, predict, random_search, word_baseline,
-                         word_features, word_history_features)
+                         mfc_predict, predict, random_search, train_feature_head,
+                         word_baseline, word_features, word_history_features)
 from melt.tensor import Tensor
 from melt.wordenc import (FrozenWordLevel, HashEmbeddingEncoder,
                           TrainableHashWordLevel, compute_message_vectors)
@@ -165,6 +167,28 @@ class TestEarlyStopping:
         restored = _mean_loss(model, head, wl, dev, None, cfg.batch_size)
         assert restored == pytest.approx(result.best_dev_loss, rel=1e-5)
 
+    def test_unfrozen_table_holds_best_epoch_bytes(self, monkeypatch):
+        examples, enc, _ = setup_world(40)
+        train, dev, _ = split_examples(examples)
+        wl = TrainableHashWordLevel(enc)
+        at_dev_eval = []
+        mean_loss = stance._mean_loss
+
+        def recording_mean_loss(*args):
+            at_dev_eval.append(wl.table.data.copy())
+            return mean_loss(*args)
+
+        monkeypatch.setattr(stance, "_mean_loss", recording_mean_loss)
+        model = MeltModel(CFG, seed=4)
+        head = StanceHead(D, hidden1=8, hidden2=4, seed=4)
+        cfg = FinetuneConfig(lr=3e-3, batch_size=5, max_epochs=8, patience=1, seed=4,
+                             unfreeze_word=True)
+        result = finetune(model, head, wl, train, dev, cfg)
+        assert result.stopped_early and result.best_epoch < len(result.history)
+        best = at_dev_eval[result.best_epoch - 1]
+        assert not np.array_equal(at_dev_eval[-1], best)
+        assert wl.table.data.tobytes() == best.tobytes()
+
     def test_empty_train_rejected(self):
         examples, _, vectors = setup_world(10)
         model = MeltModel(CFG, seed=0)
@@ -207,6 +231,16 @@ class TestBaselineFeatures:
         vectors = {"t": np.array([9.0, 8.0], dtype=np.float32),
                    "h0": np.zeros(2), "h1": np.zeros(2)}
         np.testing.assert_array_equal(word_features(ex, vectors), [9.0, 8.0])
+
+
+def test_feature_head_raises_on_non_finite_loss():
+    rng = np.random.default_rng(0)
+    feats = rng.uniform(-1, 1, (6, 4)).astype(np.float32)
+    feats[2, 1] = np.nan
+    cfg = FinetuneConfig(batch_size=3, max_epochs=2, seed=0)
+    with pytest.raises(TrainingDivergedError):
+        train_feature_head(feats, [0, 1, 2, 0, 1, 2], feats[:3], [0, 1, 2], cfg,
+                           hidden1=4, hidden2=4)
 
 
 class TestRandomSearch:

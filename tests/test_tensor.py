@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import max_rel_err, numeric_grad
 from melt import tensor as T
-from melt.tensor import (ShapeError, Tensor, backward, cross_entropy, dropout,
+from melt.tensor import (RowGrad, ShapeError, Tensor, backward, cross_entropy, dropout,
                          gather_bl, gather_positions, gather_rows, gelu,
                          layer_norm, mse_loss, scatter_rows, segment_mean,
                          sigmoid, softmax, stack, tape)
@@ -79,6 +79,32 @@ class TestMatmul:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 64 * 96 * b.data.itemsize
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_table_gradient_is_rows_bit_identical_to_dense_add_at(self, dtype):
+        rng = np.random.default_rng(8)
+        table = Tensor(rng.standard_normal((9, 4)).astype(dtype), requires_grad=True)
+        idx = np.array([[7, 1, -2], [0, 7, 3]])  # -2 is row 7
+        g = rng.standard_normal(idx.shape + (4,)).astype(dtype)
+        g[0, 1, 2] = -0.0  # row 1 is gathered once: 0 + -0.0 is +0.0 in both forms
+        backward(T.mul(gather_rows(table, idx), Tensor(g)).sum())
+        dense = np.zeros_like(table.data)
+        np.add.at(dense, idx, g)
+        assert isinstance(table.grad, RowGrad)
+        assert table.grad.rows.tolist() == [0, 1, 3, 7]
+        assert np.asarray(table.grad).tobytes() == dense.tobytes()
+
+    def test_second_contribution_densifies(self):
+        rng = np.random.default_rng(9)
+        table = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        loss = gather_rows(table, np.array([1, 1])).sum() + T.mul(table, table).sum()
+        backward(loss)
+        assert isinstance(table.grad, np.ndarray)
+        want = 2.0 * table.data
+        want[1] += 2.0
+        np.testing.assert_allclose(table.grad, want, rtol=1e-12)
 
 
 class TestSoftmax:

@@ -132,6 +132,14 @@ class TestVectorFile:
         with pytest.raises(VectorFileError, match="line 2"):
             load_precomputed(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_line(self, tmp_path, bad):
+        path = tmp_path / "vecs.tsv"
+        write_vector_file(path, 2, [("ok", np.zeros(2, dtype=np.float32)),
+                                    ("bad", np.array([1.0, bad], dtype=np.float32))])
+        with pytest.raises(VectorFileError, match="line 3"):
+            load_precomputed(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "vecs.tsv"
         path.write_text("m0\tdeadbeef\n")
