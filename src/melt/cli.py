@@ -400,13 +400,19 @@ def _finetune_cfg(cfg: dict) -> FinetuneConfig:
                           patience=cfg["patience"], seed=cfg["seed"])
 
 
-def _build_model(cfg: dict) -> Tuple[MeltModel, Optional[dict]]:
+def _model_template(cfg: dict
+                    ) -> Tuple[MeltConfig, Optional[Dict[str, np.ndarray]], Optional[dict]]:
+    """Config, parameters and checkpoint header every per-target run starts from.
+
+    With ``--rand-init`` there are no parameters (each run draws its own from
+    the seed) and no header.
+    """
     if cfg["rand_init"]:
-        return MeltModel(_melt_config(cfg), seed=cfg["seed"]), None
+        return _melt_config(cfg), None, None
     if not cfg["checkpoint"]:
         raise CliError("provide --checkpoint or pass --rand-init")
     model, header = load_checkpoint(cfg["checkpoint"])
-    return model, header
+    return model.config, {name: p.data for name, p in model.named_parameters()}, header
 
 
 def _word_level_for(cfg: dict, source, vectors):
@@ -417,14 +423,17 @@ def _word_level_for(cfg: dict, source, vectors):
     return wordenc.TrainableAdapterWordLevel(source)
 
 
-def _run_one_target(model_template: Tuple[dict, Optional[Dict[str, np.ndarray]]],
+def _run_one_target(model_template: Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]],
                     cfg: dict, source, vectors, train, dev, test,
                     history_len: Optional[int], tag: str):
-    """Independent fine-tuning run; builds its own model so runs can parallelize."""
+    """Independent fine-tuning run; builds its own model so runs can parallelize.
+
+    Returns only what the caller saves: (tag, model, best dev loss, best
+    epoch, predictions). The head and word level (with ``--unfreeze-word``,
+    a copy of the whole hash table) are freed when the run ends.
+    """
     model_cfg, params = model_template
-    model = MeltModel(MeltConfig(**model_cfg), seed=cfg["seed"])
-    if params is not None:
-        pretrain_mod.load_params_into(model, params)
+    model = MeltModel(model_cfg, seed=cfg["seed"], params=params)
     head = StanceHead(model.config.d_model, hidden1=cfg["head_hidden1"],
                       hidden2=cfg["head_hidden2"], seed=cfg["seed"])
     word_level = _word_level_for(cfg, source, vectors)
@@ -433,7 +442,7 @@ def _run_one_target(model_template: Tuple[dict, Optional[Dict[str, np.ndarray]]]
                                  history_len=history_len)
     preds = stance_mod.predict(model, head, word_level, test, history_len=history_len) \
         if test else []
-    return tag, result, preds
+    return tag, model, result.best_dev_loss, result.best_epoch, preds
 
 
 def _prediction_rows(preds: Sequence[stance_mod.Prediction]):
@@ -498,23 +507,21 @@ def cmd_finetune(cfg: dict) -> int:
     if cfg["arch"] != "melt":
         raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
 
-    model0, header = _build_model(cfg)
+    model_cfg, params, header = _model_template(cfg)
     if header is not None:
         # Checkpoint config wins over model flags; surface mismatches immediately.
-        cfg["d_model"] = model0.config.d_model
-        cfg["layers"] = model0.config.n_layers
-        cfg["ff_dim"] = model0.config.ff_dim
-        cfg["heads"] = model0.config.n_heads
-        cfg["seq_len"] = model0.config.max_seq
+        cfg["d_model"] = model_cfg.d_model
+        cfg["layers"] = model_cfg.n_layers
+        cfg["ff_dim"] = model_cfg.ff_dim
+        cfg["heads"] = model_cfg.n_heads
+        cfg["seq_len"] = model_cfg.max_seq
         _check_word_encoder(header.get("word_encoder"), cfg)
     source = _make_word_source(cfg)
     vectors = compute_message_vectors(corpus_mod.all_messages(examples), source)
-    if getattr(source, "dim", cfg["d_model"]) != model0.config.d_model:
+    if getattr(source, "dim", cfg["d_model"]) != model_cfg.d_model:
         raise CliError(f"word vectors are {source.dim}-d but the model wants "
-                       f"{model0.config.d_model}")
-    template = (model0.config.to_dict(),
-                {name: p.data.copy() for name, p in model0.named_parameters()}
-                if header is not None else None)
+                       f"{model_cfg.d_model}")
+    template = (model_cfg, params)
 
     train, dev, test = _split_examples(examples)
     sweep_rows = []
@@ -544,12 +551,12 @@ def cmd_finetune(cfg: dict) -> int:
                                                tr, dv, te, hist, tag))
         results.sort(key=lambda r: r[0])
         preds_this: List[stance_mod.Prediction] = []
-        for tag, result, preds in results:
+        for tag, model, best_dev_loss, best_epoch, preds in results:
             preds_this.extend(preds)
             if not sweep:
                 suffix = f"snapshot_{tag}.melt"
-                save_checkpoint(os.path.join(cfg["out"], suffix), result.model,
-                                dev_mse=result.best_dev_loss, epoch=result.best_epoch,
+                save_checkpoint(os.path.join(cfg["out"], suffix), model,
+                                dev_mse=best_dev_loss, epoch=best_epoch,
                                 seed=cfg["seed"],
                                 extra={"word_encoder": _word_meta(cfg), "stance_tag": tag})
         if sweep:

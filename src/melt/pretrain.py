@@ -17,9 +17,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import MaskPlan, SequenceChunk, apply_masking, batch_chunks
-from .model import MeltConfig, MeltModel, embed_batch
+from .model import MeltConfig, MeltModel, copy_param, embed_batch
 from .optim import AdamW, warmup_lr
-from .tensor import Tensor, backward, mse_loss
+from .tensor import Tensor, backward, mse_loss, no_grad
 
 CHECKPOINT_VERSION = 1
 DEV_SEED_SALT = 0x5EED
@@ -90,20 +90,25 @@ def _forward_masked(model: MeltModel, batch: Sequence[SequenceChunk],
                     plans: Sequence[MaskPlan], vectors: Mapping[str, np.ndarray],
                     train: bool, rng: Optional[np.random.Generator]
                     ) -> Tuple[Optional[Tensor], Optional[np.ndarray]]:
-    """Predictions and stacked targets over every selected slot in the batch."""
-    b_idx: List[int] = []
-    l_idx: List[int] = []
-    targets: List[np.ndarray] = []
-    for bi, plan in enumerate(plans):
-        for slot in plan.selected_slots:
-            b_idx.append(bi)
-            l_idx.append(slot)
-            targets.append(plan.targets[slot])
-    if not b_idx:
+    """Predictions and stacked targets over every selected slot in the batch.
+
+    The top layer runs only at a (B, qmax) grid of slots, qmax being the
+    largest selection in the batch: row b lists its selected slots first,
+    and its remaining cells point at slot 0 and are never read.
+    """
+    selected = [plan.selected_slots for plan in plans]
+    counts = [len(sel) for sel in selected]
+    if not any(counts):
         return None, None
+    grid = np.zeros((len(plans), max(counts)), dtype=np.int64)
+    for bi, sel in enumerate(selected):
+        grid[bi, :len(sel)] = sel
+    targets = [plan.targets[slot] for plan, sel in zip(plans, selected) for slot in sel]
     x, attn = embed_batch(model, batch, plans, vectors)
-    out = model.forward(x, attn, train=train, rng=rng)
-    preds = model.reconstruct_rows(out, np.array(b_idx), np.array(l_idx))
+    out = model.forward(x, attn, train=train, rng=rng, rows=grid)
+    b_idx = np.repeat(np.arange(len(plans)), counts)
+    cells = np.concatenate([np.arange(c) for c in counts])
+    preds = model.reconstruct_rows(out, b_idx, cells)
     return preds, np.stack(targets)
 
 
@@ -128,7 +133,9 @@ def evaluate_dev(model: MeltModel, dev_chunks: Sequence[SequenceChunk],
     for start in range(0, len(dev_chunks), batch_size):
         batch = list(dev_chunks[start:start + batch_size])
         plans = list(dev_plans[start:start + batch_size])
-        preds, targets = _forward_masked(model, batch, plans, vectors, train=False, rng=None)
+        with no_grad():
+            preds, targets = _forward_masked(model, batch, plans, vectors, train=False,
+                                             rng=None)
         if preds is None:
             continue
         diff = preds.data - targets
@@ -220,11 +227,9 @@ def _clip_grads(params, max_norm: float) -> None:
 
 
 def load_params_into(model: MeltModel, params: Mapping[str, np.ndarray]) -> None:
+    """Replace every parameter of ``model`` by one copy of ``params[name]``."""
     for name, p in model.named_parameters():
-        src = params[name]
-        if src.shape != p.data.shape:
-            raise ValueError(f"parameter '{name}' shape {src.shape} != {p.data.shape}")
-        p.data = src.astype(model.dtype).copy()
+        p.data = copy_param(name, params[name], p.data.shape, model.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +277,7 @@ def save_params(path, header: dict, named_params: Sequence[Tuple[str, np.ndarray
 
 
 def load_params(path) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Header and parameter blocks; the arrays are read-only views of the bytes read."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n"):
@@ -295,7 +301,7 @@ def load_params(path) -> Tuple[dict, Dict[str, np.ndarray]]:
             if len(raw) != count * 4:
                 raise CheckpointTruncatedError(
                     f"checkpoint ends mid-block for parameter '{name}'")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         if fh.read(1):
             raise CheckpointManifestError("trailing bytes after the last manifest block")
     return header, params
@@ -325,9 +331,12 @@ def load_checkpoint(path) -> Tuple[MeltModel, dict]:
     """Rebuild a model whose forward outputs are bit-identical to the saved one."""
     header, params = load_params(path)
     config = MeltConfig(**header["config"])
-    model = MeltModel(config, seed=header.get("seed", 0))
-    expected = [name for name, _ in model.named_parameters()]
-    if expected != [e[0] for e in header["manifest"]]:
-        raise CheckpointManifestError("manifest does not match this model layout")
-    load_params_into(model, params)
+    layout_error = CheckpointManifestError("manifest does not match this model layout")
+    try:
+        model = MeltModel(config, seed=header.get("seed", 0), params=params)
+    except KeyError:
+        raise layout_error from None
+    manifest = [entry[0] for entry in header["manifest"]]
+    if [name for name, _ in model.named_parameters()] != manifest:
+        raise layout_error
     return model, header

@@ -18,8 +18,8 @@ from .corpus import LABELS, SequenceChunk, StanceExample, build_finetune_sequenc
 from .model import MeltModel, embed_token_batch
 from .optim import AdamW
 from .pretrain import TrainingDivergedError
-from .tensor import (Tensor, backward, cross_entropy, dropout, gather_positions,
-                     matmul, sigmoid, softmax)
+from .tensor import (Tensor, backward, cross_entropy, dropout, matmul, no_grad, reshape,
+                     sigmoid, softmax)
 
 
 @dataclass
@@ -109,7 +109,8 @@ def _forward_examples(model: MeltModel, head: StanceHead, word_level,
 
     Real-slot vectors come from the word level as one stacked tensor, so the
     same code path serves both the frozen (constant rows) and unfrozen
-    (trainable rows) modes.
+    (trainable rows) modes. The encoder's top layer runs only at each
+    example's target slot, the one row the head reads.
     """
     seq_len = history_len if history_len is not None else model.config.max_seq
     if seq_len > model.config.max_seq:
@@ -129,8 +130,9 @@ def _forward_examples(model: MeltModel, head: StanceHead, word_level,
                 messages.append(slot)
     rows = word_level.batch_vectors(messages)
     x, attn = embed_token_batch(model, chunks, rows, positions)
-    out = model.forward(x, attn, train=train, rng=rng)
-    pooled = gather_positions(out, np.array(target_idx, dtype=np.int64))
+    targets = np.array(target_idx, dtype=np.int64).reshape(-1, 1)
+    out = model.forward(x, attn, train=train, rng=rng, rows=targets)
+    pooled = reshape(out, (len(chunks), model.config.d_model))
     return head.forward(pooled, p_drop=p_drop, train=train, rng=rng)
 
 
@@ -154,8 +156,9 @@ def _mean_loss(model, head, word_level, examples, history_len, batch_size) -> fl
     total, n = 0.0, 0
     for start in range(0, len(examples), batch_size):
         batch = examples[start:start + batch_size]
-        logits = _forward_examples(model, head, word_level, batch, history_len,
-                                   p_drop=0.0, train=False, rng=None)
+        with no_grad():
+            logits = _forward_examples(model, head, word_level, batch, history_len,
+                                       p_drop=0.0, train=False, rng=None)
         loss = cross_entropy(logits, [ex.label_index for ex in batch])
         total += float(loss.data) * len(batch)
         n += len(batch)
@@ -236,8 +239,9 @@ def predict(model: MeltModel, head: StanceHead, word_level,
     preds: List[Prediction] = []
     for start in range(0, len(examples), batch_size):
         batch = examples[start:start + batch_size]
-        logits = _forward_examples(model, head, word_level, batch, history_len,
-                                   p_drop=0.0, train=False, rng=None)
+        with no_grad():
+            logits = _forward_examples(model, head, word_level, batch, history_len,
+                                       p_drop=0.0, train=False, rng=None)
         probs = softmax(logits, axis=-1).data
         for ex, row in zip(batch, probs):
             preds.append(Prediction(ex.example_id, ex.stance_target, ex.label,

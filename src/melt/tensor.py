@@ -11,11 +11,16 @@ A gradient is a dense array of the tensor's shape, except that a row gather
 (``gather_rows``) hands its table a ``RowGrad``: only the rows it touched,
 so a large embedding table never gets a table-sized zero gradient.
 ``np.asarray(grad)`` gives the dense gradient in either case.
+
+Evaluation runs under ``no_grad``, which records nothing, so a forward
+pass holds only the arrays it is still using.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -27,6 +32,7 @@ __all__ = [
     "ShapeError",
     "tape",
     "backward",
+    "no_grad",
     "stack",
     "gather_rows",
     "gather_bl",
@@ -168,10 +174,35 @@ def _ensure(x: TensorLike, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype if dtype is not None else np.float32))
 
 
+class _GradMode(threading.local):
+    recording = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no backward rules inside the block; for evaluation.
+
+    Op outputs get ``requires_grad=False`` and keep neither their inputs
+    nor a backward rule, so each intermediate array is freed as soon as
+    the forward code drops it instead of living as long as the output.
+    Values are the same as with recording. The switch is per thread: a
+    training loop in another thread keeps recording.
+    """
+    previous = _grad_mode.recording
+    _grad_mode.recording = False
+    try:
+        yield
+    finally:
+        _grad_mode.recording = previous
+
+
 def _from_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_mode.recording and any(p.requires_grad for p in parents)
     out.grad = None
     if out.requires_grad:
         out._parents = parents
@@ -416,7 +447,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 def gather_bl(a: Tensor, b_idx, l_idx) -> Tensor:
-    """Select rows a[b, l] for paired index arrays; output shape (n, ...)."""
+    """Select rows a[b, l] for index arrays that broadcast to one shape S.
+
+    The output has shape S + a.shape[2:]: (n, ...) for paired 1-D arrays,
+    or a (B, q, ...) grid for a (B, 1) batch index and (B, q) slots.
+    Repeated (b, l) pairs accumulate gradient.
+    """
     b_idx = np.asarray(b_idx)
     l_idx = np.asarray(l_idx)
 
@@ -435,12 +471,22 @@ def gather_positions(a: Tensor, positions) -> Tensor:
 
 
 def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Mean of the rows of ``a`` per segment id. Empty segments yield zeros."""
+    """Mean of the rows of ``a`` per segment id. Empty segments yield zeros.
+
+    Each segment adds its rows to zero in index order, as ``np.add.at``
+    would, so the sums are bit-identical to it. Step k adds the k-th row of
+    every segment that has one: the loop runs as often as the longest
+    segment has rows, not once per row.
+    """
     seg = np.asarray(segment_ids)
-    counts = np.bincount(seg, minlength=n_segments).astype(a.data.dtype)
-    safe = np.maximum(counts, 1.0)
+    n_rows = np.bincount(seg, minlength=n_segments)
+    safe = np.maximum(n_rows.astype(a.data.dtype), 1.0)
+    order = np.argsort(seg, kind="stable")
+    starts = np.cumsum(n_rows) - n_rows
     sums = np.zeros((n_segments,) + a.shape[1:], dtype=a.data.dtype)
-    np.add.at(sums, seg, a.data)
+    for k in range(int(n_rows.max(initial=0))):
+        live = np.flatnonzero(n_rows > k)
+        sums[live] += a.data[order[starts[live] + k]]
 
     def back(g):
         _accum(a, g[seg] / safe[seg].reshape((-1,) + (1,) * (a.ndim - 1)))
@@ -544,15 +590,25 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
-            train: bool) -> Tensor:
-    """Inverted dropout: scale kept units by 1/(1-p) when training, identity in eval."""
+            train: bool, draw_shape: Optional[tuple] = None, keep=None) -> Tensor:
+    """Inverted dropout: scale kept units by 1/(1-p) when training, identity in eval.
+
+    With an index ``keep``, ``x`` is a part of a larger tensor: the mask's
+    uniforms are drawn at that tensor's ``draw_shape`` and ``keep`` picks
+    x's entries from them, so the generator advances as for a dropout over
+    all of it.
+    """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if not train or p == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    if keep is None:
+        draw = rng.random(x.shape)
+    else:
+        draw = rng.random(draw_shape)[keep]
+    mask = (draw >= p).astype(x.data.dtype) / (1.0 - p)
 
     def back(g):
         _accum(x, g * mask)

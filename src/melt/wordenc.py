@@ -77,12 +77,17 @@ def fnv1a_64(token: str) -> int:
     return h
 
 
+_TABLE_BLOCK_BYTES = 1 << 20  # float64 work buffer of the table build
+
+
 class HashEmbeddingEncoder:
     """Fixed random embedding table addressed by a stable string hash.
 
     The table is drawn once from a seeded Gaussian scaled by 1/sqrt(dim) and
     never updated during pre-training; encoding is a pure function of the
-    tokens.
+    tokens. It is filled in row blocks through one small float64 buffer,
+    which draws the same stream and rounds the same way as drawing the whole
+    float64 table, scaling it and casting it to float32.
     """
 
     frozen = True
@@ -94,7 +99,14 @@ class HashEmbeddingEncoder:
         self.buckets = buckets
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.table = (rng.standard_normal((buckets, dim)) / np.sqrt(dim)).astype(np.float32)
+        self.table = np.empty((buckets, dim), dtype=np.float32)
+        block = np.empty((max(1, _TABLE_BLOCK_BYTES // (8 * dim)), dim))
+        scale = np.sqrt(dim)
+        for start in range(0, buckets, len(block)):
+            part = block[:buckets - start]
+            rng.standard_normal(out=part)
+            part /= scale
+            self.table[start:start + len(part)] = part
 
     def token_ids(self, toks: TokenSequence) -> np.ndarray:
         return np.array([fnv1a_64(t) % self.buckets for t in toks.tokens], dtype=np.int64)

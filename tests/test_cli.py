@@ -227,6 +227,34 @@ class TestJobs:
         assert outputs[0] == outputs[1]
 
 
+class TestPerTargetRuns:
+    def test_each_runs_word_level_is_freed_before_the_next_starts(self, tmp_path,
+                                                                   monkeypatch):
+        # with --unfreeze-word a word level holds a copy of the whole hash table
+        import weakref
+        import melt.cli as cli
+        stance_path = tmp_path / "two.jsonl"
+        write_stance_jsonl(stance_path, stance_corpus(
+            120, n_history=6, seed=33, split_fracs=(0.6, 0.2),
+            targets=("abortion", "climate")))
+        made = []
+        real = cli._word_level_for
+
+        def tracked(cfg, source, vectors):
+            assert all(ref() is None for ref in made), "an earlier run's word level lives"
+            level = real(cfg, source, vectors)
+            made.append(weakref.ref(level))
+            return level
+
+        monkeypatch.setattr(cli, "_word_level_for", tracked)
+        out_dir = tmp_path / "ft"
+        assert main(finetune_args(stance_path, out_dir, "--rand-init",
+                                  "--unfreeze-word")) == 0
+        assert len(made) == 2
+        assert (out_dir / "snapshot_abortion.melt").exists()
+        assert (out_dir / "snapshot_climate.melt").exists()
+
+
 class TestEvaluate:
     def perfect_predictions(self, tmp_path, stance_file):
         examples = stance_corpus(120, n_history=6, seed=21, split_fracs=(0.6, 0.2))

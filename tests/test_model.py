@@ -276,3 +276,171 @@ class TestParameterCount:
         names_b = [n for n, _ in MeltModel(tiny_config, seed=1).named_parameters()]
         assert names_a == names_b
         assert names_a[0] == "pos_embedding" and names_a[-1] == "head.b"
+
+
+# ---------------------------------------------------------------------------
+# the top layer run only at the rows a caller reads
+# ---------------------------------------------------------------------------
+
+
+def pruned_case(n_layers, seed=0):
+    """float64 model at d 16, PAD tails, and a row grid with repeated cells."""
+    cfg = MeltConfig(n_layers=n_layers, d_model=16, ff_dim=32, n_heads=4, dropout=0.2,
+                     max_seq=6)
+    model = MeltModel(cfg, seed=seed, dtype=np.float64)
+    x = np.random.default_rng(seed + 100).uniform(-1, 1, (3, 6, 16))
+    attn = np.array([[True] * 6, [True] * 4 + [False] * 2, [True] * 2 + [False] * 4])
+    rows = np.array([[5, 0, 2], [1, 1, 3], [0, 4, 0]])  # repeats; PAD slots 4 and 5
+    return model, x, attn, rows
+
+
+def run_both(model, x, attn, rows, train, weights=None):
+    """Full and pruned forwards from equal generators, with an optional loss backward.
+
+    Returns (full rows, pruned rows, full rng, pruned rng, full grads, pruned grads).
+    """
+    from melt.tensor import backward, gather_bl
+    results = []
+    for pruned in (False, True):
+        rng = np.random.default_rng(7) if train else None
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = model.forward(xt, attn, train=train, rng=rng,
+                            rows=rows if pruned else None)
+        if not pruned:
+            out = gather_bl(out, np.arange(len(rows))[:, None], rows)
+        grads = None
+        if weights is not None:
+            backward((out * Tensor(weights)).sum())
+            grads = {name: np.asarray(p.grad) for name, p in model.named_parameters()
+                     if name.startswith("layers.")}
+            grads["x"] = np.asarray(xt.grad)
+        results.append((out.data, rng, grads))
+    (full, rng_f, g_f), (part, rng_p, g_p) = results
+    return full, part, rng_f, rng_p, g_f, g_p
+
+
+class TestSelectedRows:
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_rows_equal_full_forward_rows(self, n_layers, train):
+        model, x, attn, rows = pruned_case(n_layers)
+        full, part, rng_f, rng_p, _, _ = run_both(model, x, attn, rows, train)
+        assert part.shape == (3, 3, 16)
+        np.testing.assert_allclose(part, full, rtol=0, atol=1e-12)
+        if train:
+            assert rng_p.bit_generator.state == rng_f.bit_generator.state
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_train_mode_draws_the_full_masks(self, n_layers):
+        # the generator ends where the full forward leaves it, and dropout is live
+        model, x, attn, rows = pruned_case(n_layers)
+        full, part, rng_f, rng_p, _, _ = run_both(model, x, attn, rows, train=True)
+        assert rng_p.bit_generator.state == rng_f.bit_generator.state
+        evaluated = model.forward(Tensor(x), attn, rows=rows).data
+        assert np.abs(evaluated - part).max() > 1e-3
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_gradients_match_full_path(self, n_layers, train):
+        model, x, attn, rows = pruned_case(n_layers)
+        weights = np.random.default_rng(5).uniform(-1, 1, (3, 3, 16))
+        *_, g_full, g_part = run_both(model, x, attn, rows, train, weights)
+        for name, want in g_full.items():
+            if name.endswith(".bk"):
+                continue  # a key bias shifts every score of a query alike: true gradient 0
+            err = np.abs(g_part[name] - want).max()
+            assert err <= 1e-9 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_pruned_path_matches_finite_differences(self, n_layers):
+        from conftest import max_rel_err, numeric_grad
+        from melt.tensor import backward
+        cfg = MeltConfig(n_layers=n_layers, d_model=8, ff_dim=16, n_heads=2, dropout=0.1,
+                         max_seq=4)
+        model = MeltModel(cfg, seed=3, dtype=np.float64)
+        x = np.random.default_rng(4).uniform(-1, 1, (2, 4, 8))
+        attn = np.array([[True] * 4, [True, True, True, False]])
+        rows = np.array([[3, 1], [0, 0]])
+        weights = Tensor(np.random.default_rng(6).uniform(-1, 1, (2, 2, 8)))
+
+        def loss():
+            # the same generator seed each call keeps the dropout masks fixed
+            out = model.forward(Tensor(x), attn, train=True, rng=np.random.default_rng(9),
+                                rows=rows)
+            return (out * weights).sum()
+
+        backward(loss())
+        for name, p in model.named_parameters():
+            if not name.startswith("layers."):
+                continue  # embeddings and head lie outside the forward
+            analytic = np.asarray(p.grad)
+            numeric = numeric_grad(lambda: float(loss().data), p.data)
+            assert max_rel_err(analytic, numeric) < 1e-6, name
+
+    def test_without_rows_the_output_is_every_slot(self, tiny_config):
+        model = MeltModel(tiny_config, seed=1)
+        x = np.random.default_rng(0).uniform(-1, 1, (2, 4, 8)).astype(np.float32)
+        attn = np.ones((2, 4), dtype=bool)
+        every = model.forward(Tensor(x), attn, rows=np.tile(np.arange(4), (2, 1))).data
+        full = model.forward(Tensor(x), attn).data
+        assert full.shape == (2, 4, 8)
+        np.testing.assert_allclose(every, full, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("rows", [[[0, 4], [1, 2]], [[0, -1], [1, 2]], [[0, 1]],
+                                      [[0.0, 1.0], [1.0, 2.0]]])
+    def test_bad_rows_rejected(self, tiny_config, rows):
+        model = MeltModel(tiny_config, seed=1)
+        with pytest.raises(ValueError, match="rows"):
+            model.forward(Tensor(np.zeros((2, 4, 8), dtype=np.float32)),
+                          np.ones((2, 4), dtype=bool), rows=np.array(rows))
+
+
+# ---------------------------------------------------------------------------
+# parameter initialization
+# ---------------------------------------------------------------------------
+
+
+class TestInit:
+    def test_seeded_draw_order_is_unchanged(self, small_config):
+        # pos, mask, pad, then per layer wq wk wv wo w1 w2, then the head;
+        # biases and norms are constants and draw nothing
+        model = MeltModel(small_config, seed=21)
+        rng = np.random.default_rng(21)
+        d, ff, length = 32, 64, 40
+
+        def draw(shape):
+            return (rng.standard_normal(shape) * 0.02).astype(np.float32)
+
+        want = {"pos_embedding": draw((length, d)), "mask_vector": draw((d,)),
+                "pad_vector": draw((d,))}
+        for i in range(small_config.n_layers):
+            for name, shape in (("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)),
+                                ("wo", (d, d)), ("w1", (d, ff)), ("w2", (ff, d))):
+                want[f"layers.{i}.{name}"] = draw(shape)
+        want["head.w"] = draw((d, d))
+        for name, p in model.named_parameters():
+            if name in want:
+                assert p.data.tobytes() == want[name].tobytes(), name
+            else:
+                fill = 1.0 if name.endswith("_g") else 0.0
+                assert p.data.dtype == np.float32 and (p.data == fill).all(), name
+
+    def test_from_params_copies_them_and_draws_nothing(self, small_config, monkeypatch):
+        import melt.model as model_mod
+        source = {n: p.data for n, p in MeltModel(small_config, seed=5).named_parameters()}
+
+        def no_draw(*args):
+            raise AssertionError("a model built from params drew random weights")
+
+        monkeypatch.setattr(model_mod, "_gaussian", no_draw)
+        model = MeltModel(small_config, seed=99, params=source)
+        for name, p in model.named_parameters():
+            assert p.data.tobytes() == source[name].tobytes(), name
+            assert p.data.dtype == np.float32 and p.requires_grad
+            assert not np.shares_memory(p.data, source[name]), name
+
+    def test_from_params_rejects_a_wrong_shape(self, small_config):
+        source = {n: p.data for n, p in MeltModel(small_config, seed=5).named_parameters()}
+        source["layers.1.w1"] = np.zeros((3, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="layers.1.w1"):
+            MeltModel(small_config, params=source)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from melt.corpus import build_chunks
-from melt.model import MeltConfig, MeltModel
+from melt import pretrain as pretrain_mod
+from melt.corpus import Action, MaskPlan, build_chunks
+from melt.model import MeltConfig, MeltModel, embed_batch
 from melt.pretrain import (CheckpointManifestError, CheckpointTruncatedError,
                            CheckpointVersionError, PretrainConfig,
-                           TrainingDivergedError, evaluate_dev, load_checkpoint,
-                           load_params_into, make_dev_plans, masked_loss,
-                           save_checkpoint, train)
-from melt.tensor import Tensor
+                           TrainingDivergedError, _forward_masked, evaluate_dev,
+                           load_checkpoint, load_params_into, make_dev_plans,
+                           masked_loss, save_checkpoint, train)
+from melt.tensor import Tensor, backward
 from melt.wordenc import HashEmbeddingEncoder, compute_message_vectors
 from synthdata import marker_corpus
 
@@ -135,6 +136,26 @@ class TestEvaluateDev:
         with pytest.raises(ValueError):
             evaluate_dev(model, [], [], {})
 
+    def test_records_no_graph_and_matches_recorded_forward(self, monkeypatch):
+        _, vectors, chunks = small_setup()
+        model = small_model()
+        plans = make_dev_plans(chunks[:4], vectors, seed=9)
+        preds, targets = _forward_masked(model, chunks[:4], plans, vectors, train=False,
+                                         rng=None)
+        assert preds.requires_grad
+        diff = preds.data - targets
+        want = float((diff * diff).sum()) / diff.size
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = _forward_masked(*args, **kwargs)
+            seen.append(out[0].requires_grad)
+            return out
+
+        monkeypatch.setattr(pretrain_mod, "_forward_masked", spy)
+        assert evaluate_dev(model, chunks[:4], plans, vectors) == want
+        assert seen == [False]
+
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, model, **meta):
@@ -225,3 +246,91 @@ class TestCheckpoint:
                                                  ("bad", Exploding())])
         assert not target.exists()
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestForwardMaskedRows:
+    """_forward_masked runs the top layer only at each chunk's selected slots."""
+
+    def case(self, n_layers):
+        _, vectors, chunks = small_setup(n_users=4, n_msgs=30)  # 30 real + 10 PAD each
+        model = MeltModel(MeltConfig(n_layers=n_layers, d_model=16, ff_dim=32, n_heads=4,
+                                     dropout=0.2, max_seq=40), seed=3, dtype=np.float64)
+        plans = make_dev_plans(chunks, vectors, seed=17)
+        plans[-1] = MaskPlan((Action.KEEP,) * 40)  # a chunk with nothing selected
+        assert all(p.selected_slots for p in plans[:-1])
+        return model, chunks, plans, vectors
+
+    def full_path(self, model, chunks, plans, vectors, rng):
+        """Every slot through the top layer, then the head at the selected slots."""
+        x, attn = embed_batch(model, chunks, plans, vectors)
+        out = model.forward(x, attn, train=rng is not None, rng=rng)
+        b_idx = [b for b, p in enumerate(plans) for _ in p.selected_slots]
+        l_idx = [s for p in plans for s in p.selected_slots]
+        return model.reconstruct_rows(out, np.array(b_idx), np.array(l_idx))
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_predictions_and_gradients_match_full_path(self, n_layers, train):
+        model, chunks, plans, vectors = self.case(n_layers)
+        runs = []
+        for pruned in (False, True):
+            rng = np.random.default_rng(8) if train else None
+            if pruned:
+                preds, targets = _forward_masked(model, chunks, plans, vectors, train, rng)
+            else:
+                preds = self.full_path(model, chunks, plans, vectors, rng)
+            backward(masked_loss(preds, targets if pruned else np.stack(
+                [p.targets[s] for p in plans for s in p.selected_slots])))
+            grads = {n: np.asarray(p.grad) for n, p in model.named_parameters()}
+            runs.append((preds.data, rng, grads))
+        (full, rng_f, g_full), (part, rng_p, g_part) = runs
+        np.testing.assert_allclose(part, full, rtol=0, atol=1e-12)
+        if train:
+            assert rng_p.bit_generator.state == rng_f.bit_generator.state
+        for name, want in g_full.items():
+            if name.endswith(".bk"):
+                continue  # true gradient 0
+            err = np.abs(g_part[name] - want).max()
+            assert err <= 1e-9 * np.abs(want).max(), name
+
+    def test_nothing_selected_gives_no_predictions(self):
+        model, chunks, _, vectors = self.case(1)
+        keep = [MaskPlan((Action.KEEP,) * 40) for _ in chunks]
+        assert _forward_masked(model, chunks, keep, vectors, False, None) == (None, None)
+
+
+class TestLoadWithoutInit:
+    def test_checkpoint_loads_bit_identical_without_random_init(self, tmp_path,
+                                                                  monkeypatch):
+        import melt.model as model_mod
+        model = small_model()
+        path = tmp_path / "m.melt"
+        save_checkpoint(path, model, dev_mse=0.0, epoch=1, seed=7)
+
+        def no_draw(*args):
+            raise AssertionError("loading a checkpoint drew random weights")
+
+        monkeypatch.setattr(model_mod, "_gaussian", no_draw)
+        loaded, _ = load_checkpoint(path)
+        for (name, want), (_, got) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert got.data.tobytes() == want.data.tobytes(), name
+
+    def test_load_params_into_owns_one_bit_identical_copy(self):
+        source = {n: p.data.astype(np.float64) for n, p in small_model().named_parameters()}
+        model = small_model(dropout=0.0)
+        load_params_into(model, source)
+        for name, p in model.named_parameters():
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == source[name].astype(np.float32).tobytes(), name
+            assert not np.shares_memory(p.data, source[name])
+
+    def test_manifest_naming_a_missing_parameter_rejected(self, tmp_path):
+        from melt.pretrain import load_params, save_params
+        path = tmp_path / "m.melt"
+        save_checkpoint(path, small_model(), dev_mse=0.0, epoch=1, seed=7)
+        header, params = load_params(path)
+        renamed = [("renamed" if n == "head.b" else n, a) for n, a in params.items()]
+        header.pop("manifest")
+        save_params(path, header, renamed)
+        with pytest.raises(CheckpointManifestError):
+            load_checkpoint(path)

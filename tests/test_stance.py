@@ -100,6 +100,29 @@ class TestPredict:
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.probs, pb.probs)
 
+    def test_predict_and_dev_loss_record_no_graph(self, monkeypatch):
+        examples, _, vectors = setup_world(8)
+        model = MeltModel(CFG, seed=1)
+        head = StanceHead(D, hidden1=4, hidden2=4, seed=1)
+        wl = FrozenWordLevel(D, vectors)
+        recorded = stance._forward_examples(model, head, wl, examples[:4], None, 0.0,
+                                            False, None)
+        assert recorded.requires_grad
+        forward = stance._forward_examples
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            seen.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(stance, "_forward_examples", spy)
+        preds = predict(model, head, wl, examples[:4])
+        want = stance.softmax(recorded, axis=-1).data
+        assert np.array_equal(np.stack([p.probs for p in preds]), want)
+        stance._mean_loss(model, head, wl, examples[:4], None, 2)
+        assert seen == [False, False, False]
+
     def test_argmax_invariant_under_logit_shift(self):
         examples, _, vectors = setup_world(6)
         wl = FrozenWordLevel(D, vectors)

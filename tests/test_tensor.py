@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import zlib
 
@@ -10,7 +11,7 @@ from conftest import max_rel_err, numeric_grad
 from melt import tensor as T
 from melt.tensor import (RowGrad, ShapeError, Tensor, backward, cross_entropy, dropout,
                          gather_bl, gather_positions, gather_rows, gelu,
-                         layer_norm, mse_loss, scatter_rows, segment_mean,
+                         layer_norm, mse_loss, no_grad, scatter_rows, segment_mean,
                          sigmoid, softmax, stack, tape)
 
 
@@ -328,6 +329,20 @@ def test_gelu_is_bit_identical_to_its_formula(dtype):
     assert t.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_segment_mean_is_bit_identical_to_add_at(dtype):
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((60, 7)).astype(dtype)
+    rows[3, 2] = -0.0
+    seg = rng.permutation(np.repeat(np.arange(0, 18, 2), rng.integers(1, 12, 9))[:60])
+    out = segment_mean(Tensor(rows), seg, 19).data
+    sums = np.zeros((19, 7), dtype=dtype)
+    np.add.at(sums, seg, rows)
+    counts = np.maximum(np.bincount(seg, minlength=19).astype(dtype), 1.0)
+    assert out.tobytes() == (sums / counts[:, None]).tobytes()
+    assert not out[1::2].any()
+
+
 def test_dropout_scaling_and_eval_identity():
     x = Tensor(np.ones(10000), requires_grad=True)
     out = dropout(x, 0.25, np.random.default_rng(0), train=True)
@@ -355,3 +370,43 @@ def test_repeated_forward_backward_bit_identical():
     l2, g2 = once()
     assert np.array_equal(l1, l2)
     assert np.array_equal(g1, g2)
+
+
+class TestNoGrad:
+    @staticmethod
+    def forward(w, g, b, x):
+        return softmax(layer_norm(gelu(x @ w), g, b), axis=-1)
+
+    @staticmethod
+    def params(rng):
+        return (rand(rng, 4, 6), rand(rng, 6), rand(rng, 6),
+                Tensor(rng.uniform(-2, 2, (3, 5, 4)).astype(np.float32)))
+
+    def test_same_values_and_no_graph(self):
+        w, g, b, x = self.params(np.random.default_rng(0))
+        recorded = self.forward(w, g, b, x)
+        with no_grad():
+            bare = self.forward(w, g, b, x)
+        assert recorded.requires_grad and recorded._parents
+        assert not bare.requires_grad
+        assert bare._parents == () and bare._backward is None
+        assert bare.data.tobytes() == recorded.data.tobytes()
+
+    def test_recording_resumes_after_the_block_even_on_error(self):
+        w, g, b, x = self.params(np.random.default_rng(1))
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("inside")
+        backward(self.forward(w, g, b, x).sum())
+        assert w.grad is not None and np.abs(np.asarray(w.grad)).sum() > 0
+
+    def test_switch_is_per_thread(self):
+        w, g, b, x = self.params(np.random.default_rng(2))
+        seen = []
+        with no_grad():
+            worker = threading.Thread(
+                target=lambda: seen.append(self.forward(w, g, b, x).requires_grad))
+            worker.start()
+            worker.join()
+            seen.append(self.forward(w, g, b, x).requires_grad)
+        assert seen == [True, False]

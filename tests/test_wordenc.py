@@ -68,6 +68,22 @@ class TestHashEncoder:
         enc = HashEmbeddingEncoder(dim=64, buckets=4096, seed=3)
         assert abs(float(enc.table.std()) - 1 / np.sqrt(64)) < 0.002
 
+    @pytest.mark.parametrize("dim,buckets,block_rows", [
+        (16, 10, 3),      # last block holds one row
+        (7, 5, 8),        # one block larger than the table
+        (300, 1000, None),  # the default block size, not a divisor of 1000
+    ])
+    def test_blocked_build_is_byte_identical_to_one_shot_formula(
+            self, monkeypatch, dim, buckets, block_rows):
+        import melt.wordenc as wordenc
+        if block_rows is not None:
+            monkeypatch.setattr(wordenc, "_TABLE_BLOCK_BYTES", 8 * dim * block_rows)
+        rng = np.random.default_rng(41)
+        want = (rng.standard_normal((buckets, dim)) / np.sqrt(dim)).astype(np.float32)
+        table = HashEmbeddingEncoder(dim=dim, buckets=buckets, seed=41).table
+        assert table.dtype == np.float32 and table.shape == (buckets, dim)
+        assert table.tobytes() == want.tobytes()
+
     def test_frozen_purity_over_corpus(self):
         enc = HashEmbeddingEncoder(dim=8, buckets=64, seed=5)
         msgs = [RawMessage("u", f"m{i}", i, f"word{i} shared") for i in range(20)]
