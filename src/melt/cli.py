@@ -415,28 +415,34 @@ def _model_template(cfg: dict
     return model.config, {name: p.data for name, p in model.named_parameters()}, header
 
 
-def _word_level_for(cfg: dict, source, vectors):
+def _word_level_for(cfg: dict, source, messages):
+    """The word level of one run, whose messages are ``messages``.
+
+    ``source`` is the FrozenWordLevel every run shares, or the hash encoder
+    or vector store an unfrozen level trains over. An unfrozen hash table
+    holds only the rows ``messages`` reach.
+    """
     if not cfg["unfreeze_word"]:
-        return wordenc.FrozenWordLevel(cfg["d_model"], vectors)
+        return source
     if isinstance(source, HashEmbeddingEncoder):
-        return wordenc.TrainableHashWordLevel(source)
+        return wordenc.TrainableHashWordLevel(source, messages)
     return wordenc.TrainableAdapterWordLevel(source)
 
 
 def _run_one_target(model_template: Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]],
-                    cfg: dict, source, vectors, train, dev, test,
+                    cfg: dict, source, train, dev, test,
                     history_len: Optional[int], tag: str):
     """Independent fine-tuning run; builds its own model so runs can parallelize.
 
     Returns only what the caller saves: (tag, model, best dev loss, best
-    epoch, predictions). The head and word level (with ``--unfreeze-word``,
-    a copy of the whole hash table) are freed when the run ends.
+    epoch, predictions). The head and an unfrozen word level are freed when
+    the run ends.
     """
     model_cfg, params = model_template
     model = MeltModel(model_cfg, seed=cfg["seed"], params=params)
     head = StanceHead(model.config.d_model, hidden1=cfg["head_hidden1"],
                       hidden2=cfg["head_hidden2"], seed=cfg["seed"])
-    word_level = _word_level_for(cfg, source, vectors)
+    word_level = _word_level_for(cfg, source, corpus_mod.all_messages([*train, *dev, *test]))
     fcfg = _finetune_cfg(cfg)
     result = stance_mod.finetune(model, head, word_level, train, dev, fcfg,
                                  history_len=history_len)
@@ -517,8 +523,13 @@ def cmd_finetune(cfg: dict) -> int:
         cfg["seq_len"] = model_cfg.max_seq
         _check_word_encoder(header.get("word_encoder"), cfg)
     source = _make_word_source(cfg)
-    vectors = compute_message_vectors(corpus_mod.all_messages(examples), source)
-    if getattr(source, "dim", cfg["d_model"]) != model_cfg.d_model:
+    if not (cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder)):
+        # A trainable hash table pools its own rows and never reads these
+        # vectors; for a vector file this also checks every id up front.
+        vectors = compute_message_vectors(corpus_mod.all_messages(examples), source)
+        if not cfg["unfreeze_word"]:
+            source = wordenc.FrozenWordLevel(cfg["d_model"], vectors)
+    if source.dim != model_cfg.d_model:
         raise CliError(f"word vectors are {source.dim}-d but the model wants "
                        f"{model_cfg.d_model}")
     template = (model_cfg, params)
@@ -541,13 +552,13 @@ def cmd_finetune(cfg: dict) -> int:
         results = []
         if cfg["jobs"] > 1 and len(jobs) > 1:
             with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-                futures = [pool.submit(_run_one_target, template, cfg, source, vectors,
+                futures = [pool.submit(_run_one_target, template, cfg, source,
                                        tr, dv, te, hist, tag)
                            for tag, tr, dv, te in jobs]
                 results = [f.result() for f in futures]
         else:
             for tag, tr, dv, te in jobs:
-                results.append(_run_one_target(template, cfg, source, vectors,
+                results.append(_run_one_target(template, cfg, source,
                                                tr, dv, te, hist, tag))
         results.sort(key=lambda r: r[0])
         preds_this: List[stance_mod.Prediction] = []

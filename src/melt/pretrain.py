@@ -43,8 +43,8 @@ class PretrainConfig:
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, step: int):
-        super().__init__(f"loss became non-finite at step {step}")
+    def __init__(self, step: int, what: str = "loss"):
+        super().__init__(f"{what} became non-finite at step {step}")
         self.step = step
 
 
@@ -154,6 +154,9 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
     The word level is frozen by construction: only message-transformer
     parameters are registered with the optimizer, and the pooled vectors are
     plain arrays that gradients cannot enter.
+
+    Raises TrainingDivergedError when a training loss or a dev MSE is not
+    finite.
     """
     if not train_chunks:
         raise ValueError("training set is empty")
@@ -176,6 +179,8 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
             global_step += 1
         dev_mse = evaluate_dev(model, dev_chunks, dev_plans, vectors,
                                batch_size=config.batch_size)
+        if not np.isfinite(dev_mse):
+            raise TrainingDivergedError(global_step, what=f"dev MSE after epoch {epoch}")
         result.epochs.append(EpochRecord(epoch, dev_mse))
         if dev_mse < result.best_dev_mse:
             result.best_dev_mse = dev_mse

@@ -190,7 +190,7 @@ def finetune(model: MeltModel, head: StanceHead, word_level,
              history_len: Optional[int] = None) -> FinetuneResult:
     """Cross-entropy fine-tuning with early stopping on dev loss.
 
-    Raises TrainingDivergedError when a training loss is not finite.
+    Raises TrainingDivergedError when a training or dev loss is not finite.
     """
     if not train_examples:
         raise ValueError("training set is empty")
@@ -202,7 +202,7 @@ def finetune(model: MeltModel, head: StanceHead, word_level,
     opt = AdamW(params, base_lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
     result = FinetuneResult(model=model, head=head, word_level=word_level)
-    best_snap = _snapshot(params)
+    best_snap = None
     since_best = 0
     step = 0
     for epoch in range(1, cfg.max_epochs + 1):
@@ -217,11 +217,13 @@ def finetune(model: MeltModel, head: StanceHead, word_level,
             step += 1
         dev_loss = _mean_loss(model, head, word_level, dev_examples, history_len,
                               cfg.batch_size)
+        if not np.isfinite(dev_loss):
+            raise TrainingDivergedError(step, what=f"dev loss after epoch {epoch}")
         result.history.append((epoch, epoch_loss / seen, dev_loss))
         if dev_loss < result.best_dev_loss:
             result.best_dev_loss = dev_loss
             result.best_epoch = epoch
-            _snapshot(params, into=best_snap)
+            best_snap = _snapshot(params, into=best_snap)
             since_best = 0
         else:
             since_best += 1
@@ -301,7 +303,7 @@ def train_feature_head(features: np.ndarray, labels: Sequence[int],
                        hidden2: int = 384) -> StanceHead:
     """Train a StanceHead-shaped classifier over fixed feature vectors.
 
-    Raises TrainingDivergedError when a training loss is not finite.
+    Raises TrainingDivergedError when a training or dev loss is not finite.
     """
     if features.shape[0] == 0:
         raise ValueError("training set is empty")
@@ -312,10 +314,10 @@ def train_feature_head(features: np.ndarray, labels: Sequence[int],
     labels = np.asarray(labels, dtype=np.int64)
     dev_labels = np.asarray(dev_labels, dtype=np.int64)
     best = float("inf")
-    best_snap = _snapshot(params)
+    best_snap = None
     since_best = 0
     step = 0
-    for _epoch in range(cfg.max_epochs):
+    for epoch in range(1, cfg.max_epochs + 1):
         order = rng.permutation(features.shape[0])
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -329,9 +331,11 @@ def train_feature_head(features: np.ndarray, labels: Sequence[int],
             step += 1
         dev_logits = head.forward(Tensor(dev_features))
         dev_loss = float(cross_entropy(dev_logits, dev_labels).data)
+        if not np.isfinite(dev_loss):
+            raise TrainingDivergedError(step, what=f"dev loss after epoch {epoch}")
         if dev_loss < best:
             best = dev_loss
-            _snapshot(params, into=best_snap)
+            best_snap = _snapshot(params, into=best_snap)
             since_best = 0
         else:
             since_best += 1

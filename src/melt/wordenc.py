@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -98,6 +98,9 @@ class HashEmbeddingEncoder:
         self.dim = dim
         self.buckets = buckets
         self.seed = seed
+        # token -> bucket. Threads may race to fill an entry, but they all
+        # write the same value.
+        self._bucket_of: Dict[str, int] = {}
         rng = np.random.default_rng(seed)
         self.table = np.empty((buckets, dim), dtype=np.float32)
         block = np.empty((max(1, _TABLE_BLOCK_BYTES // (8 * dim)), dim))
@@ -109,7 +112,15 @@ class HashEmbeddingEncoder:
             self.table[start:start + len(part)] = part
 
     def token_ids(self, toks: TokenSequence) -> np.ndarray:
-        return np.array([fnv1a_64(t) % self.buckets for t in toks.tokens], dtype=np.int64)
+        """Bucket of each token; each distinct token is hashed once per encoder."""
+        memo = self._bucket_of
+        ids = []
+        for token in toks.tokens:
+            bucket = memo.get(token)
+            if bucket is None:
+                bucket = memo[token] = fnv1a_64(token) % self.buckets
+            ids.append(bucket)
+        return np.array(ids, dtype=np.int64)
 
     def encode(self, toks: TokenSequence) -> np.ndarray:
         """One row per token, in token order."""
@@ -222,11 +233,14 @@ def compute_message_vectors(messages: Iterable, source) -> Dict[str, np.ndarray]
     """Map message_id -> pooled d-dim vector for every message.
 
     ``source`` is either a HashEmbeddingEncoder (pool of token vectors) or a
-    PrecomputedVectorStore (direct lookup).
+    PrecomputedVectorStore (direct lookup; a message it lacks raises
+    ValueError naming the id).
     """
     out: Dict[str, np.ndarray] = {}
     if isinstance(source, PrecomputedVectorStore):
         for msg in messages:
+            if msg.message_id not in source:
+                raise ValueError(f"no precomputed vector for message id '{msg.message_id}'")
             out[msg.message_id] = source.get(msg.message_id)
         return out
     for msg in messages:
@@ -255,25 +269,47 @@ class FrozenWordLevel:
 
 
 class TrainableHashWordLevel:
-    """Hash-table word level with gradients enabled on the table itself."""
+    """Hash-table word level with gradients enabled on the table itself.
 
-    def __init__(self, encoder: HashEmbeddingEncoder):
+    The trainable table holds only the rows of ``buckets``: the sorted
+    distinct buckets that ``messages`` hash to, or every bucket when
+    ``messages`` is None. A run reads no other row, so no other row is
+    copied, decayed or snapshotted, and the gathered rows, their gradients
+    and their AdamW updates are those of the same rows of the whole table.
+    Each distinct text's row ids are worked out once: at construction for
+    ``messages``, at first use otherwise.
+    """
+
+    def __init__(self, encoder: HashEmbeddingEncoder, messages: Optional[Iterable] = None):
         self.dim = encoder.dim
         self.encoder = encoder
-        self.table = Tensor(encoder.table.copy(), requires_grad=True)
+        self._rows_of: Dict[str, np.ndarray] = {}
+        if messages is None:
+            self.buckets = np.arange(encoder.buckets)
+        else:
+            ids = {text: encoder.token_ids(tokenize(text))
+                   for text in dict.fromkeys(msg.text for msg in messages)}
+            self.buckets = np.unique(np.concatenate(list(ids.values())))
+            self._rows_of = {text: np.searchsorted(self.buckets, i) for text, i in ids.items()}
+        self.table = Tensor(encoder.table[self.buckets], requires_grad=True)
 
     def trainable_params(self) -> list:
         return [("word.table", self.table)]
 
+    def _rows(self, msg) -> np.ndarray:
+        rows = self._rows_of.get(msg.text)
+        if rows is None:
+            if len(self.buckets) < self.encoder.buckets:
+                raise ValueError(f"message '{msg.message_id}' is not among those "
+                                 "the word level's table was built for")
+            rows = self._rows_of[msg.text] = self.encoder.token_ids(tokenize(msg.text))
+        return rows
+
     def batch_vectors(self, messages: Sequence) -> Tensor:
-        ids: List[int] = []
-        segments: List[int] = []
-        for seg, msg in enumerate(messages):
-            token_ids = self.encoder.token_ids(tokenize(msg.text))
-            ids.extend(token_ids.tolist())
-            segments.extend([seg] * len(token_ids))
-        rows = gather_rows(self.table, np.array(ids, dtype=np.int64))
-        return segment_mean(rows, np.array(segments, dtype=np.int64), len(messages))
+        rows = [self._rows(msg) for msg in messages]
+        segments = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        return segment_mean(gather_rows(self.table, np.concatenate(rows)), segments,
+                            len(rows))
 
 
 class TrainableAdapterWordLevel:

@@ -36,3 +36,28 @@ def test_full_hooks_install_and_record():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["model.MeltModel.forward", "model.MeltModel.init"]
+
+
+WORD_LEVEL_SCRIPT = """
+import sys
+sys.path.insert(0, "perfbench")
+import launch
+rec = launch.Recorder()
+launch.full_hooks(rec)
+from melt.corpus import RawMessage
+from melt.wordenc import HashEmbeddingEncoder, TrainableHashWordLevel
+messages = [RawMessage("u", "m0", 0, "alpha beta"), RawMessage("u", "m1", 1, "")]
+level = TrainableHashWordLevel(HashEmbeddingEncoder(dim=4, buckets=64, seed=0), messages)
+level.batch_vectors(messages)
+print(" ".join(sorted({span[0] for span in rec.spans})))
+"""
+
+
+def test_full_hooks_record_the_word_level_built_from_messages():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", WORD_LEVEL_SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["wordenc.batch_vectors"]

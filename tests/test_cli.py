@@ -109,6 +109,21 @@ class TestPretrain:
         assert code == 3
         assert not (out_dir / "checkpoint.melt").exists()
 
+    def test_vector_file_missing_an_id_is_input_error(self, tmp_path, corpus_file, capsys):
+        from melt.corpus import ingest_jsonl
+        prep_dir = run_prep(tmp_path, corpus_file)
+        messages = [m for msgs in ingest_jsonl(corpus_file).values() for m in msgs]
+        vectors = compute_message_vectors(messages[1:], HashEmbeddingEncoder(dim=16))
+        vec_path = tmp_path / "vecs.tsv"
+        write_vector_file(vec_path, 16, vectors.items())
+        out_dir = tmp_path / "pre"
+        code = main(["pretrain", "--corpus", str(corpus_file),
+                     "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
+                     *MODEL_FLAGS, "--word-encoder", f"precomputed:{vec_path}"])
+        assert code == 2
+        assert f"'{messages[0].message_id}'" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.melt").exists()
+
 
 @pytest.fixture
 def stance_file(tmp_path):
@@ -183,6 +198,36 @@ class TestFinetune:
         code = main(finetune_args(stance_file, out_dir, "--rand-init",
                                   "--word-encoder", f"precomputed:{vec_path}"))
         assert code == 0
+
+    def test_vector_file_missing_an_id_is_input_error(self, tmp_path, stance_file, capsys):
+        examples = stance_corpus(120, n_history=6, seed=21, split_fracs=(0.6, 0.2))
+        from melt.corpus import all_messages
+        enc = HashEmbeddingEncoder(dim=16, buckets=256, seed=3)
+        vectors = compute_message_vectors(all_messages(examples), enc)
+        dropped = examples[0].target.message_id
+        del vectors[dropped]
+        vec_path = tmp_path / "vecs.tsv"
+        write_vector_file(vec_path, 16, vectors.items())
+        for extra in ((), ("--unfreeze-word",)):
+            out_dir = tmp_path / ("ft" + "".join(extra))
+            code = main(finetune_args(stance_file, out_dir, "--rand-init", *extra,
+                                      "--word-encoder", f"precomputed:{vec_path}"))
+            assert code == 2
+            assert f"'{dropped}'" in capsys.readouterr().err
+            assert not (out_dir / "predictions.csv").exists()
+
+    def test_unfrozen_hash_table_reads_no_message_vectors(self, tmp_path, stance_file,
+                                                          monkeypatch):
+        import melt.cli as cli
+
+        def refuse(*args):
+            raise AssertionError("message vectors computed for a trainable hash table")
+
+        monkeypatch.setattr(cli, "compute_message_vectors", refuse)
+        out_dir = tmp_path / "ft"
+        assert main(finetune_args(stance_file, out_dir, "--rand-init",
+                                  "--unfreeze-word")) == 0
+        assert (out_dir / "predictions.csv").exists()
 
     def test_non_finite_loss_exits_with_distinct_code(self, tmp_path, stance_file):
         examples = stance_corpus(120, n_history=6, seed=21, split_fracs=(0.6, 0.2))

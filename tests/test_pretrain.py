@@ -97,6 +97,19 @@ class TestTrain:
             train(small_model(), chunks[2:], chunks[:2], poisoned,
                   PretrainConfig(warmup_steps=0, epochs=1, batch_size=50, seed=1))
 
+    def test_non_finite_dev_mse_aborts(self):
+        _, vectors, chunks = small_setup()
+        in_train = {m.message_id for c in chunks[2:] for m in c.real_messages()}
+        poisoned = dict(vectors)
+        for chunk in chunks[:2]:
+            for m in chunk.real_messages():
+                if m.message_id not in in_train:
+                    poisoned[m.message_id] = np.full(16, np.nan, dtype=np.float32)
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError,
+                                                          match="dev MSE after epoch 1"):
+            train(small_model(), chunks[2:], chunks[:2], poisoned,
+                  PretrainConfig(warmup_steps=0, epochs=2, batch_size=50, seed=1))
+
     def test_best_epoch_is_argmin_of_dev(self):
         _, vectors, chunks = small_setup()
         res = train(small_model(), chunks[2:], chunks[:2], vectors,

@@ -212,6 +212,19 @@ class TestEarlyStopping:
         assert not np.array_equal(at_dev_eval[-1], best)
         assert wl.table.data.tobytes() == best.tobytes()
 
+    def test_non_finite_dev_loss_raises_instead_of_restoring_the_start(self):
+        examples, _, vectors = setup_world(30)
+        train, dev, _ = split_examples(examples)
+        vectors = dict(vectors)
+        for ex in dev:
+            vectors[ex.target.message_id] = np.full(D, np.nan, dtype=np.float32)
+        model = MeltModel(CFG, seed=4)
+        head = StanceHead(D, hidden1=8, hidden2=4, seed=4)
+        cfg = FinetuneConfig(lr=1e-3, batch_size=5, max_epochs=3, patience=1, seed=4)
+        with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError,
+                                                          match="dev loss after epoch 1"):
+            finetune(model, head, FrozenWordLevel(D, vectors), train, dev, cfg)
+
     def test_empty_train_rejected(self):
         examples, _, vectors = setup_world(10)
         model = MeltModel(CFG, seed=0)
@@ -219,6 +232,30 @@ class TestEarlyStopping:
         with pytest.raises(ValueError):
             finetune(model, head, FrozenWordLevel(D, vectors), [], examples[:2],
                      FinetuneConfig())
+
+
+class TestCompactHashTable:
+    def test_finetuning_matches_the_whole_table_byte_for_byte(self):
+        examples, enc, _ = setup_world(40)
+        train, dev, test = split_examples(examples)
+        runs = []
+        for word_level in (TrainableHashWordLevel(enc),
+                           TrainableHashWordLevel(enc, all_messages(examples))):
+            model = MeltModel(CFG, seed=4)
+            head = StanceHead(D, hidden1=8, hidden2=4, seed=4)
+            cfg = FinetuneConfig(lr=3e-3, weight_decay=0.5, batch_size=5, max_epochs=8,
+                                 patience=1, seed=4, unfreeze_word=True)
+            result = finetune(model, head, word_level, train, dev, cfg)
+            probs = np.stack([p.probs for p in predict(model, head, word_level, test)])
+            runs.append((result, probs, word_level))
+        (whole_result, whole_probs, whole), (result, probs, compact) = runs
+        assert result.stopped_early and result.best_epoch < len(result.history)
+        assert len(result.history) > 2
+        assert any(len(set(ids)) < len(ids) for ids in compact._rows_of.values())
+        assert len(compact.table.data) < len(whole.table.data)
+        assert result.history == whole_result.history
+        assert probs.tobytes() == whole_probs.tobytes()
+        assert compact.table.data.tobytes() == whole.table.data[compact.buckets].tobytes()
 
 
 class TestBaselineFeatures:
@@ -263,6 +300,18 @@ def test_feature_head_raises_on_non_finite_loss():
     cfg = FinetuneConfig(batch_size=3, max_epochs=2, seed=0)
     with pytest.raises(TrainingDivergedError):
         train_feature_head(feats, [0, 1, 2, 0, 1, 2], feats[:3], [0, 1, 2], cfg,
+                           hidden1=4, hidden2=4)
+
+
+def test_feature_head_raises_on_non_finite_dev_loss():
+    rng = np.random.default_rng(0)
+    feats = rng.uniform(-1, 1, (6, 4)).astype(np.float32)
+    dev = feats[:3].copy()
+    dev[1, 0] = np.nan
+    cfg = FinetuneConfig(batch_size=3, max_epochs=2, seed=0)
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingDivergedError,
+                                                      match="dev loss after epoch 1"):
+        train_feature_head(feats, [0, 1, 2, 0, 1, 2], dev, [0, 1, 2], cfg,
                            hidden1=4, hidden2=4)
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from melt.corpus import RawMessage
-from melt.tensor import backward
+from melt.tensor import Tensor, backward
 from melt.wordenc import (EMPTY_TOKEN, FrozenWordLevel, HashEmbeddingEncoder,
                           PrecomputedVectorStore, TrainableAdapterWordLevel,
                           TrainableHashWordLevel, VectorFileError,
@@ -83,6 +83,37 @@ class TestHashEncoder:
         table = HashEmbeddingEncoder(dim=dim, buckets=buckets, seed=41).table
         assert table.dtype == np.float32 and table.shape == (buckets, dim)
         assert table.tobytes() == want.tobytes()
+
+    def test_token_ids_hash_each_distinct_token_once(self, monkeypatch):
+        import melt.wordenc as wordenc
+        enc = HashEmbeddingEncoder(dim=4, buckets=64, seed=0)
+        hashed = []
+
+        def counting(token):
+            hashed.append(token)
+            return fnv1a_64(token)
+
+        monkeypatch.setattr(wordenc, "fnv1a_64", counting)
+        first = enc.token_ids(tokenize("echo, delta echo"))
+        second = enc.token_ids(tokenize("delta echo"))
+        assert sorted(hashed) == [",", "delta", "echo"]
+        assert first.tolist() == [fnv1a_64(t) % 64 for t in ("echo", ",", "delta", "echo")]
+        assert second.tolist() == first[2:].tolist()
+
+    def test_shared_memo_gives_every_thread_the_right_buckets(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        enc = HashEmbeddingEncoder(dim=2, buckets=97, seed=0)
+        texts = [" ".join(f"t{(i * 7 + j) % 300}" for j in range(40)) for i in range(64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(lambda text: enc.token_ids(tokenize(text)).tolist(),
+                                    texts, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[fnv1a_64(t) % 97 for t in text.split()] for text in texts]
 
     def test_frozen_purity_over_corpus(self):
         enc = HashEmbeddingEncoder(dim=8, buckets=64, seed=5)
@@ -171,6 +202,13 @@ class TestVectorFile:
             store.get("m1")
 
 
+def test_missing_vector_names_the_id():
+    store = PrecomputedVectorStore(2, {"m0": np.zeros(2, dtype=np.float32)})
+    msgs = [RawMessage("u", "m0", 0, "a"), RawMessage("u", "m7", 1, "b")]
+    with pytest.raises(ValueError, match="'m7'"):
+        compute_message_vectors(msgs, store)
+
+
 def test_label_and_input_share_one_code_path():
     # the pooled vector used as a reconstruction label is the same object the
     # model input is built from
@@ -197,6 +235,54 @@ class TestTrainableWordLevels:
         msgs = [RawMessage("u", "m0", 0, "alpha beta gamma")]
         np.testing.assert_allclose(wl.batch_vectors(msgs).data[0],
                                    message_vector(enc, "alpha beta gamma"), rtol=1e-6)
+
+    MESSAGES = [RawMessage("u", "m0", 0, "alpha beta alpha"), RawMessage("u", "m1", 1, ""),
+                RawMessage("u", "m2", 2, "gamma"), RawMessage("u", "m3", 3, "beta gamma!")]
+
+    def test_built_from_messages_holds_only_their_buckets(self):
+        enc = HashEmbeddingEncoder(dim=4, buckets=512, seed=0)
+        wl = TrainableHashWordLevel(enc, self.MESSAGES)
+        want = sorted({int(b) for m in self.MESSAGES for b in enc.token_ids(tokenize(m.text))})
+        assert wl.buckets.tolist() == want
+        assert len(wl.table.data) == len(want)
+        assert wl.table.data.tobytes() == enc.table[want].tobytes()
+        assert TrainableHashWordLevel(enc).table.data.tobytes() == enc.table.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_and_gradients_are_those_of_the_whole_table(self, dtype):
+        enc = HashEmbeddingEncoder(dim=4, buckets=512, seed=0)
+        enc.table = enc.table.astype(dtype)
+        batch = [self.MESSAGES[i] for i in (3, 0, 1, 0, 2)]
+        whole = TrainableHashWordLevel(enc)
+        compact = TrainableHashWordLevel(enc, self.MESSAGES)
+        weights = np.random.default_rng(0).standard_normal((len(batch), 4)).astype(dtype)
+        for wl in (whole, compact):
+            rows = wl.batch_vectors(batch)
+            backward((rows * Tensor(weights)).sum())
+        assert compact.batch_vectors(batch).data.tobytes() == \
+            whole.batch_vectors(batch).data.tobytes()
+        assert compact.buckets[compact.table.grad.rows].tolist() == \
+            whole.table.grad.rows.tolist()
+        assert compact.table.grad.values.tobytes() == whole.table.grad.values.tobytes()
+
+    def test_batches_reuse_the_ids_worked_out_at_construction(self, monkeypatch):
+        import melt.wordenc as wordenc
+        enc = HashEmbeddingEncoder(dim=4, buckets=512, seed=0)
+        wl = TrainableHashWordLevel(enc, self.MESSAGES)
+        want = wl.batch_vectors(self.MESSAGES).data
+
+        def refuse(*args):
+            raise AssertionError("tokenized or hashed during a batch")
+
+        monkeypatch.setattr(wordenc, "tokenize", refuse)
+        monkeypatch.setattr(enc, "token_ids", refuse)
+        assert wl.batch_vectors(self.MESSAGES).data.tobytes() == want.tobytes()
+
+    def test_unknown_message_named(self):
+        enc = HashEmbeddingEncoder(dim=4, buckets=512, seed=0)
+        wl = TrainableHashWordLevel(enc, self.MESSAGES)
+        with pytest.raises(ValueError, match="'m9'"):
+            wl.batch_vectors([self.MESSAGES[0], RawMessage("u", "m9", 9, "delta")])
 
     def test_adapter_starts_as_identity(self):
         store = PrecomputedVectorStore(3, {"m0": np.array([1.0, 2.0, 3.0], dtype=np.float32)})
