@@ -31,8 +31,8 @@ from .model import MeltConfig, MeltModel
 from .pretrain import (CheckpointError, PretrainConfig, TrainingDivergedError,
                        load_checkpoint, save_checkpoint)
 from .stance import FinetuneConfig, StanceHead
-from .wordenc import (HashEmbeddingEncoder, NonFiniteVectorError, VectorFileError,
-                      compute_message_vectors, load_precomputed)
+from .wordenc import (HashEmbeddingEncoder, VectorFileError, compute_message_vectors,
+                      load_precomputed)
 
 ENV_PREFIX = "MELT_"
 
@@ -154,6 +154,28 @@ def _parse_env(raw: str, typ):
     return typ(raw)
 
 
+# the JSON types a config file may give each option type; bool is not an int here
+_FILE_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               "flag": ((bool,), "true or false"), str: ((str,), "a string")}
+
+
+def _check_file_value(key: str, value, typ, default) -> None:
+    """Reject a config-file value the option's type cannot hold.
+
+    ``null`` is allowed only where the default is None, and ``history_len``
+    also takes a single int.
+    """
+    if value is None:
+        if default is None:
+            return
+        raise CliError(f"config key '{key}' cannot be null")
+    allowed, want = _FILE_TYPES[typ]
+    if key == "history_len":
+        allowed, want = (str, int), "a string or an integer"
+    if isinstance(value, bool) != (typ == "flag") or not isinstance(value, allowed):
+        raise CliError(f"config key '{key}' must be {want}, got {json.dumps(value)}")
+
+
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, config file, MELT_* env vars, and explicit flags."""
     opts = COMMAND_OPTS[command]
@@ -173,6 +195,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
         for key, value in file_cfg.items():
             if key not in known:
                 raise CliError(f"unknown config key '{key}' for command '{command}'")
+            _check_file_value(key, value, *known[key])
             resolved[key] = value
     for name, (typ, _default) in known.items():
         env_key = ENV_PREFIX + name.upper()
@@ -677,7 +700,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = resolve_config(args.command, args)
         echo_config(cfg, cfg.get("out"))
         return HANDLERS[args.command](cfg)
-    except (TrainingDivergedError, NonFiniteVectorError) as exc:
+    except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CliError, CorpusFormatError, VectorFileError, CheckpointError,

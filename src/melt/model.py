@@ -1,10 +1,12 @@
 """The message-level transformer encoder.
 
-A sequence of per-message vectors is embedded (learned MASK and PAD vectors
-substituted per the mask plan, learned absolute position embeddings added),
-run through N post-norm encoder layers with padding-masked bidirectional
-self-attention, and finished with a dense reconstruction head that predicts
-the pooled vector of each selected message.
+A sequence of per-message vectors is embedded by ``embed_batch`` (learned
+MASK and PAD vectors substituted per the mask plan, learned absolute
+position embeddings added), run through N post-norm encoder layers with
+padding-masked bidirectional self-attention, and finished with a dense
+reconstruction head that predicts the pooled vector of each selected
+message. Pre-training (with mask plans) and fine-tuning (without) share
+``embed_batch``.
 
 Callers read only a few top-layer rows: the selected slots in
 pre-training, the target slot in fine-tuning. ``MeltModel.forward`` takes
@@ -253,133 +255,39 @@ class MeltModel:
 # ---------------------------------------------------------------------------
 
 
-def _no_mask_plan(chunk: SequenceChunk) -> MaskPlan:
-    return MaskPlan(tuple(Action.KEEP for _ in chunk.slots))
-
-
 def embed_batch(model: MeltModel, chunks: Sequence[SequenceChunk],
-                plans: Optional[Sequence[MaskPlan]],
-                vectors: Mapping[str, np.ndarray]) -> Tuple[Tensor, np.ndarray]:
+                plans: Optional[Sequence[MaskPlan]], rows: Tensor
+                ) -> Tuple[Tensor, np.ndarray]:
     """Assemble the (B, L, d) input batch and its attention mask.
 
-    Slot rules: MASK_TOKEN slots take the learned mask vector, PAD slots the
-    learned pad vector, RANDOM_REPLACE slots the recorded substitute, and
-    everything else the message's own pooled vector. Position embeddings are
-    added last. The content of a masked slot never enters the input.
+    ``rows`` holds the input vector of every real slot that no plan marks
+    MASK_TOKEN, in (batch, slot) order: a message's pooled vector, or the
+    recorded substitute of a RANDOM_REPLACE slot. Pre-training passes them
+    as a constant, fine-tuning as the word level's output, through which
+    gradients reach a trainable word level. MASK_TOKEN slots take the
+    learned mask vector and PAD slots the learned pad vector, so the content
+    of a masked slot never enters the input. Position embeddings are added
+    last.
     """
     b = len(chunks)
     length = len(chunks[0].slots)
     d = model.config.d_model
-    if plans is None:
-        plans = [_no_mask_plan(c) for c in chunks]
-    base = np.zeros((b, length, d), dtype=model.dtype)
-    mask_ind = np.zeros((b, length, 1), dtype=model.dtype)
-    pad_ind = np.zeros((b, length, 1), dtype=model.dtype)
-    attn = np.zeros((b, length), dtype=bool)
-    for bi, (chunk, plan) in enumerate(zip(chunks, plans)):
+    attn = np.array([[slot is not None for slot in c.slots] for c in chunks], dtype=bool)
+    masked = np.zeros((b, length), dtype=bool)
+    for bi, (chunk, plan) in enumerate(zip(chunks, plans or ())):
         if len(plan.actions) != len(chunk.slots):
             raise ValueError(
                 f"mask plan has {len(plan.actions)} slots, chunk has {len(chunk.slots)}")
-        for li, slot in enumerate(chunk.slots):
-            if slot is None:
-                pad_ind[bi, li, 0] = 1.0
-                continue
-            attn[bi, li] = True
-            action = plan.actions[li]
-            if action is Action.MASK_TOKEN:
-                mask_ind[bi, li, 0] = 1.0
-            elif action is Action.RANDOM_REPLACE:
-                base[bi, li] = plan.replacements[li][1]
-            else:
-                base[bi, li] = vectors[slot.message_id]
-    x = Tensor(base)
-    x = x + Tensor(mask_ind) * reshape(model.mask_vector, (1, 1, d))
+        masked[bi] = [action is Action.MASK_TOKEN for action in plan.actions]
+    masked &= attn
+    b_idx, l_idx = np.nonzero(attn & ~masked)
+    x = scatter_rows(rows, b_idx, l_idx, b, length)
+    if plans is not None:
+        mask_ind = masked[:, :, None].astype(model.dtype)
+        x = x + Tensor(mask_ind) * reshape(model.mask_vector, (1, 1, d))
+    pad_ind = (~attn)[:, :, None].astype(model.dtype)
     x = x + Tensor(pad_ind) * reshape(model.pad_vector, (1, 1, d))
     if model.config.use_positions:
         pos = gather_rows(model.pos_embedding, np.arange(length))
         x = x + reshape(pos, (1, length, d))
     return x, attn
-
-
-def embed_sequence(vectors_by_slot: Sequence[Optional[np.ndarray]], plan: Optional[MaskPlan],
-                   model: MeltModel) -> Tensor:
-    """Single-sequence embedding: per-slot vectors (None = PAD) to an (L, d) input."""
-    length = len(vectors_by_slot)
-    d = model.config.d_model
-    chunk = SequenceChunk(
-        "_",
-        tuple(None if v is None else _SlotRef(f"slot{i}") for i, v in enumerate(vectors_by_slot)),
-    )
-    vec_map = {f"slot{i}": v for i, v in enumerate(vectors_by_slot) if v is not None}
-    x, _ = embed_batch(model, [chunk], None if plan is None else [plan], vec_map)
-    return reshape(x, (length, d))
-
-
-@dataclass(frozen=True)
-class _SlotRef:
-    message_id: str
-
-
-def embed_token_batch(model: MeltModel, chunks: Sequence[SequenceChunk],
-                      row_vectors: Tensor, positions: Sequence[Tuple[int, int]]
-                      ) -> Tuple[Tensor, np.ndarray]:
-    """Embedding path where real-slot vectors arrive as one (n, d) tensor.
-
-    ``positions[k]`` is the (batch, slot) destination of ``row_vectors[k]``.
-    Used for fine-tuning with a trainable word level, where gradients must
-    flow through the rows.
-    """
-    b = len(chunks)
-    length = len(chunks[0].slots)
-    d = model.config.d_model
-    b_idx = np.array([p[0] for p in positions], dtype=np.int64)
-    l_idx = np.array([p[1] for p in positions], dtype=np.int64)
-    pad_ind = np.ones((b, length, 1), dtype=model.dtype)
-    pad_ind[b_idx, l_idx, 0] = 0.0
-    attn = np.zeros((b, length), dtype=bool)
-    attn[b_idx, l_idx] = True
-    x = scatter_rows(row_vectors, b_idx, l_idx, b, length)
-    x = x + Tensor(pad_ind) * reshape(model.pad_vector, (1, 1, d))
-    if model.config.use_positions:
-        pos = gather_rows(model.pos_embedding, np.arange(length))
-        x = x + reshape(pos, (1, length, d))
-    return x, attn
-
-
-# ---------------------------------------------------------------------------
-# forward conveniences
-# ---------------------------------------------------------------------------
-
-
-def encoder_forward(inputs: Tensor, attn_mask: np.ndarray, model: MeltModel,
-                    train_mode: bool = False,
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Run the encoder over a single (L, d) input; returns (L, d) outputs."""
-    length, d = inputs.shape
-    out = model.forward(reshape(inputs, (1, length, d)), np.asarray(attn_mask).reshape(1, length),
-                        train=train_mode, rng=rng)
-    return reshape(out, (length, d))
-
-
-def reconstruct(outputs: Tensor, plan: MaskPlan, model: MeltModel) -> Tuple[Tensor, List[int]]:
-    """Head predictions at the plan's selected slots of a single (L, d) output."""
-    slots = plan.selected_slots
-    if not slots:
-        return Tensor(np.zeros((0, model.config.d_model), dtype=model.dtype)), []
-    length, d = outputs.shape
-    batched = reshape(outputs, (1, length, d))
-    preds = model.reconstruct_rows(batched, np.zeros(len(slots), dtype=np.int64),
-                                   np.array(slots, dtype=np.int64))
-    return preds, slots
-
-
-def message_representation(chunk: SequenceChunk, model: MeltModel, slot: int,
-                           vectors: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Top-layer contextual vector of a real slot, no masking, eval mode."""
-    if not 0 <= slot < len(chunk.slots):
-        raise ValueError(f"slot {slot} out of range for chunk of {len(chunk.slots)}")
-    if chunk.slots[slot] is None:
-        raise ValueError(f"slot {slot} is PAD; representations exist only for real messages")
-    x, attn = embed_batch(model, [chunk], None, vectors)
-    out = model.forward(x, attn, train=False)
-    return np.array(out.data[0, slot])

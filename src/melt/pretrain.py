@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import MaskPlan, SequenceChunk, apply_masking, batch_chunks
+from .corpus import Action, MaskPlan, SequenceChunk, apply_masking, batch_chunks
 from .model import MeltConfig, MeltModel, copy_param, embed_batch
 from .optim import AdamW, warmup_lr
 from .tensor import Tensor, backward, mse_loss, no_grad
@@ -86,6 +86,21 @@ def masked_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:
     return mse_loss(predictions, Tensor(targets.astype(predictions.dtype, copy=False)))
 
 
+def _input_rows(model: MeltModel, batch: Sequence[SequenceChunk],
+                plans: Sequence[MaskPlan], vectors: Mapping[str, np.ndarray]) -> Tensor:
+    """The ``embed_batch`` rows: one per real slot not marked MASK_TOKEN.
+
+    A RANDOM_REPLACE slot gives its recorded substitute, every other slot
+    its message's own pooled vector.
+    """
+    rows = [plan.replacements[li][1] if action is Action.RANDOM_REPLACE
+            else vectors[slot.message_id]
+            for chunk, plan in zip(batch, plans)
+            for li, (slot, action) in enumerate(zip(chunk.slots, plan.actions))
+            if slot is not None and action is not Action.MASK_TOKEN]
+    return Tensor(np.array(rows, dtype=model.dtype).reshape(-1, model.config.d_model))
+
+
 def _forward_masked(model: MeltModel, batch: Sequence[SequenceChunk],
                     plans: Sequence[MaskPlan], vectors: Mapping[str, np.ndarray],
                     train: bool, rng: Optional[np.random.Generator]
@@ -104,7 +119,7 @@ def _forward_masked(model: MeltModel, batch: Sequence[SequenceChunk],
     for bi, sel in enumerate(selected):
         grid[bi, :len(sel)] = sel
     targets = [plan.targets[slot] for plan, sel in zip(plans, selected) for slot in sel]
-    x, attn = embed_batch(model, batch, plans, vectors)
+    x, attn = embed_batch(model, batch, plans, _input_rows(model, batch, plans, vectors))
     out = model.forward(x, attn, train=train, rng=rng, rows=grid)
     b_idx = np.repeat(np.arange(len(plans)), counts)
     cells = np.concatenate([np.arange(c) for c in counts])
@@ -281,6 +296,12 @@ def save_params(path, header: dict, named_params: Sequence[Tuple[str, np.ndarray
         raise
 
 
+def _is_manifest_entry(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(isinstance(n, int) and n >= 0 for n in entry[1]))
+
+
 def load_params(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Header and parameter blocks; the arrays are read-only views of the bytes read."""
     with open(path, "rb") as fh:
@@ -299,7 +320,10 @@ def load_params(path) -> Tuple[dict, Dict[str, np.ndarray]]:
         if not isinstance(manifest, list):
             raise CheckpointManifestError("checkpoint header lacks a manifest")
         params: Dict[str, np.ndarray] = {}
-        for entry in manifest:
+        for i, entry in enumerate(manifest):
+            if not _is_manifest_entry(entry):
+                raise CheckpointManifestError(
+                    f"manifest entry {i} is not a [name, shape] pair: {json.dumps(entry)}")
             name, shape = entry[0], tuple(entry[1])
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 4)
@@ -335,7 +359,12 @@ def save_checkpoint(path, model: MeltModel, *, dev_mse: float, epoch: int, seed:
 def load_checkpoint(path) -> Tuple[MeltModel, dict]:
     """Rebuild a model whose forward outputs are bit-identical to the saved one."""
     header, params = load_params(path)
-    config = MeltConfig(**header["config"])
+    if not isinstance(header.get("config"), dict):
+        raise CheckpointManifestError("checkpoint header lacks a 'config' object")
+    try:
+        config = MeltConfig(**header["config"])
+    except TypeError as exc:
+        raise CheckpointManifestError(f"checkpoint 'config' does not fit: {exc}") from None
     layout_error = CheckpointManifestError("manifest does not match this model layout")
     try:
         model = MeltModel(config, seed=header.get("seed", 0), params=params)

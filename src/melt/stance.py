@@ -10,12 +10,14 @@ stopping watches dev loss and the best-dev snapshot is restored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .corpus import LABELS, SequenceChunk, StanceExample, build_finetune_sequence
-from .model import MeltModel, embed_token_batch
+from .model import MeltModel
+# fine-tuning's own name for the shared embedding, which perfbench's tracer times apart
+from .model import embed_batch as embed_token_batch
 from .optim import AdamW
 from .pretrain import TrainingDivergedError
 from .tensor import (Tensor, backward, cross_entropy, dropout, matmul, no_grad, reshape,
@@ -83,12 +85,15 @@ class Prediction:
     probs: np.ndarray  # (3,) in LABELS order, sums to 1
 
 
+EpochLog = List[Tuple[int, float, float]]  # (epoch, mean train loss, dev loss)
+
+
 @dataclass
 class FinetuneResult:
     model: MeltModel
     head: StanceHead
     word_level: object
-    history: List[Tuple[int, float, float]] = field(default_factory=list)
+    history: EpochLog = field(default_factory=list)
     best_epoch: int = -1
     best_dev_loss: float = float("inf")
     stopped_early: bool = False
@@ -117,19 +122,13 @@ def _forward_examples(model: MeltModel, head: StanceHead, word_level,
         raise ValueError(f"history length {seq_len} exceeds model max_seq")
     chunks: List[SequenceChunk] = []
     target_idx: List[int] = []
-    positions: List[Tuple[int, int]] = []
-    messages = []
-    for bi, ex in enumerate(examples):
+    for ex in examples:
         chunk, t_idx = build_finetune_sequence(ex, seq_len)
-        chunk = _pad_to(chunk, model.config.max_seq)
-        chunks.append(chunk)
+        chunks.append(_pad_to(chunk, model.config.max_seq))
         target_idx.append(t_idx)
-        for li, slot in enumerate(chunk.slots):
-            if slot is not None:
-                positions.append((bi, li))
-                messages.append(slot)
-    rows = word_level.batch_vectors(messages)
-    x, attn = embed_token_batch(model, chunks, rows, positions)
+    rows = word_level.batch_vectors([slot for c in chunks for slot in c.slots
+                                     if slot is not None])
+    x, attn = embed_token_batch(model, chunks, None, rows)
     targets = np.array(target_idx, dtype=np.int64).reshape(-1, 1)
     out = model.forward(x, attn, train=train, rng=rng, rows=targets)
     pooled = reshape(out, (len(chunks), model.config.d_model))
@@ -165,23 +164,62 @@ def _mean_loss(model, head, word_level, examples, history_len, batch_size) -> fl
     return total / n
 
 
-def _train_step(model, head, word_level, opt: AdamW, batch: Sequence[StanceExample],
-                history_len: Optional[int], p_drop: float, rng: np.random.Generator,
-                step: int) -> float:
-    """One forward/backward/update; returns the batch's mean cross-entropy.
+def _descend(opt: AdamW, logits: Tensor, labels, step: int) -> float:
+    """Cross-entropy backward and one update; returns the batch's mean loss.
 
-    Only the float leaves this frame, so the step's graph and its
-    intermediate gradients are freed before the caller runs dev evaluation.
+    Only the float is returned, so the step's graph and its intermediate
+    gradients are freed with the caller's step frame, before dev evaluation.
     """
-    logits = _forward_examples(model, head, word_level, batch, history_len,
-                               p_drop=p_drop, train=True, rng=rng)
-    loss = cross_entropy(logits, [ex.label_index for ex in batch])
+    loss = cross_entropy(logits, labels)
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
         raise TrainingDivergedError(step)
     backward(loss)
     opt.step()
     return loss_val
+
+
+def _early_stopping(params: Sequence[Tuple[str, Tensor]], cfg: FinetuneConfig,
+                    n_train: int, train_batch: Callable[..., float],
+                    dev_loss: Callable[[], float]) -> Tuple[EpochLog, int, float, bool]:
+    """Train in epochs of shuffled batches, stop on dev loss, restore the best epoch.
+
+    ``train_batch(idx, rng, step)`` trains on the examples ``idx`` and
+    returns their mean loss, drawing its dropout masks from ``rng``, the
+    generator that also shuffles each epoch. ``dev_loss()`` runs after every
+    epoch. An epoch improves only on a strictly lower dev loss, and the run
+    stops after ``patience`` + 1 epochs in a row without one. Returns the
+    (epoch, mean train loss, dev loss) history, the best epoch, its dev
+    loss, and whether the run stopped early.
+
+    Raises TrainingDivergedError when a dev loss is not finite.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    history: EpochLog = []
+    best_epoch, best_loss, best_snap = -1, float("inf"), None
+    since_best = 0
+    step = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(n_train)
+        epoch_loss = 0.0
+        for start in range(0, n_train, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            epoch_loss += train_batch(idx, rng, step) * len(idx)
+            step += 1
+        loss = dev_loss()
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(step, what=f"dev loss after epoch {epoch}")
+        history.append((epoch, epoch_loss / n_train, loss))
+        if loss < best_loss:
+            best_epoch, best_loss = epoch, loss
+            best_snap = _snapshot(params, into=best_snap)
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > cfg.patience:
+                break
+    _restore(params, best_snap)
+    return history, best_epoch, best_loss, since_best > cfg.patience
 
 
 def finetune(model: MeltModel, head: StanceHead, word_level,
@@ -200,38 +238,19 @@ def finetune(model: MeltModel, head: StanceHead, word_level,
     if cfg.unfreeze_word:
         params += word_level.trainable_params()
     opt = AdamW(params, base_lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
-    result = FinetuneResult(model=model, head=head, word_level=word_level)
-    best_snap = None
-    since_best = 0
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(len(train_examples))
-        epoch_loss, seen = 0.0, 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_examples[i] for i in order[start:start + cfg.batch_size]]
-            loss_val = _train_step(model, head, word_level, opt, batch, history_len,
-                                   cfg.dropout, rng, step)
-            epoch_loss += loss_val * len(batch)
-            seen += len(batch)
-            step += 1
-        dev_loss = _mean_loss(model, head, word_level, dev_examples, history_len,
-                              cfg.batch_size)
-        if not np.isfinite(dev_loss):
-            raise TrainingDivergedError(step, what=f"dev loss after epoch {epoch}")
-        result.history.append((epoch, epoch_loss / seen, dev_loss))
-        if dev_loss < result.best_dev_loss:
-            result.best_dev_loss = dev_loss
-            result.best_epoch = epoch
-            best_snap = _snapshot(params, into=best_snap)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                result.stopped_early = True
-                break
-    _restore(params, best_snap)
-    return result
+
+    def train_batch(idx, rng, step):
+        batch = [train_examples[i] for i in idx]
+        logits = _forward_examples(model, head, word_level, batch, history_len,
+                                   p_drop=cfg.dropout, train=True, rng=rng)
+        return _descend(opt, logits, [ex.label_index for ex in batch], step)
+
+    def dev_loss():
+        return _mean_loss(model, head, word_level, dev_examples, history_len, cfg.batch_size)
+
+    return FinetuneResult(model, head, word_level,
+                          *_early_stopping(params, cfg, len(train_examples), train_batch,
+                                           dev_loss))
 
 
 def predict(model: MeltModel, head: StanceHead, word_level,
@@ -310,38 +329,17 @@ def train_feature_head(features: np.ndarray, labels: Sequence[int],
     head = StanceHead(features.shape[1], hidden1=hidden1, hidden2=hidden2, seed=cfg.seed)
     params = head.named_parameters()
     opt = AdamW(params, base_lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
     labels = np.asarray(labels, dtype=np.int64)
     dev_labels = np.asarray(dev_labels, dtype=np.int64)
-    best = float("inf")
-    best_snap = None
-    since_best = 0
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(features.shape[0])
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            logits = head.forward(Tensor(features[idx]), p_drop=cfg.dropout,
-                                  train=True, rng=rng)
-            loss = cross_entropy(logits, labels[idx])
-            if not np.isfinite(float(loss.data)):
-                raise TrainingDivergedError(step)
-            backward(loss)
-            opt.step()
-            step += 1
-        dev_logits = head.forward(Tensor(dev_features))
-        dev_loss = float(cross_entropy(dev_logits, dev_labels).data)
-        if not np.isfinite(dev_loss):
-            raise TrainingDivergedError(step, what=f"dev loss after epoch {epoch}")
-        if dev_loss < best:
-            best = dev_loss
-            best_snap = _snapshot(params, into=best_snap)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
-    _restore(params, best_snap)
+
+    def train_batch(idx, rng, step):
+        logits = head.forward(Tensor(features[idx]), p_drop=cfg.dropout, train=True, rng=rng)
+        return _descend(opt, logits, labels[idx], step)
+
+    def dev_loss():
+        return float(cross_entropy(head.forward(Tensor(dev_features)), dev_labels).data)
+
+    _early_stopping(params, cfg, features.shape[0], train_batch, dev_loss)
     return head
 
 
@@ -366,44 +364,3 @@ def word_baseline(train_ex: Sequence[StanceExample], dev_ex: Sequence[StanceExam
                               cfg, hidden1=hidden1, hidden2=hidden2)
     test_feats = np.stack([featurize(ex, vectors) for ex in test_ex])
     return feature_predict(head, test_ex, test_feats)
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter search
-# ---------------------------------------------------------------------------
-
-SEARCH_SPACE = {
-    "lr": (6e-6, 3e-3),
-    "weight_decay": (1e-4, 1.0),
-    "dropout": (0.0, 0.05),
-}
-
-
-def random_search(run_trial, n_trials: int, seed: int = 0,
-                  base: Optional[FinetuneConfig] = None) -> Tuple[FinetuneConfig, float, list]:
-    """Sample configs from the tuning ranges, keep the lowest dev loss.
-
-    ``run_trial(cfg) -> dev_loss``; lr and weight decay are drawn log-uniform,
-    dropout uniform. Returns (best config, best dev loss, trial log).
-    """
-    if n_trials < 1:
-        raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    base = base or FinetuneConfig()
-    trials = []
-    best_cfg, best_loss = None, float("inf")
-    for t in range(n_trials):
-        lo, hi = SEARCH_SPACE["lr"]
-        lr = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        lo, hi = SEARCH_SPACE["weight_decay"]
-        wd = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-        drop = float(rng.uniform(*SEARCH_SPACE["dropout"]))
-        cfg = FinetuneConfig(lr=lr, weight_decay=wd, dropout=drop,
-                             batch_size=base.batch_size, unfreeze_word=base.unfreeze_word,
-                             max_epochs=base.max_epochs, patience=base.patience,
-                             seed=base.seed + t)
-        loss = run_trial(cfg)
-        trials.append((cfg, loss))
-        if loss < best_loss:
-            best_cfg, best_loss = cfg, loss
-    return best_cfg, best_loss, trials

@@ -33,7 +33,6 @@ __all__ = [
     "tape",
     "backward",
     "no_grad",
-    "stack",
     "gather_rows",
     "gather_bl",
     "gather_positions",
@@ -412,19 +411,6 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # indexing / assembly
 # ---------------------------------------------------------------------------
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors of identical shape along a new axis."""
-    if not tensors:
-        raise ShapeError("stack requires at least one tensor")
-    parents = tuple(tensors)
-
-    def back(g):
-        for i, p in enumerate(parents):
-            _accum(p, np.take(g, i, axis=axis))
-
-    return _from_op(np.stack([t.data for t in parents], axis=axis), parents, back)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:

@@ -149,10 +149,6 @@ class VectorFileError(ValueError):
     """Malformed vector file; message carries the offending line number."""
 
 
-class NonFiniteVectorError(VectorFileError):
-    """A vector file row holds NaN or infinity."""
-
-
 class PrecomputedVectorStore:
     """Per-message vectors produced externally, keyed by message id."""
 
@@ -216,7 +212,7 @@ def load_precomputed(path) -> PrecomputedVectorStore:
                 raise VectorFileError(
                     f"line {lineno}: got {vec.shape[0]} floats, header says dim={dim}")
             if not np.isfinite(vec).all():
-                raise NonFiniteVectorError(
+                raise VectorFileError(
                     f"line {lineno}: vector for '{message_id}' is not finite")
             if message_id in vectors:
                 raise VectorFileError(f"line {lineno}: duplicate message id '{message_id}'")

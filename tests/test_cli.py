@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from melt.cli import main
-from melt.pretrain import load_checkpoint
+from melt.model import MeltConfig, MeltModel
+from melt.pretrain import load_checkpoint, save_checkpoint
 from melt.wordenc import HashEmbeddingEncoder, compute_message_vectors, write_vector_file
 from synthdata import (marker_corpus, split_examples, stance_corpus,
                        write_corpus_jsonl, write_stance_jsonl)
@@ -230,16 +231,47 @@ class TestFinetune:
         assert (out_dir / "predictions.csv").exists()
 
     def test_non_finite_loss_exits_with_distinct_code(self, tmp_path, stance_file):
+        model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2), seed=0)
+        model.layers[0].w1.data[0, 0] = np.inf
+        ckpt = tmp_path / "inf.melt"
+        save_checkpoint(ckpt, model, dev_mse=0.0, epoch=1, seed=0)
+        out_dir = tmp_path / "ft_inf"
+        with np.errstate(all="ignore"):  # the blow-up itself is the point
+            code = main(finetune_args(stance_file, out_dir, "--checkpoint", str(ckpt)))
+        assert code == 3
+        assert not (out_dir / "predictions.csv").exists()
+
+    def test_non_finite_vector_file_is_input_error(self, tmp_path, stance_file, capsys):
         examples = stance_corpus(120, n_history=6, seed=21, split_fracs=(0.6, 0.2))
         from melt.corpus import all_messages
         nan = np.full(16, np.nan, dtype=np.float32)
         vec_path = tmp_path / "nan.tsv"
         write_vector_file(vec_path, 16, ((m.message_id, nan) for m in all_messages(examples)))
         out_dir = tmp_path / "ft_nan"
-        with np.errstate(all="ignore"):  # the blow-up itself is the point
-            code = main(finetune_args(stance_file, out_dir, "--rand-init",
-                                      "--word-encoder", f"precomputed:{vec_path}"))
-        assert code == 3
+        code = main(finetune_args(stance_file, out_dir, "--rand-init",
+                                  "--word-encoder", f"precomputed:{vec_path}"))
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("field,edit", [
+        ("config", lambda header: header.pop("config")),
+        ("bogus", lambda header: header["config"].update(bogus=1)),
+        ("manifest", lambda header: header["manifest"][0].pop()),
+    ], ids=["no-config", "unknown-config-key", "entry-without-shape"])
+    def test_malformed_checkpoint_header_is_input_error(self, tmp_path, stance_file, capsys,
+                                                        field, edit):
+        model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2), seed=0)
+        ckpt = tmp_path / "bad.melt"
+        save_checkpoint(ckpt, model, dev_mse=0.0, epoch=1, seed=0)
+        line, blocks = ckpt.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + blocks)
+        out_dir = tmp_path / "ft_bad"
+        code = main(finetune_args(stance_file, out_dir, "--checkpoint", str(ckpt)))
+        assert code == 2
+        assert field in capsys.readouterr().err
         assert not (out_dir / "predictions.csv").exists()
 
     def test_mfc_arch(self, tmp_path, stance_file):
@@ -423,6 +455,27 @@ class TestConfigResolution:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("patience", "2"), ("lr", True), ("epochs", 2.5), ("pooled", 1), ("stance", 3),
+        ("seq_len", None), ("history_len", 2.5),
+    ])
+    def test_config_value_of_the_wrong_type_rejected(self, tmp_path, key, value, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"stance": "s.jsonl", "out": str(tmp_path / "o"),
+                                        key: value}))
+        assert main(["finetune", "--config", str(cfg_path)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+
+    def test_config_values_of_the_option_types_accepted(self, tmp_path):
+        from melt.cli import build_parser, resolve_config
+        file_cfg = {"stance": "s.jsonl", "out": "o", "patience": 2, "lr": 1, "pooled": False,
+                    "history_len": 3, "checkpoint": None}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        args = build_parser().parse_args(["finetune", "--config", str(cfg_path)])
+        resolved = resolve_config("finetune", args)
+        assert {key: resolved[key] for key in file_cfg} == file_cfg
 
     def test_rerun_from_echoed_config_reproduces_outputs(self, tmp_path, corpus_file):
         out_dir = run_pretrain(tmp_path, corpus_file, out="orig")

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from melt.corpus import Action, MaskPlan, RawMessage, SequenceChunk
-from melt.model import (MeltConfig, MeltModel, embed_batch, embed_sequence,
-                        encoder_forward, message_representation, reconstruct)
-from melt.tensor import Tensor
+from melt.model import MeltConfig, MeltModel, embed_batch
+from melt.pretrain import _input_rows
+from melt.tensor import Tensor, backward, gather_rows, reshape
 
 
 def chunk_of(n_real, length=4, user="u"):
@@ -16,6 +16,16 @@ def vectors_for(chunk, d, seed=0):
     rng = np.random.default_rng(seed)
     return {s.message_id: rng.uniform(-1, 1, d).astype(np.float32)
             for s in chunk.slots if s is not None}
+
+
+def embed(model, chunks, plans, vectors):
+    """embed_batch with the rows pre-training builds, or every real slot's vector."""
+    if plans is not None:
+        rows = _input_rows(model, chunks, plans, vectors)
+    else:
+        rows = Tensor(np.stack([vectors[s.message_id] for c in chunks for s in c.slots
+                                if s is not None]))
+    return embed_batch(model, chunks, plans, rows)
 
 
 class TestConfig:
@@ -37,7 +47,7 @@ class TestEmbed:
         model = MeltModel(tiny_config, seed=0)
         chunk = chunk_of(4)
         vectors = vectors_for(chunk, 8)
-        x, attn = embed_batch(model, [chunk], None, vectors)
+        x, attn = embed(model, [chunk], None, vectors)
         expected = np.stack([vectors[s.message_id] for s in chunk.slots])
         expected = expected + model.pos_embedding.data
         np.testing.assert_allclose(x.data[0], expected, rtol=1e-6)
@@ -52,14 +62,14 @@ class TestEmbed:
         va = vectors_for(chunk, 8, seed=1)
         vb = {k: v.copy() for k, v in va.items()}
         vb["um0"] = va["um0"] + 5.0
-        xa, _ = embed_batch(model, [chunk], [plan], va)
-        xb, _ = embed_batch(model, [chunk], [plan], vb)
+        xa, _ = embed(model, [chunk], [plan], va)
+        xb, _ = embed(model, [chunk], [plan], vb)
         np.testing.assert_array_equal(xa.data, xb.data)
 
     def test_pad_slot_uses_pad_vector(self, tiny_config):
         model = MeltModel(tiny_config, seed=0)
         chunk = chunk_of(2)
-        x, attn = embed_batch(model, [chunk], None, vectors_for(chunk, 8))
+        x, attn = embed(model, [chunk], None, vectors_for(chunk, 8))
         want = model.pad_vector.data + model.pos_embedding.data[3]
         np.testing.assert_allclose(x.data[0, 3], want, rtol=1e-6)
         assert list(attn[0]) == [True, True, False, False]
@@ -71,7 +81,7 @@ class TestEmbed:
         sub = np.full(8, 3.0, dtype=np.float32)
         plan = MaskPlan((Action.RANDOM_REPLACE, Action.KEEP, Action.KEEP, Action.KEEP),
                         {0: vectors["um0"]}, {0: ("other", sub)})
-        x, _ = embed_batch(model, [chunk], [plan], vectors)
+        x, _ = embed(model, [chunk], [plan], vectors)
         np.testing.assert_allclose(x.data[0, 0], sub + model.pos_embedding.data[0],
                                    rtol=1e-6)
 
@@ -79,17 +89,44 @@ class TestEmbed:
         model = MeltModel(tiny_config, seed=0)
         chunk = chunk_of(4)
         short_plan = MaskPlan((Action.KEEP,) * 3)
+        rows = Tensor(np.zeros((4, 8), dtype=np.float32))
         with pytest.raises(ValueError, match="slots"):
-            embed_batch(model, [chunk], [short_plan], vectors_for(chunk, 8))
+            embed_batch(model, [chunk], [short_plan], rows)
 
-    def test_single_sequence_wrapper_matches_batch(self, tiny_config):
+    def test_every_slot_kind_matches_the_indicator_formula(self, tiny_config):
+        # base rows + mask indicator * mask vector + pad indicator * pad vector + positions
         model = MeltModel(tiny_config, seed=0)
-        chunk = chunk_of(3)
-        vectors = vectors_for(chunk, 8)
-        by_slot = [None if s is None else vectors[s.message_id] for s in chunk.slots]
-        single = embed_sequence(by_slot, None, model)
-        batch, _ = embed_batch(model, [chunk], None, vectors)
-        np.testing.assert_array_equal(single.data, batch.data[0])
+        chunks = [chunk_of(4, user="a"), chunk_of(3, user="b")]
+        vectors = {**vectors_for(chunks[0], 8, seed=1), **vectors_for(chunks[1], 8, seed=2)}
+        sub = np.full(8, 3.0, dtype=np.float32)
+        plans = [MaskPlan((Action.MASK_TOKEN, Action.RANDOM_REPLACE, Action.UNCHANGED_PREDICT,
+                           Action.KEEP), {}, {1: ("bm0", sub)}),
+                 MaskPlan((Action.KEEP, Action.MASK_TOKEN, Action.KEEP, Action.KEEP))]
+        base = np.zeros((2, 4, 8), dtype=np.float32)
+        base[0, 1], base[0, 2], base[0, 3] = sub, vectors["am2"], vectors["am3"]
+        base[1, 0], base[1, 2] = vectors["bm0"], vectors["bm2"]
+        mask_ind = np.zeros((2, 4, 1), dtype=np.float32)
+        mask_ind[0, 0] = mask_ind[1, 1] = 1.0
+        pad_ind = np.zeros((2, 4, 1), dtype=np.float32)
+        pad_ind[1, 3] = 1.0
+        weights = Tensor(np.random.default_rng(3).uniform(-1, 1, (2, 4, 8)).astype(np.float32))
+
+        def formula():
+            x = Tensor(base) + Tensor(mask_ind) * reshape(model.mask_vector, (1, 1, 8))
+            x = x + Tensor(pad_ind) * reshape(model.pad_vector, (1, 1, 8))
+            return x + reshape(gather_rows(model.pos_embedding, np.arange(4)), (1, 4, 8))
+
+        runs = []
+        for build in (lambda: embed(model, chunks, plans, vectors)[0], formula):
+            for _, p in model.named_parameters():
+                p.grad = None
+            x = build()
+            backward((x * weights).sum())
+            runs.append([x.data.tobytes()] + [np.asarray(p.grad).tobytes() for p in
+                         (model.mask_vector, model.pad_vector, model.pos_embedding)])
+        assert runs[0] == runs[1]
+        _, attn = embed(model, chunks, plans, vectors)
+        assert attn.tolist() == [[True] * 4, [True, True, True, False]]
 
     def test_positions_can_be_disabled(self):
         cfg = MeltConfig(n_layers=1, d_model=8, ff_dim=16, n_heads=2, dropout=0.0,
@@ -97,7 +134,7 @@ class TestEmbed:
         model = MeltModel(cfg, seed=0)
         chunk = chunk_of(4)
         vectors = vectors_for(chunk, 8)
-        x, _ = embed_batch(model, [chunk], None, vectors)
+        x, _ = embed(model, [chunk], None, vectors)
         np.testing.assert_allclose(
             x.data[0], np.stack([vectors[s.message_id] for s in chunk.slots]), rtol=1e-6)
 
@@ -174,6 +211,12 @@ class TestForward:
         assert not np.array_equal(eval_a, train)
 
 
+def top_rows(model, chunk, plan, vectors, slot):
+    """Top-layer output (1, 1, d) at ``slot``, the encoder's last layer run only there."""
+    x, attn = embed(model, [chunk], None if plan is None else [plan], vectors)
+    return model.forward(x, attn, rows=np.array([[slot]]))
+
+
 class TestReconstruct:
     def test_identity_head_returns_top_layer_outputs(self, tiny_config):
         model = MeltModel(tiny_config, seed=5)
@@ -183,17 +226,9 @@ class TestReconstruct:
         vectors = vectors_for(chunk, 8)
         plan = MaskPlan((Action.MASK_TOKEN, Action.KEEP, Action.KEEP, Action.KEEP),
                         {0: vectors["um0"]}, {})
-        x, attn = embed_batch(model, [chunk], [plan], vectors)
-        out = model.forward(x, attn)
-        preds, slots = reconstruct(Tensor(out.data[0]), plan, model)
-        assert slots == [0]
+        out = top_rows(model, chunk, plan, vectors, 0)
+        preds = model.reconstruct_rows(out, np.array([0]), np.array([0]))
         np.testing.assert_allclose(preds.data[0], out.data[0, 0], rtol=1e-6)
-
-    def test_no_selected_slots_is_empty(self, tiny_config):
-        model = MeltModel(tiny_config, seed=5)
-        plan = MaskPlan((Action.KEEP,) * 4)
-        preds, slots = reconstruct(Tensor(np.zeros((4, 8), dtype=np.float32)), plan, model)
-        assert slots == [] and preds.shape == (0, 8)
 
     def test_prediction_sensitive_to_context(self, tiny_config):
         model = MeltModel(tiny_config, seed=6)
@@ -203,10 +238,8 @@ class TestReconstruct:
                         {0: vectors["um0"]}, {})
 
         def predict_at_zero(vecs):
-            x, attn = embed_batch(model, [chunk], [plan], vecs)
-            out = model.forward(x, attn)
-            preds, _ = reconstruct(Tensor(out.data[0]), plan, model)
-            return preds.data[0]
+            out = top_rows(model, chunk, plan, vecs, 0)
+            return model.reconstruct_rows(out, np.array([0]), np.array([0])).data[0]
 
         before = predict_at_zero(vectors)
         moved = {k: v.copy() for k, v in vectors.items()}
@@ -220,23 +253,17 @@ class TestRepresentation:
         model = MeltModel(tiny_config, seed=7)
         chunk = chunk_of(3)
         vectors = vectors_for(chunk, 8)
-        a = message_representation(chunk, model, 1, vectors)
-        b = message_representation(chunk, model, 1, vectors)
-        assert a.shape == (8,)
+        a = top_rows(model, chunk, None, vectors, 1).data
+        b = top_rows(model, chunk, None, vectors, 1).data
+        assert a.shape == (1, 1, 8)
         np.testing.assert_array_equal(a, b)
 
     def test_differs_from_raw_mean_vector(self, tiny_config):
         model = MeltModel(tiny_config, seed=8)
         chunk = chunk_of(3)
         vectors = vectors_for(chunk, 8)
-        rep = message_representation(chunk, model, 0, vectors)
+        rep = top_rows(model, chunk, None, vectors, 0).data[0, 0]
         assert np.abs(rep - vectors["um0"]).max() > 1e-3
-
-    def test_pad_slot_rejected(self, tiny_config):
-        model = MeltModel(tiny_config, seed=9)
-        chunk = chunk_of(2)
-        with pytest.raises(ValueError, match="PAD"):
-            message_representation(chunk, model, 3, vectors_for(chunk, 8))
 
 
 def test_frozen_model_safe_for_concurrent_inference(tiny_config):

@@ -6,8 +6,8 @@ from melt.corpus import Action, MaskPlan, build_chunks
 from melt.model import MeltConfig, MeltModel, embed_batch
 from melt.pretrain import (CheckpointManifestError, CheckpointTruncatedError,
                            CheckpointVersionError, PretrainConfig,
-                           TrainingDivergedError, _forward_masked, evaluate_dev,
-                           load_checkpoint, load_params_into, make_dev_plans,
+                           TrainingDivergedError, _forward_masked, _input_rows,
+                           evaluate_dev, load_checkpoint, load_params_into, make_dev_plans,
                            masked_loss, save_checkpoint, train)
 from melt.tensor import Tensor, backward
 from melt.wordenc import HashEmbeddingEncoder, compute_message_vectors
@@ -275,7 +275,7 @@ class TestForwardMaskedRows:
 
     def full_path(self, model, chunks, plans, vectors, rng):
         """Every slot through the top layer, then the head at the selected slots."""
-        x, attn = embed_batch(model, chunks, plans, vectors)
+        x, attn = embed_batch(model, chunks, plans, _input_rows(model, chunks, plans, vectors))
         out = model.forward(x, attn, train=rng is not None, rng=rng)
         b_idx = [b for b, p in enumerate(plans) for _ in p.selected_slots]
         l_idx = [s for p in plans for s in p.selected_slots]

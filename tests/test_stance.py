@@ -6,7 +6,7 @@ from melt.corpus import RawMessage, StanceExample
 from melt.model import MeltConfig, MeltModel
 from melt.pretrain import TrainingDivergedError
 from melt.stance import (FinetuneConfig, StanceHead, finetune, mfc_baseline,
-                         mfc_predict, predict, random_search, train_feature_head,
+                         mfc_predict, predict, train_feature_head,
                          word_baseline, word_features, word_history_features)
 from melt.tensor import Tensor
 from melt.wordenc import (FrozenWordLevel, HashEmbeddingEncoder,
@@ -303,6 +303,33 @@ def test_feature_head_raises_on_non_finite_loss():
                            hidden1=4, hidden2=4)
 
 
+def test_feature_head_stops_early_and_restores_the_best_dev_epoch(monkeypatch):
+    # random labels: the head overfits, so dev loss turns up and the run stops
+    rng = np.random.default_rng(3)
+    feats = rng.uniform(-1, 1, (40, 6)).astype(np.float32)
+    dev = rng.uniform(-1, 1, (12, 6)).astype(np.float32)
+    labels, dev_labels = rng.integers(0, 3, 40), rng.integers(0, 3, 12)
+    at_dev_eval = []  # (dev loss, parameter bytes) per epoch
+    forward = StanceHead.forward
+
+    def recording_forward(self, x, p_drop=0.0, train=False, rng=None):
+        logits = forward(self, x, p_drop, train, rng)
+        if not train:
+            loss = float(stance.cross_entropy(logits, dev_labels).data)
+            at_dev_eval.append((loss, [p.data.tobytes() for _, p in self.named_parameters()]))
+        return logits
+
+    monkeypatch.setattr(StanceHead, "forward", recording_forward)
+    cfg = FinetuneConfig(lr=3e-3, batch_size=5, max_epochs=30, patience=2, seed=5)
+    head = train_feature_head(feats, labels, dev, dev_labels, cfg, hidden1=16, hidden2=8)
+    losses = [loss for loss, _ in at_dev_eval]
+    best = losses.index(min(losses))  # the first minimum: improvement is strict
+    assert len(losses) < cfg.max_epochs
+    assert len(losses) == best + 1 + cfg.patience + 1
+    assert at_dev_eval[-1][1] != at_dev_eval[best][1]
+    assert [p.data.tobytes() for _, p in head.named_parameters()] == at_dev_eval[best][1]
+
+
 def test_feature_head_raises_on_non_finite_dev_loss():
     rng = np.random.default_rng(0)
     feats = rng.uniform(-1, 1, (6, 4)).astype(np.float32)
@@ -313,32 +340,6 @@ def test_feature_head_raises_on_non_finite_dev_loss():
                                                       match="dev loss after epoch 1"):
         train_feature_head(feats, [0, 1, 2, 0, 1, 2], dev, [0, 1, 2], cfg,
                            hidden1=4, hidden2=4)
-
-
-class TestRandomSearch:
-    def test_returns_argmin_and_stays_in_range(self):
-        seen = []
-
-        def run_trial(cfg):
-            seen.append(cfg)
-            return abs(cfg.lr - 1e-4)  # pretend 1e-4 is ideal
-
-        best, best_loss, trials = random_search(run_trial, n_trials=8, seed=0)
-        assert len(trials) == 8
-        assert best_loss == min(loss for _, loss in trials)
-        for cfg in seen:
-            assert 6e-6 <= cfg.lr <= 3e-3
-            assert 1e-4 <= cfg.weight_decay <= 1.0
-            assert 0.0 <= cfg.dropout <= 0.05
-
-    def test_deterministic_under_seed(self):
-        a = random_search(lambda cfg: cfg.lr, n_trials=4, seed=5)
-        b = random_search(lambda cfg: cfg.lr, n_trials=4, seed=5)
-        assert [c.lr for c, _ in a[2]] == [c.lr for c, _ in b[2]]
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            random_search(lambda cfg: 0.0, n_trials=0)
 
 
 def test_history_beats_word_only_on_user_dependent_labels():

@@ -12,7 +12,7 @@ from melt import tensor as T
 from melt.tensor import (RowGrad, ShapeError, Tensor, backward, cross_entropy, dropout,
                          gather_bl, gather_positions, gather_rows, gelu,
                          layer_norm, mse_loss, no_grad, scatter_rows, segment_mean,
-                         sigmoid, softmax, stack, tape)
+                         sigmoid, softmax, tape)
 
 
 def rand(rng, *shape):
@@ -279,7 +279,6 @@ GRAD_CASES = {
         lambda r: T.mul(scatter_rows(r, np.array([0, 1]), np.array([2, 0]), 2, 3),
                         _W["w234"]).sum(),
         [(2, 4)]),
-    "stack": (lambda a, b: T.mul(stack([a, b]), _W["w23"]).sum(), [(3,), (3,)]),
 }
 
 _wrng = np.random.default_rng(99)
