@@ -363,6 +363,7 @@ def cmd_pretrain(cfg: dict) -> int:
     source = _make_word_source(cfg)
     needed = [m for c in chunks for m in c.real_messages()]
     vectors = compute_message_vectors({m.message_id: m for m in needed}.values(), source)
+    del source  # training reads only the pooled vectors; free the hash table
 
     model = MeltModel(_melt_config(cfg), seed=cfg["seed"])
     pconfig = PretrainConfig(base_lr=cfg["lr"], weight_decay=cfg["weight_decay"],
@@ -403,14 +404,22 @@ def _split_examples(examples: Sequence[StanceExample]
 
 
 def _parse_history(cfg: dict) -> List[Optional[int]]:
+    """The ``--history-len`` values, each an integer of at least 1."""
     raw = cfg["history_len"]
     if raw is None:
         return [None]
     values = []
     for piece in str(raw).split(","):
         piece = piece.strip()
-        if piece:
-            values.append(int(piece))
+        if not piece:
+            continue
+        try:
+            value = int(piece)
+        except ValueError:
+            raise CliError(f"--history-len: '{piece}' is not an integer") from None
+        if value < 1:
+            raise CliError(f"--history-len: '{piece}' is below 1")
+        values.append(value)
     if not values:
         raise CliError("--history-len given but empty")
     return values
@@ -545,6 +554,10 @@ def cmd_finetune(cfg: dict) -> int:
         cfg["heads"] = model_cfg.n_heads
         cfg["seq_len"] = model_cfg.max_seq
         _check_word_encoder(header.get("word_encoder"), cfg)
+    for hist in history_lens:
+        if hist is not None and hist > model_cfg.max_seq:
+            raise CliError(f"--history-len: '{hist}' exceeds the model's max_seq "
+                           f"{model_cfg.max_seq}")
     source = _make_word_source(cfg)
     if not (cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder)):
         # A trainable hash table pools its own rows and never reads these

@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import Action, MaskPlan, SequenceChunk
 from .tensor import (Tensor, dropout, gather_bl, gather_rows, gelu, layer_norm,
-                     matmul, reshape, scatter_rows, softmax, transpose)
+                     linear, matmul, reshape, scatter_rows, softmax, transpose)
 
 INIT_STD = 0.02
 ATTN_MASK_BIAS = -1e9  # finite stand-in for -inf; exp() underflows to exactly 0
@@ -158,16 +158,16 @@ class EncoderLayer:
             keep_rows = (b_col, rows)
         attn_shape, row_shape = (b, n_heads, length, length), (b, length, d)
 
-        q = split_heads(matmul(xq, self.wq) + self.bq)
-        k = split_heads(matmul(x, self.wk) + self.bk)
-        v = split_heads(matmul(x, self.wv) + self.bv)
+        q = split_heads(linear(xq, self.wq, self.bq))
+        k = split_heads(linear(x, self.wk, self.bk))
+        v = split_heads(linear(x, self.wv, self.bv))
         scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale + attn_bias
         attn = dropout(softmax(scores, axis=-1), p_drop, rng, train, attn_shape, keep_attn)
         ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n_rows, d))
-        attn_out = dropout(matmul(ctx, self.wo) + self.bo, p_drop, rng, train,
+        attn_out = dropout(linear(ctx, self.wo, self.bo), p_drop, rng, train,
                            row_shape, keep_rows)
         x = layer_norm(xq + attn_out, self.ln1_g, self.ln1_b)
-        ff = matmul(gelu(matmul(x, self.w1) + self.b1), self.w2) + self.b2
+        ff = linear(gelu(linear(x, self.w1, self.b1)), self.w2, self.b2)
         ff = dropout(ff, p_drop, rng, train, row_shape, keep_rows)
         return layer_norm(x + ff, self.ln2_g, self.ln2_b)
 
@@ -247,7 +247,7 @@ class MeltModel:
 
     def reconstruct_rows(self, outputs: Tensor, b_idx, l_idx) -> Tensor:
         """Apply the reconstruction head at the given (batch, row) cells of ``outputs``."""
-        return matmul(gather_bl(outputs, b_idx, l_idx), self.head_w) + self.head_b
+        return linear(gather_bl(outputs, b_idx, l_idx), self.head_w, self.head_b)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .model import MeltModel
 from .model import embed_batch as embed_token_batch
 from .optim import AdamW
 from .pretrain import TrainingDivergedError
-from .tensor import (Tensor, backward, cross_entropy, dropout, matmul, no_grad, reshape,
+from .tensor import (Tensor, backward, cross_entropy, dropout, linear, no_grad, reshape,
                      sigmoid, softmax)
 
 
@@ -71,9 +71,9 @@ class StanceHead:
     def forward(self, x: Tensor, p_drop: float = 0.0, train: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:
         x = dropout(x, p_drop, rng, train)
-        h = sigmoid(matmul(x, self.w1) + self.b1)
-        h = matmul(h, self.w2) + self.b2
-        return matmul(h, self.w3) + self.b3
+        h = sigmoid(linear(x, self.w1, self.b1))
+        h = linear(h, self.w2, self.b2)
+        return linear(h, self.w3, self.b3)
 
 
 @dataclass

@@ -5,7 +5,8 @@ training loops) is built from the ops in this module. Data is numpy-backed:
 training runs in float32, while float64 inputs are accepted so numerical
 checks can run at higher precision. Each op records its inputs and a local
 backward rule on the output tensor; ``backward`` replays them once in
-reverse topological order.
+reverse topological order, freeing each recorded node as soon as its rule
+has run.
 
 A gradient is a dense array of the tensor's shape, except that a row gather
 (``gather_rows``) hands its table a ``RowGrad``: only the rows it touched,
@@ -33,6 +34,7 @@ __all__ = [
     "tape",
     "backward",
     "no_grad",
+    "linear",
     "gather_rows",
     "gather_bl",
     "gather_positions",
@@ -254,12 +256,23 @@ def tape(root: Tensor) -> list:
     return order
 
 
+def _swept(g) -> None:
+    raise RuntimeError("graph already swept: backward has run over it once; "
+                       "run the forward pass again")
+
+
 def backward(loss: Tensor) -> None:
-    """Populate ``grad = d(loss)/d(tensor)`` for every reachable tensor.
+    """Populate ``grad = d(loss)/d(leaf)`` for every reachable leaf.
 
     Gradients of reachable tensors are reset first (each call yields fresh
     derivatives); tensors not feeding into ``loss`` are left untouched.
     Fan-out is handled by summation during the single reverse sweep.
+
+    The sweep frees the graph as it goes: once an op output's rule has run,
+    the output drops its rule, its inputs and its ``grad``, so the arrays
+    its rule held go as soon as nothing else uses them. After ``backward``
+    only leaves (parameters and inputs) have a ``grad``, and the graph can
+    be swept only once: a second ``backward`` over it raises RuntimeError.
 
     Gradient arrays are shared, not copied: a pass-through rule (add,
     reshape, transpose, sum) hands on its incoming array or a view of it,
@@ -275,9 +288,15 @@ def backward(loss: Tensor) -> None:
     for node in order:
         node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()
+        if node._backward is None:
+            continue  # a leaf keeps its gradient
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._parents = ()
+        node._backward = _swept
 
 
 # ---------------------------------------------------------------------------
@@ -331,29 +350,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with batching over leading axes.
 
     Gradients follow dA = dC @ B^T and dB = A^T @ dC; each is computed only
-    for an operand that requires it. When ``b`` is a 2-D weight, ``a`` is
-    viewed as one (rows, k) matrix over all its leading axes, so the forward
-    product and both gradients are single 2-D GEMMs and dB never holds one
-    product per batch element. Otherwise the gradients are summed over any
+    for an operand that requires it. A 2-D ``b`` is a weight, and the
+    product is ``linear(a, b)``. Otherwise the gradients are summed over any
     broadcast batch axes.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul operands must be at least 2-d, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-
     if b.ndim == 2:
-        k, n = b.shape
-        a2 = a.data.reshape(-1, k)
-
-        def back(g):
-            g2 = g.reshape(-1, n)
-            if a.requires_grad:
-                _accum(a, (g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                _accum(b, a2.T @ g2)
-
-        return _from_op((a2 @ b.data).reshape(a.shape[:-1] + (n,)), (a, b), back)
+        return linear(a, b)
 
     def back(g):
         if a.requires_grad:
@@ -362,6 +368,39 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
 
     return _from_op(np.matmul(a.data, b.data), (a, b), back)
+
+
+def linear(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """``a @ w + bias`` for a 2-D weight ``w`` (k, n) and an optional (n,) bias.
+
+    ``a`` is viewed as one (rows, k) matrix over all its leading axes, so
+    the forward product and both weight-side gradients are single 2-D GEMMs
+    and dW never holds one product per batch element. The bias is added
+    into the product's own buffer, so the op keeps one output array and
+    one graph node. Values are those of ``matmul(a, w) + bias``, and the
+    bias gradient is summed one leading axis at a time, as ``add`` does.
+    """
+    if w.ndim != 2 or a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear needs (..., k) @ (k, n), got {a.shape} @ {w.shape}")
+    k, n = w.shape
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"linear bias must have shape ({n},), got {bias.shape}")
+    a2 = a.data.reshape(-1, k)
+    out = a2 @ w.data
+    if bias is not None:
+        out += bias.data
+
+    def back(g):
+        g2 = g.reshape(-1, n)
+        if bias is not None:
+            _accum(bias, _unbroadcast(g, bias.shape))
+        if a.requires_grad:
+            _accum(a, (g2 @ w.data.T).reshape(a.shape))
+        if w.requires_grad:
+            _accum(w, a2.T @ g2)
+
+    parents = (a, w) if bias is None else (a, w, bias)
+    return _from_op(out.reshape(a.shape[:-1] + (n,)), parents, back)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:

@@ -110,6 +110,28 @@ class TestPretrain:
         assert code == 3
         assert not (out_dir / "checkpoint.melt").exists()
 
+    def test_hash_table_freed_before_training(self, tmp_path, corpus_file, monkeypatch):
+        import weakref
+
+        import melt.cli as cli
+        import melt.pretrain as pretrain_mod
+        encoders, alive_at_train = [], []
+        make_source, train = cli._make_word_source, pretrain_mod.train
+
+        def tracked_source(cfg):
+            source = make_source(cfg)
+            encoders.append(weakref.ref(source))
+            return source
+
+        def checked_train(*args, **kwargs):
+            alive_at_train.append([ref() is not None for ref in encoders])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_make_word_source", tracked_source)
+        monkeypatch.setattr(pretrain_mod, "train", checked_train)
+        run_pretrain(tmp_path, corpus_file)
+        assert len(encoders) == 1 and alive_at_train == [[False]]
+
     def test_vector_file_missing_an_id_is_input_error(self, tmp_path, corpus_file, capsys):
         from melt.corpus import ingest_jsonl
         prep_dir = run_prep(tmp_path, corpus_file)
@@ -252,6 +274,27 @@ class TestFinetune:
                                   "--word-encoder", f"precomputed:{vec_path}"))
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("env,flag,piece", [
+        ("abc", None, "abc"), (None, "0", "0"), (None, "3,x", "x"), (None, "3,-2", "-2"),
+        (None, "4,9", "9"),
+    ])
+    def test_bad_history_len_names_the_option_and_the_piece(self, tmp_path, stance_file,
+                                                            monkeypatch, capsys,
+                                                            env, flag, piece):
+        model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2,
+                                     max_seq=8), seed=0)
+        ckpt = tmp_path / "seq8.melt"
+        save_checkpoint(ckpt, model, dev_mse=0.0, epoch=1, seed=0)
+        if env is not None:
+            monkeypatch.setenv("MELT_HISTORY_LEN", env)
+        extra = ("--history-len", flag) if flag is not None else ()
+        out_dir = tmp_path / "ft"
+        code = main(finetune_args(stance_file, out_dir, "--checkpoint", str(ckpt), *extra))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--history-len" in err and f"'{piece}'" in err
         assert not (out_dir / "predictions.csv").exists()
 
     @pytest.mark.parametrize("field,edit", [

@@ -82,6 +82,42 @@ class TestMatmul:
         assert peak < 32 * 64 * 96 * b.data.itemsize
 
 
+class TestLinear:
+    def test_float32_bytes_equal_matmul_then_add(self):
+        rng = np.random.default_rng(11)
+        data = [rng.standard_normal(s).astype(np.float32) for s in ((3, 5, 16), (16, 24), (24,))]
+        weights = Tensor(rng.standard_normal((3, 5, 24)).astype(np.float32))
+        runs = []
+        for fused in (True, False):
+            a, w, b = (Tensor(d.copy(), requires_grad=True) for d in data)
+            out = T.linear(a, w, b) if fused else T.matmul(a, w) + b
+            backward(T.mul(out, weights).sum())
+            runs.append([out.data.tobytes()] + [t.grad.tobytes() for t in (a, w, b)])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_matches_finite_differences(self, with_bias):
+        rng = np.random.default_rng(12 + with_bias)
+        a, w, b = (Tensor(rng.uniform(-2, 2, s), requires_grad=True)
+                   for s in ((2, 3, 4), (4, 5), (5,)))
+        weights = Tensor(rng.uniform(0.2, 1, (2, 3, 5)))
+        xs = (a, w, b) if with_bias else (a, w)
+
+        def build():
+            return T.mul(T.linear(*xs), weights).sum()
+
+        backward(build())
+        for x in xs:
+            numeric = numeric_grad(lambda: float(build().data), x.data)
+            assert max_rel_err(x.grad, numeric) < 1e-4
+        if not with_bias:
+            assert b.grad is None
+
+    def test_bias_shape_checked(self):
+        with pytest.raises(ShapeError, match=r"\(4,\)"):
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
+
+
 class TestGatherRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_table_gradient_is_rows_bit_identical_to_dense_add_at(self, dtype):
@@ -227,6 +263,39 @@ class TestBackward:
         for _ in range(2):
             backward((x * x).sum())
         np.testing.assert_allclose(x.grad, [6.0])
+
+    def test_second_backward_over_a_swept_graph_raises(self):
+        x = Tensor([3.0], requires_grad=True)
+        loss = (x * x).sum()
+        backward(loss)
+        with pytest.raises(RuntimeError, match="graph already swept"):
+            backward(loss)
+
+    def test_sweep_frees_non_leaf_grads_and_keeps_leaf_grads(self):
+        x = Tensor(np.array([1.5, -0.5]), requires_grad=True)
+        y = x * x
+        loss = (y + x).sum()
+        backward(loss)
+        np.testing.assert_allclose(x.grad, 2 * x.data + 1, rtol=1e-6)
+        for node in (y, loss):
+            assert node.grad is None and node._parents == ()
+
+    def test_backward_peak_stays_near_two_intermediates(self):
+        rng = np.random.default_rng(4)
+        n = 1 << 18
+        x = Tensor(rng.standard_normal(n), requires_grad=True)
+        h = x
+        for i in range(8):
+            h = T.mul(h, Tensor(rng.uniform(0.5, 1.5, n)))
+        loss = h.sum()
+        del h
+        tracemalloc.start()
+        try:
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * x.data.itemsize
 
     def test_tape_is_topological_and_unique(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
