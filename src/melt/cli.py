@@ -247,7 +247,7 @@ def _word_meta(cfg: dict) -> dict:
     choice = cfg["word_encoder"]
     if choice == "hash":
         return {"kind": "hash", "dim": cfg["d_model"], "buckets": cfg["word_buckets"],
-                "seed": cfg["word_seed"]}
+                "seed": cfg["word_seed"], "row_scheme": wordenc.ROW_SCHEME}
     return {"kind": "precomputed", "dim": cfg["d_model"], "path": choice.split(":", 1)[1]}
 
 
@@ -255,14 +255,17 @@ def _check_word_encoder(recorded: Optional[dict], cfg: dict) -> None:
     """Reject word settings that differ from those the checkpoint was pre-trained with.
 
     The width is taken from the checkpoint already, and a vector file's path
-    is not compared, since the file may have moved.
+    is not compared, since the file may have moved. A hash checkpoint
+    written before rows were drawn per bucket records no row scheme, and
+    its table differs from every table drawn now.
     """
     if recorded is None:
         return
     wanted = _word_meta(cfg)
-    for key in ("kind", "buckets", "seed"):
+    for key in ("kind", "buckets", "seed", "row_scheme"):
         if recorded.get(key) != wanted.get(key):
-            raise CliError(f"checkpoint was pre-trained with word encoder {key} "
+            raise CliError(f"checkpoint was pre-trained with word encoder "
+                           f"{key.replace('_', ' ')} "
                            f"{recorded.get(key)!r}, but fine-tuning asks for "
                            f"{wanted.get(key)!r}")
 
@@ -363,7 +366,7 @@ def cmd_pretrain(cfg: dict) -> int:
     source = _make_word_source(cfg)
     needed = [m for c in chunks for m in c.real_messages()]
     vectors = compute_message_vectors({m.message_id: m for m in needed}.values(), source)
-    del source  # training reads only the pooled vectors; free the hash table
+    del source  # training reads only the pooled vectors; free the drawn rows
 
     model = MeltModel(_melt_config(cfg), seed=cfg["seed"])
     pconfig = PretrainConfig(base_lr=cfg["lr"], weight_decay=cfg["weight_decay"],
@@ -505,6 +508,11 @@ def cmd_finetune(cfg: dict) -> int:
         if unknown:
             raise CliError(f"unknown stance targets: {', '.join(unknown)}")
 
+    if cfg["arch"] not in ("melt", "word", "word-hist", "mfc"):
+        raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
+    if cfg["arch"] != "melt" and cfg["history_len"] is not None:
+        # the baselines pool a fixed history window; a length would be ignored
+        raise CliError(f"--history-len applies only to --arch melt, not '{cfg['arch']}'")
     history_lens = _parse_history(cfg)
     sweep = len(history_lens) > 1
 
@@ -541,9 +549,6 @@ def cmd_finetune(cfg: dict) -> int:
                    _prediction_rows(rows))
         print(f"wrote {len(rows)} {cfg['arch']} predictions")
         return EXIT_OK
-
-    if cfg["arch"] != "melt":
-        raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
 
     model_cfg, params, header = _model_template(cfg)
     if header is not None:

@@ -261,13 +261,14 @@ def embed_batch(model: MeltModel, chunks: Sequence[SequenceChunk],
     """Assemble the (B, L, d) input batch and its attention mask.
 
     ``rows`` holds the input vector of every real slot that no plan marks
-    MASK_TOKEN, in (batch, slot) order: a message's pooled vector, or the
-    recorded substitute of a RANDOM_REPLACE slot. Pre-training passes them
-    as a constant, fine-tuning as the word level's output, through which
-    gradients reach a trainable word level. MASK_TOKEN slots take the
-    learned mask vector and PAD slots the learned pad vector, so the content
-    of a masked slot never enters the input. Position embeddings are added
-    last.
+    MASK_TOKEN: a message's pooled vector, or the recorded substitute of a
+    RANDOM_REPLACE slot. Fine-tuning passes them as the word level's
+    (n, d) output in (batch, slot) order, through which gradients reach a
+    trainable word level. Pre-training passes a constant already in place:
+    the (B, L, d) input with zeros at every other slot. MASK_TOKEN slots
+    take the learned mask vector and PAD slots the learned pad vector, so
+    the content of a masked slot never enters the input. Position
+    embeddings are added last.
     """
     b = len(chunks)
     length = len(chunks[0].slots)
@@ -280,8 +281,11 @@ def embed_batch(model: MeltModel, chunks: Sequence[SequenceChunk],
                 f"mask plan has {len(plan.actions)} slots, chunk has {len(chunk.slots)}")
         masked[bi] = [action is Action.MASK_TOKEN for action in plan.actions]
     masked &= attn
-    b_idx, l_idx = np.nonzero(attn & ~masked)
-    x = scatter_rows(rows, b_idx, l_idx, b, length)
+    if rows.ndim == 3:
+        x = rows
+    else:
+        b_idx, l_idx = np.nonzero(attn & ~masked)
+        x = scatter_rows(rows, b_idx, l_idx, b, length)
     if plans is not None:
         mask_ind = masked[:, :, None].astype(model.dtype)
         x = x + Tensor(mask_ind) * reshape(model.mask_vector, (1, 1, d))

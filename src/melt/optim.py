@@ -36,6 +36,9 @@ class AdamWState:
 
 # Rows per block of the row-sparse path: a block's work arrays stay in cache.
 _BLOCK_BYTES = 1 << 20
+# Values per block of the Adam update itself (about 64K): it makes a dozen
+# passes over its five arrays, which then stay in cache.
+_ADAM_BLOCK_VALUES = 1 << 16
 
 
 def adamw_step(param: np.ndarray, grad, state: AdamWState, lr: float,
@@ -102,11 +105,25 @@ def _decay(param: np.ndarray, factor: float, work: np.ndarray) -> None:
 
 def _adam(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
           state: AdamWState, lr: float, weight_decay: float) -> None:
+    """Update ``param``, ``m`` and ``v`` in place, in blocks of leading-axis rows.
+
+    Every operation is elementwise, so blocks give the same bytes as one
+    pass over the whole arrays. ``grad`` is only read.
+    """
+    rows = max(1, _ADAM_BLOCK_VALUES // max(1, param[0].size))
+    for start in range(0, len(param), rows):
+        block = slice(start, start + rows)
+        _adam_block(param[block], grad[block], m[block], v[block], state, lr,
+                    weight_decay)
+
+
+def _adam_block(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+                state: AdamWState, lr: float, weight_decay: float) -> None:
     # Same operations, order and scalar grouping as the textbook form
     #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
     #   param -= lr*wd*param;  param -= lr * (m/c1) / (sqrt(v/c2) + eps)
     # so results are bit-identical to it, with two work arrays instead of
-    # a temporary per operation. ``grad`` is only read.
+    # a temporary per operation.
     work = np.multiply(grad, 1.0 - state.beta1)
     m *= state.beta1
     m += work

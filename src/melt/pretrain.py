@@ -88,17 +88,19 @@ def masked_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:
 
 def _input_rows(model: MeltModel, batch: Sequence[SequenceChunk],
                 plans: Sequence[MaskPlan], vectors: Mapping[str, np.ndarray]) -> Tensor:
-    """The ``embed_batch`` rows: one per real slot not marked MASK_TOKEN.
+    """The ``embed_batch`` rows, written straight into the (B, L, d) input.
 
-    A RANDOM_REPLACE slot gives its recorded substitute, every other slot
-    its message's own pooled vector.
+    Every real slot not marked MASK_TOKEN holds its row: a RANDOM_REPLACE
+    slot's recorded substitute, any other slot its message's own pooled
+    vector. MASK_TOKEN and PAD slots hold zeros.
     """
-    rows = [plan.replacements[li][1] if action is Action.RANDOM_REPLACE
-            else vectors[slot.message_id]
-            for chunk, plan in zip(batch, plans)
-            for li, (slot, action) in enumerate(zip(chunk.slots, plan.actions))
-            if slot is not None and action is not Action.MASK_TOKEN]
-    return Tensor(np.array(rows, dtype=model.dtype).reshape(-1, model.config.d_model))
+    x = np.zeros((len(batch), len(batch[0].slots), model.config.d_model), dtype=model.dtype)
+    for bi, (chunk, plan) in enumerate(zip(batch, plans)):
+        for li, (slot, action) in enumerate(zip(chunk.slots, plan.actions)):
+            if slot is not None and action is not Action.MASK_TOKEN:
+                x[bi, li] = (plan.replacements[li][1] if action is Action.RANDOM_REPLACE
+                             else vectors[slot.message_id])
+    return Tensor(x)
 
 
 def _forward_masked(model: MeltModel, batch: Sequence[SequenceChunk],

@@ -15,6 +15,7 @@ hash table itself, or into a d x d adapter over precomputed vectors.
 from __future__ import annotations
 
 import string
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
@@ -77,17 +78,30 @@ def fnv1a_64(token: str) -> int:
     return h
 
 
-_TABLE_BLOCK_BYTES = 1 << 20  # float64 work buffer of the table build
+ROW_SCHEME = "default_rng([seed, bucket]).standard_normal(dim) / sqrt(dim), float32"
+
+
+def draw_row(seed: int, bucket: int, dim: int) -> np.ndarray:
+    """Bucket ``bucket``'s row, drawn from that bucket's own seeded stream.
+
+    The stream depends only on (seed, bucket), so any row can be drawn
+    without the rows before it. It is scaled in float64, then cast to
+    float32. Checkpoints record this as ``ROW_SCHEME``.
+    """
+    row = np.random.default_rng([seed, bucket]).standard_normal(dim)
+    row /= np.sqrt(dim)
+    return row.astype(np.float32)
 
 
 class HashEmbeddingEncoder:
-    """Fixed random embedding table addressed by a stable string hash.
+    """Fixed random embedding rows addressed by a stable string hash.
 
-    The table is drawn once from a seeded Gaussian scaled by 1/sqrt(dim) and
-    never updated during pre-training; encoding is a pure function of the
-    tokens. It is filled in row blocks through one small float64 buffer,
-    which draws the same stream and rounds the same way as drawing the whole
-    float64 table, scaling it and casting it to float32.
+    Each bucket's row is ``draw_row(seed, bucket, dim)``: never updated, so
+    encoding is a pure function of the tokens. A row is drawn the first time
+    a token hashes to its bucket and kept in a store of the rows reached so
+    far, found through a bucket -> slot map, so encoding a message is one
+    gather from that store; the whole (buckets, dim) table is never built.
+    Encoders may be shared across threads.
     """
 
     frozen = True
@@ -95,24 +109,21 @@ class HashEmbeddingEncoder:
     def __init__(self, dim: int = 768, buckets: int = 65536, seed: int = 1337):
         if dim < 1 or buckets < 1:
             raise ValueError("dim and buckets must be positive")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.dim = dim
         self.buckets = buckets
         self.seed = seed
         # token -> bucket. Threads may race to fill an entry, but they all
         # write the same value.
         self._bucket_of: Dict[str, int] = {}
-        rng = np.random.default_rng(seed)
-        self.table = np.empty((buckets, dim), dtype=np.float32)
-        block = np.empty((max(1, _TABLE_BLOCK_BYTES // (8 * dim)), dim))
-        scale = np.sqrt(dim)
-        for start in range(0, buckets, len(block)):
-            part = block[:buckets - start]
-            rng.standard_normal(out=part)
-            part /= scale
-            self.table[start:start + len(part)] = part
+        # bucket -> slot of its row in _store. Both change only under _lock,
+        # since the store is reallocated as it grows.
+        self._slot_of: Dict[int, int] = {}
+        self._store = np.empty((0, dim), dtype=np.float32)
+        self._lock = threading.Lock()
 
-    def token_ids(self, toks: TokenSequence) -> np.ndarray:
-        """Bucket of each token; each distinct token is hashed once per encoder."""
+    def _token_buckets(self, toks: TokenSequence) -> List[int]:
         memo = self._bucket_of
         ids = []
         for token in toks.tokens:
@@ -120,11 +131,39 @@ class HashEmbeddingEncoder:
             if bucket is None:
                 bucket = memo[token] = fnv1a_64(token) % self.buckets
             ids.append(bucket)
-        return np.array(ids, dtype=np.int64)
+        return ids
+
+    def token_ids(self, toks: TokenSequence) -> np.ndarray:
+        """Bucket of each token; each distinct token is hashed once per encoder."""
+        return np.array(self._token_buckets(toks), dtype=np.int64)
+
+    def rows(self, buckets: np.ndarray) -> np.ndarray:
+        """The rows of ``buckets``, in order, drawing those not yet reached."""
+        return self._gather(np.asarray(buckets).tolist())
 
     def encode(self, toks: TokenSequence) -> np.ndarray:
         """One row per token, in token order."""
-        return self.table[self.token_ids(toks)]
+        return self._gather(self._token_buckets(toks))
+
+    def _gather(self, buckets: List[int]) -> np.ndarray:
+        with self._lock:
+            slot_of = self._slot_of
+            slots = [slot_of.get(bucket) for bucket in buckets]
+            if None in slots:
+                self._draw(sorted({b for b, slot in zip(buckets, slots) if slot is None}))
+                slots = [slot_of[bucket] for bucket in buckets]
+            return self._store[slots]
+
+    def _draw(self, new: List[int]) -> None:
+        start = len(self._slot_of)
+        if start + len(new) > len(self._store):
+            grown = np.empty((max(start + len(new), 2 * len(self._store)), self.dim),
+                             dtype=np.float32)
+            grown[:start] = self._store[:start]
+            self._store = grown
+        for slot, bucket in enumerate(new, start=start):
+            self._store[slot] = draw_row(self.seed, bucket, self.dim)
+            self._slot_of[bucket] = slot
 
 
 def pool_message(vectors: np.ndarray) -> np.ndarray:
@@ -269,7 +308,7 @@ class TrainableHashWordLevel:
 
     The trainable table holds only the rows of ``buckets``: the sorted
     distinct buckets that ``messages`` hash to, or every bucket when
-    ``messages`` is None. A run reads no other row, so no other row is
+    ``messages`` is None, which draws the encoder's every row. A run reads no other row, so no other row is
     copied, decayed or snapshotted, and the gathered rows, their gradients
     and their AdamW updates are those of the same rows of the whole table.
     Each distinct text's row ids are worked out once: at construction for
@@ -287,7 +326,7 @@ class TrainableHashWordLevel:
                    for text in dict.fromkeys(msg.text for msg in messages)}
             self.buckets = np.unique(np.concatenate(list(ids.values())))
             self._rows_of = {text: np.searchsorted(self.buckets, i) for text, i in ids.items()}
-        self.table = Tensor(encoder.table[self.buckets], requires_grad=True)
+        self.table = Tensor(encoder.rows(self.buckets), requires_grad=True)
 
     def trainable_params(self) -> list:
         return [("word.table", self.table)]

@@ -8,7 +8,8 @@ import pytest
 from melt.cli import main
 from melt.model import MeltConfig, MeltModel
 from melt.pretrain import load_checkpoint, save_checkpoint
-from melt.wordenc import HashEmbeddingEncoder, compute_message_vectors, write_vector_file
+from melt.wordenc import (HashEmbeddingEncoder, compute_message_vectors, fnv1a_64,
+                          tokenize, write_vector_file)
 from synthdata import (marker_corpus, split_examples, stance_corpus,
                        write_corpus_jsonl, write_stance_jsonl)
 
@@ -330,8 +331,84 @@ class TestFinetune:
         assert main(finetune_args(stance_file, out_dir, "--arch", "word")) == 0
         assert (out_dir / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("arch", ["word", "word-hist", "mfc"])
+    def test_history_len_rejected_for_non_melt_arch(self, tmp_path, stance_file, capsys,
+                                                   arch):
+        out_dir = tmp_path / arch
+        code = main(finetune_args(stance_file, out_dir, "--arch", arch,
+                                  "--history-len", "2"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--history-len" in err and f"'{arch}'" in err
+        assert not (out_dir / "predictions.csv").exists()
+
+
+class TestHashRows:
+    """A run draws the word table's rows on demand: each bucket its messages reach, once."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        import melt.wordenc as wordenc
+        buckets, draw_row = [], wordenc.draw_row
+
+        def counting(seed, bucket, dim):
+            buckets.append(bucket)
+            return draw_row(seed, bucket, dim)
+
+        monkeypatch.setattr(wordenc, "draw_row", counting)
+        return buckets
+
+    @staticmethod
+    def reached(messages):
+        return sorted({fnv1a_64(token) % 65536 for m in messages
+                       for token in tokenize(m.text).tokens})
+
+    def test_pretrain(self, tmp_path, corpus_file, drawn):
+        from melt.corpus import ingest_jsonl
+        run_pretrain(tmp_path, corpus_file, extra=["--word-buckets", "65536"])
+        messages = [m for msgs in ingest_jsonl(corpus_file).values() for m in msgs]
+        assert sorted(drawn) == self.reached(messages)
+
+    @pytest.mark.parametrize("extra", [(), ("--unfreeze-word",)], ids=["frozen", "unfrozen"])
+    def test_finetune(self, tmp_path, stance_file, drawn, extra):
+        from melt.corpus import all_messages, ingest_stance_jsonl
+        assert main(finetune_args(stance_file, tmp_path / "ft", "--rand-init",
+                                  "--word-buckets", "65536", *extra)) == 0
+        assert sorted(drawn) == self.reached(all_messages(ingest_stance_jsonl(stance_file)))
+
+    def test_checkpoint_from_the_whole_table_scheme_rejected(self, tmp_path, stance_file,
+                                                            capsys):
+        # the word_encoder header as written before rows were drawn per bucket
+        model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2), seed=0)
+        ckpt = tmp_path / "old.melt"
+        save_checkpoint(ckpt, model, dev_mse=0.0, epoch=1, seed=0,
+                        extra={"word_encoder": {"kind": "hash", "dim": 16, "buckets": 256,
+                                                "seed": 3}})
+        out_dir = tmp_path / "ft_old"
+        code = main(finetune_args(stance_file, out_dir, "--checkpoint", str(ckpt)))
+        assert code == 2
+        assert "row scheme" in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
+
 
 class TestJobs:
+    def test_unfrozen_parallel_runs_match_serial(self, tmp_path):
+        stance_path = tmp_path / "multi.jsonl"
+        write_stance_jsonl(stance_path, stance_corpus(
+            180, n_history=6, seed=33, split_fracs=(0.6, 0.2),
+            targets=("abortion", "climate", "feminism")))
+        outputs = []
+        for jobs, tag in (("1", "serial"), ("3", "parallel")):
+            out_dir = tmp_path / tag
+            code = main(finetune_args(stance_path, out_dir, "--rand-init", "--unfreeze-word",
+                                      "--jobs", jobs))
+            assert code == 0
+            outputs.append({name: (out_dir / name).read_bytes()
+                            for name in sorted(os.listdir(out_dir))
+                            if name != "config.json"})
+        assert len(outputs[0]) == 4  # predictions and one snapshot per target
+        assert outputs[0] == outputs[1]
+
     def test_parallel_runs_match_serial(self, tmp_path):
         stance_path = tmp_path / "multi.jsonl"
         write_stance_jsonl(stance_path, stance_corpus(

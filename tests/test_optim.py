@@ -81,6 +81,27 @@ def test_in_place_step_is_bit_identical_to_out_of_place_formula(dtype, weight_de
         assert st.v.tobytes() == ref_v.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(300, 700), (150_001,)])
+def test_blocked_dense_step_is_bit_identical_to_formula(shape):
+    # neither size is a multiple of the update's block: 93 rows of 700,
+    # or 65536 values
+    assert np.prod(shape) % optim._ADAM_BLOCK_VALUES != 0
+    assert np.prod(shape) > 2 * optim._ADAM_BLOCK_VALUES
+    rng = np.random.default_rng(14)
+    param = rng.standard_normal(shape).astype(np.float32)
+    st = AdamWState(m=np.zeros_like(param), v=np.zeros_like(param), weight_decay=0.1)
+    ref_p, ref_m, ref_v = param.copy(), st.m.copy(), st.v.copy()
+    for step in range(1, 6):
+        grad = rng.standard_normal(shape).astype(np.float32)
+        lr = warmup_lr(step, 4e-3, 3)
+        adamw_step(param, grad, st, lr)
+        ref_p, ref_m, ref_v = _out_of_place_adamw(
+            ref_p, grad, ref_m, ref_v, step, lr, st.beta1, st.beta2, st.eps, 0.1)
+        assert param.tobytes() == ref_p.tobytes()
+        assert st.m.tobytes() == ref_m.tobytes()
+        assert st.v.tobytes() == ref_v.tobytes()
+
+
 # Index batches for a 12-row table; None is a step with a dense gradient.
 _ROW_SCHEDULES = {
     "sparse": [[0, 3, 3, 7], [3, 5], [1, 1, 9, 1], [0], [10, 3], [2, 2], [7]],

@@ -75,10 +75,10 @@ class TestTrain:
 
     def test_word_encoder_untouched(self):
         enc, vectors, chunks = small_setup()
-        before = enc.table.copy()
+        before = enc.rows(np.arange(enc.buckets)).copy()
         train(small_model(), chunks[2:], chunks[:2], vectors,
               PretrainConfig(warmup_steps=10, epochs=1, batch_size=4, seed=0))
-        np.testing.assert_array_equal(enc.table, before)
+        np.testing.assert_array_equal(enc.rows(np.arange(enc.buckets)), before)
 
     def test_loss_decreases_on_structured_corpus(self):
         _, vectors, chunks = small_setup(n_users=12, n_msgs=80)
@@ -347,3 +347,43 @@ class TestLoadWithoutInit:
         save_params(path, header, renamed)
         with pytest.raises(CheckpointManifestError):
             load_checkpoint(path)
+
+
+def _gathered_rows(model, batch, plans, vectors):
+    """Reference: the (n, d) rows gathered on their own, which ``embed_batch`` scatters."""
+    rows = [plan.replacements[li][1] if action is Action.RANDOM_REPLACE
+            else vectors[slot.message_id]
+            for chunk, plan in zip(batch, plans)
+            for li, (slot, action) in enumerate(zip(chunk.slots, plan.actions))
+            if slot is not None and action is not Action.MASK_TOKEN]
+    return Tensor(np.array(rows, dtype=model.dtype).reshape(-1, model.config.d_model))
+
+
+class TestInputRowsInPlace:
+    """Pre-training writes its rows straight into the embedded input."""
+
+    def test_embedded_batch_is_byte_identical_to_scattered_rows(self):
+        _, vectors, chunks = small_setup(n_users=4, n_msgs=30)  # 30 real + 10 PAD each
+        model = small_model()
+        plans = make_dev_plans(chunks, vectors, seed=17)
+        actions = {a for p in plans for a in p.actions}
+        assert {Action.MASK_TOKEN, Action.RANDOM_REPLACE} <= actions
+        placed, attn = embed_batch(model, chunks, plans,
+                                   _input_rows(model, chunks, plans, vectors))
+        scattered, attn_ref = embed_batch(model, chunks, plans,
+                                          _gathered_rows(model, chunks, plans, vectors))
+        assert not attn.all()
+        assert placed.data.tobytes() == scattered.data.tobytes()
+        assert attn.tobytes() == attn_ref.tobytes()
+
+    def test_training_history_is_byte_identical_to_scattered_rows(self, monkeypatch):
+        _, vectors, chunks = small_setup()
+        cfg = PretrainConfig(warmup_steps=10, epochs=2, batch_size=4, seed=1337)
+        runs = []
+        for rows in (_input_rows, _gathered_rows):
+            monkeypatch.setattr(pretrain_mod, "_input_rows", rows)
+            model = small_model()
+            res = train(model, chunks[2:], chunks[:2], vectors, cfg)
+            runs.append(([(s.step, repr(s.lr), repr(s.loss)) for s in res.steps],
+                         [p.data.tobytes() for _, p in model.named_parameters()]))
+        assert runs[0] == runs[1]

@@ -155,12 +155,12 @@ class TestFreezing:
     def test_frozen_word_level_unchanged_by_finetuning(self):
         examples, enc, vectors = setup_world(30)
         train, dev, _ = split_examples(examples)
-        table_before = enc.table.copy()
+        table_before = enc.rows(np.arange(enc.buckets)).copy()
         model = MeltModel(CFG, seed=3)
         head = StanceHead(D, hidden1=8, hidden2=4, seed=3)
         cfg = FinetuneConfig(lr=1e-3, batch_size=5, max_epochs=2, patience=1, seed=3)
         finetune(model, head, FrozenWordLevel(D, vectors), train, dev, cfg)
-        np.testing.assert_array_equal(enc.table, table_before)
+        np.testing.assert_array_equal(enc.rows(np.arange(enc.buckets)), table_before)
 
     def test_unfrozen_word_level_updates(self):
         examples, enc, vectors = setup_world(30)
@@ -343,7 +343,11 @@ def test_feature_head_raises_on_non_finite_dev_loss():
 
 
 def test_history_beats_word_only_on_user_dependent_labels():
-    examples, _, vectors = setup_world(240, seed=9)
+    # 64-d rows: with 16-d rows, whether the baselines learn at all depends on
+    # the table's draw (about half of all table seeds), under any row scheme
+    examples = tiny_examples(240, seed=9)
+    vectors = compute_message_vectors(all_messages(examples),
+                                      HashEmbeddingEncoder(dim=64, buckets=4096, seed=2))
     train, dev, test = split_examples(examples)
     cfg = FinetuneConfig(lr=3e-3, weight_decay=1e-2, batch_size=10, max_epochs=30,
                          patience=8, seed=9)

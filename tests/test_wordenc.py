@@ -8,8 +8,8 @@ from melt.tensor import Tensor, backward
 from melt.wordenc import (EMPTY_TOKEN, FrozenWordLevel, HashEmbeddingEncoder,
                           PrecomputedVectorStore, TrainableAdapterWordLevel,
                           TrainableHashWordLevel, VectorFileError,
-                          compute_message_vectors, fnv1a_64, load_precomputed,
-                          message_vector, pool_message, tokenize,
+                          compute_message_vectors, draw_row, fnv1a_64,
+                          load_precomputed, message_vector, pool_message, tokenize,
                           write_vector_file)
 
 
@@ -66,23 +66,44 @@ class TestHashEncoder:
 
     def test_table_scale(self):
         enc = HashEmbeddingEncoder(dim=64, buckets=4096, seed=3)
-        assert abs(float(enc.table.std()) - 1 / np.sqrt(64)) < 0.002
+        assert abs(float(enc.rows(np.arange(4096)).std()) - 1 / np.sqrt(64)) < 0.002
 
-    @pytest.mark.parametrize("dim,buckets,block_rows", [
-        (16, 10, 3),      # last block holds one row
-        (7, 5, 8),        # one block larger than the table
-        (300, 1000, None),  # the default block size, not a divisor of 1000
-    ])
-    def test_blocked_build_is_byte_identical_to_one_shot_formula(
-            self, monkeypatch, dim, buckets, block_rows):
-        import melt.wordenc as wordenc
-        if block_rows is not None:
-            monkeypatch.setattr(wordenc, "_TABLE_BLOCK_BYTES", 8 * dim * block_rows)
-        rng = np.random.default_rng(41)
-        want = (rng.standard_normal((buckets, dim)) / np.sqrt(dim)).astype(np.float32)
-        table = HashEmbeddingEncoder(dim=dim, buckets=buckets, seed=41).table
-        assert table.dtype == np.float32 and table.shape == (buckets, dim)
-        assert table.tobytes() == want.tobytes()
+    def test_row_is_its_buckets_own_stream_whatever_the_order_reached(self):
+        dim, buckets, seed = 300, 1000, 41
+        first = [7, 999, 0, 7, 512]
+        a = HashEmbeddingEncoder(dim=dim, buckets=buckets, seed=seed)
+        b = HashEmbeddingEncoder(dim=dim, buckets=buckets, seed=seed)
+        got_a = a.rows(np.array(first))
+        b.rows(np.array([512, 3, 0]))
+        got_b = b.rows(np.array(first))
+        for i, bucket in enumerate(first):
+            rng = np.random.default_rng([seed, bucket])
+            want = (rng.standard_normal(dim) / np.sqrt(dim)).astype(np.float32)
+            assert got_a[i].tobytes() == want.tobytes()
+        assert got_a.dtype == np.float32 and got_a.tobytes() == got_b.tobytes()
+        assert a.rows(np.arange(buckets))[first].tobytes() == got_a.tobytes()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            HashEmbeddingEncoder(dim=4, buckets=8, seed=-1)
+
+    def test_rows_drawn_from_many_threads_are_each_buckets_own(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        enc = HashEmbeddingEncoder(dim=16, buckets=4096, seed=9)
+        batches = [np.random.default_rng(i).integers(0, 4096, 60) for i in range(48)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(enc.rows, batches, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        reached = np.unique(np.concatenate(batches))
+        assert len(enc._slot_of) == len(reached)
+        for ids, rows in zip(batches, got):
+            want = np.stack([draw_row(9, int(b), 16) for b in ids])
+            assert rows.tobytes() == want.tobytes()
 
     def test_token_ids_hash_each_distinct_token_once(self, monkeypatch):
         import melt.wordenc as wordenc
@@ -245,16 +266,18 @@ class TestTrainableWordLevels:
         want = sorted({int(b) for m in self.MESSAGES for b in enc.token_ids(tokenize(m.text))})
         assert wl.buckets.tolist() == want
         assert len(wl.table.data) == len(want)
-        assert wl.table.data.tobytes() == enc.table[want].tobytes()
-        assert TrainableHashWordLevel(enc).table.data.tobytes() == enc.table.tobytes()
+        assert wl.table.data.tobytes() == enc.rows(np.array(want)).tobytes()
+        assert TrainableHashWordLevel(enc).table.data.tobytes() == \
+            enc.rows(np.arange(512)).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_and_gradients_are_those_of_the_whole_table(self, dtype):
         enc = HashEmbeddingEncoder(dim=4, buckets=512, seed=0)
-        enc.table = enc.table.astype(dtype)
         batch = [self.MESSAGES[i] for i in (3, 0, 1, 0, 2)]
         whole = TrainableHashWordLevel(enc)
         compact = TrainableHashWordLevel(enc, self.MESSAGES)
+        for wl in (whole, compact):
+            wl.table = Tensor(wl.table.data.astype(dtype), requires_grad=True)
         weights = np.random.default_rng(0).standard_normal((len(batch), 4)).astype(dtype)
         for wl in (whole, compact):
             rows = wl.batch_vectors(batch)
