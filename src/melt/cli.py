@@ -84,7 +84,7 @@ PRETRAIN_OPTS = COMMON + MODEL_OPTS + WORD_OPTS + [
     ("warmup_steps", int, 2000, "linear warm-up steps"),
     ("epochs", int, 5, "training epochs"),
     ("batch_size", int, 100, "sequences per optimizer step"),
-    ("dev_fraction", float, 0.1, "fraction of chunks held out for dev"),
+    ("dev_fraction", float, 0.1, "fraction of chunks held out for dev, in (0, 0.5]"),
     ("grad_clip", float, None, "global gradient-norm clip (off by default)"),
 ]
 
@@ -105,7 +105,7 @@ FINETUNE_OPTS = COMMON + MODEL_OPTS + WORD_OPTS + [
     ("pooled", "flag", False, "train one model over all targets instead of per-target"),
     ("head_hidden1", int, 768, "classifier first hidden width"),
     ("head_hidden2", int, 384, "classifier second hidden width"),
-    ("jobs", int, 1, "parallel per-target runs"),
+    ("jobs", int, 1, "parallel per-target runs (at least 1)"),
 ]
 
 EVALUATE_OPTS = [
@@ -355,13 +355,12 @@ def cmd_pretrain(cfg: dict) -> int:
     chunks = load_manifest(cfg["manifest"], by_id)
     if len(chunks) < 2:
         raise CliError("need at least 2 chunks to carve out a dev split")
-    stride = max(2, round(1.0 / cfg["dev_fraction"])) if cfg["dev_fraction"] > 0 else None
-    if stride is None:
-        raise CliError("--dev-fraction must be positive")
+    if not 0.0 < cfg["dev_fraction"] <= 0.5:
+        # dev is every round(1/f)-th chunk; above 0.5 that is still every 2nd
+        raise CliError(f"--dev-fraction must be in (0, 0.5], got {cfg['dev_fraction']}")
+    stride = round(1.0 / cfg["dev_fraction"])
     dev_chunks = [c for i, c in enumerate(chunks) if i % stride == 0]
     train_chunks = [c for i, c in enumerate(chunks) if i % stride != 0]
-    if not train_chunks:
-        raise CliError("dev split swallowed every chunk; lower --dev-fraction")
 
     source = _make_word_source(cfg)
     needed = [m for c in chunks for m in c.real_messages()]
@@ -497,6 +496,8 @@ PREDICTION_HEADER = ["example_id", "target", "gold", "pred",
 
 
 def cmd_finetune(cfg: dict) -> int:
+    if cfg["jobs"] < 1:
+        raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
     examples = ingest_stance_jsonl(cfg["stance"])
     os.makedirs(cfg["out"], exist_ok=True)
 

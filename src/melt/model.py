@@ -8,19 +8,31 @@ reconstruction head that predicts the pooled vector of each selected
 message. Pre-training (with mask plans) and fine-tuning (without) share
 ``embed_batch``.
 
-Callers read only a few top-layer rows: the selected slots in
-pre-training, the target slot in fine-tuning. ``MeltModel.forward`` takes
-those rows and runs the last layer's keys and values over every slot but
-everything else only at the rows read. Attention mixes a query only with
-its own sequence's keys and values, and every other op of a post-norm
-layer works row by row, so those rows are the full layer's rows: the
-pruning is exact math, and only float rounding can differ.
+The encoder computes only real messages' rows. ``MeltModel.forward``
+gathers its input's real slots once into an (n, d) matrix, and every
+layer runs its row-wise work (projections, residuals, norms, feed-forward,
+row dropouts) on those rows. Callers read only a few top-layer rows (the
+selected slots in pre-training, the target slot in fine-tuning), so the
+last layer computes queries and everything after them only at those.
+Attention keeps its padded (B, h, L, L) layout: each projection writes its
+rows into a zero (B, L, d) buffer within its own graph node, and the output
+projection reads the context's real rows within its node, so no
+activation is held twice. A PAD key is a zero row under a -1e9 bias, whose
+weight stays exactly 0. Attention mixes a query only with its own
+sequence's keys and values, and every other op of a post-norm layer works
+row by row, so packing is exact math:
+
+- a PAD slot's output is a zero row, and ``pad_vector`` changes no output;
+- train-mode dropout draws full-shape uniforms and keeps the entries of
+  the rows computed, so the generator advances as in a padded forward;
+- only float rounding can differ from a padded forward: gradients of
+  biases, norms and weights sum over n real rows instead of B·L rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,6 +113,21 @@ def _param_maker(seed: int, params: Optional[Mapping[str, np.ndarray]],
     return make
 
 
+class _Cells(NamedTuple):
+    """The m rows a layer computes, as cells of its (B, Q) query grid.
+
+    Row i is grid cell (b[i], j[i]) and batch slot (b[i], slot[i]); ``src``
+    is its index among the layer's input rows. ``grid`` holds the (B, Q)
+    slots of a partial grid; with ``grid`` and ``src`` None, Q = L and the
+    rows are the input rows.
+    """
+    b: np.ndarray
+    j: np.ndarray
+    slot: np.ndarray
+    src: Optional[np.ndarray] = None
+    grid: Optional[np.ndarray] = None
+
+
 class EncoderLayer:
     """Post-norm transformer encoder layer: attention then feed-forward."""
 
@@ -128,44 +155,45 @@ class EncoderLayer:
                  "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"]
         return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
 
-    def forward(self, x: Tensor, attn_bias: Tensor, n_heads: int, p_drop: float,
-                train: bool, rng: Optional[np.random.Generator],
-                rows: Optional[np.ndarray] = None) -> Tensor:
-        """(B, L, d) in; (B, L, d) out, or (B, q, d) at the (B, q) slots ``rows``.
+    def forward(self, x: Tensor, attn_bias: Tensor, slots: Tuple[np.ndarray, np.ndarray],
+                out: _Cells, n_heads: int, p_drop: float, train: bool,
+                rng: Optional[np.random.Generator]) -> Tensor:
+        """Packed rows in and out: (n, d) at the real ``slots``, (m, d) at ``out``.
 
-        With ``rows``, keys and values still cover all L slots, and the
-        queries, attention context, output projection, feed-forward, both
-        norms and residuals run only at those rows. Dropout draws its
-        full-size masks and keeps their rows, so the generator advances as
-        in the full layer.
+        ``slots`` = (b, l) places the n input rows in the (B, L) batch.
+        Keys and values are written into zero (B, L, d) buffers there and
+        the queries into a zero (B, Q, d) buffer at out's cells, so
+        attention keeps its (B, h, Q, L) layout and a PAD key's zero score
+        plus the -1e9 bias keeps its weight at exactly 0. The projections,
+        residuals, norms and feed-forward run only on packed rows. Dropout
+        draws the full (B, h, L, L) and (B, L, d) uniforms and keeps the
+        entries of the rows computed, so the generator advances as in a
+        padded layer.
         """
-        b, length, d = x.shape
+        d = x.shape[1]
+        batch, length = attn_bias.shape[0], attn_bias.shape[-1]
         dh = d // n_heads
-        scale = 1.0 / np.sqrt(dh)
+        q_len = length if out.grid is None else out.grid.shape[1]
 
         def split_heads(t: Tensor) -> Tensor:
-            return transpose(reshape(t, (b, t.shape[1], n_heads, dh)), (0, 2, 1, 3))
+            return transpose(reshape(t, t.shape[:2] + (n_heads, dh)), (0, 2, 1, 3))
 
-        if rows is None:
-            xq, n_rows = x, length
-            keep_attn = keep_rows = None
-        else:
-            n_rows = rows.shape[1]
-            b_col = np.arange(b)[:, None]
-            xq = gather_bl(x, b_col, rows)
-            keep_attn = (b_col[:, :, None], np.arange(n_heads)[None, :, None],
-                         rows[:, None, :])
-            keep_rows = (b_col, rows)
-        attn_shape, row_shape = (b, n_heads, length, length), (b, length, d)
-
-        q = split_heads(linear(xq, self.wq, self.bq))
-        k = split_heads(linear(x, self.wk, self.bk))
-        v = split_heads(linear(x, self.wv, self.bv))
-        scores = matmul(q, transpose(k, (0, 1, 3, 2))) * scale + attn_bias
-        attn = dropout(softmax(scores, axis=-1), p_drop, rng, train, attn_shape, keep_attn)
-        ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n_rows, d))
-        attn_out = dropout(linear(ctx, self.wo, self.bo), p_drop, rng, train,
-                           row_shape, keep_rows)
+        xq = x if out.src is None else gather_rows(x, out.src)
+        q_put = ((out.b, out.j), (batch, q_len))
+        kv_put = (slots, (batch, length))
+        q = split_heads(linear(xq, self.wq, self.bq, put=q_put))
+        k = split_heads(linear(x, self.wk, self.bk, put=kv_put))
+        v = split_heads(linear(x, self.wv, self.bv, put=kv_put))
+        scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh)) + attn_bias
+        keep_attn = None if out.grid is None else (
+            np.arange(batch)[:, None, None], np.arange(n_heads)[None, :, None],
+            out.grid[:, None, :])
+        attn = dropout(softmax(scores, axis=-1), p_drop, rng, train,
+                       (batch, n_heads, length, length), keep_attn)
+        ctx = transpose(matmul(attn, v), (0, 2, 1, 3))
+        row_shape, keep_rows = (batch, length, d), (out.b, out.slot)
+        attn_out = dropout(linear(ctx, self.wo, self.bo, take=(out.b, out.j)), p_drop, rng,
+                           train, row_shape, keep_rows)
         x = layer_norm(xq + attn_out, self.ln1_g, self.ln1_b)
         ff = linear(gelu(linear(x, self.w1, self.b1)), self.w2, self.b2)
         ff = dropout(ff, p_drop, rng, train, row_shape, keep_rows)
@@ -220,11 +248,12 @@ class MeltModel:
 
         Without ``rows`` the output is (B, L, d). ``rows`` is a (B, q) int
         array of the slots the caller reads (cells may repeat); the output
-        is then (B, q, d), cell [b, j] being slot rows[b, j]. Earlier layers
-        run in full, and the last layer runs only its keys and values over
-        every slot. This is exact: the rows equal the full output's rows up
-        to float rounding, and train-mode dropout consumes ``rng`` as the
-        full forward does.
+        is then (B, q, d), cell [b, j] being slot rows[b, j]. Either way a
+        PAD slot's output is a zero row. The real slots are gathered once
+        and every layer runs on them; the last layer computes only the
+        real cells of ``rows``. This is exact: the rows equal a padded
+        forward's up to float rounding, and train-mode dropout consumes
+        ``rng`` as the padded forward does.
         """
         b, length, d = x.shape
         if d != self.config.d_model:
@@ -236,14 +265,25 @@ class MeltModel:
             if (rows.ndim != 2 or rows.shape[0] != b or rows.dtype.kind not in "iu"
                     or (rows.size and not 0 <= rows.min() <= rows.max() < length)):
                 raise ValueError(f"rows must be a ({b}, q) int array of slots in [0, {length})")
-        bias = Tensor(np.where(np.asarray(attn_mask), 0.0, ATTN_MASK_BIAS)
+        attn_mask = np.asarray(attn_mask, dtype=bool)
+        bias = Tensor(np.where(attn_mask, 0.0, ATTN_MASK_BIAS)
                       .astype(x.dtype).reshape(b, 1, 1, length))
+        slots = np.nonzero(attn_mask)
+        every = _Cells(slots[0], slots[1], slots[1])
+        if rows is None:
+            top, out_shape = every, (b, length)
+        else:
+            qb, qj = np.nonzero(attn_mask[np.arange(b)[:, None], rows])
+            packed = np.cumsum(attn_mask).reshape(b, length) - 1  # a real slot's row in h
+            slot = rows[qb, qj]
+            top, out_shape = _Cells(qb, qj, slot, packed[qb, slot], rows), rows.shape
+        h = gather_bl(x, *slots)
         p = self.config.dropout
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer.forward(x, bias, self.config.n_heads, p, train, rng,
-                              rows if i == last else None)
-        return x
+            h = layer.forward(h, bias, slots, top if i == last else every,
+                              self.config.n_heads, p, train, rng)
+        return scatter_rows(h, top.b, top.j, *out_shape)
 
     def reconstruct_rows(self, outputs: Tensor, b_idx, l_idx) -> Tensor:
         """Apply the reconstruction head at the given (batch, row) cells of ``outputs``."""

@@ -370,7 +370,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(np.matmul(a.data, b.data), (a, b), back)
 
 
-def linear(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def linear(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
+           take=None, put=None) -> Tensor:
     """``a @ w + bias`` for a 2-D weight ``w`` (k, n) and an optional (n,) bias.
 
     ``a`` is viewed as one (rows, k) matrix over all its leading axes, so
@@ -379,28 +380,61 @@ def linear(a: Tensor, w: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     into the product's own buffer, so the op keeps one output array and
     one graph node. Values are those of ``matmul(a, w) + bias``, and the
     bias gradient is summed one leading axis at a time, as ``add`` does.
+
+    ``take`` and ``put`` move rows between a padded layout and a packed
+    (m, ...) one inside this node, so neither layout is held twice:
+
+    - ``take``, a tuple of 1-D index arrays into a's leading axes, makes the
+      input rows ``a[take]``, each flattened to k values; they are gathered
+      again in backward instead of kept;
+    - ``put`` = (index, shape), ``index`` a tuple of 1-D index arrays,
+      makes the output a zero ``shape + (n,)`` tensor holding the
+      product's rows at ``index``.
+
+    The cells of either index must be distinct. With either one the rows
+    form a 2-D (m, n) gradient, and the bias gradient is its column sum.
     """
-    if w.ndim != 2 or a.shape[-1] != w.shape[0]:
+    row_shape = a.shape[-1:] if take is None else a.shape[len(take):]
+    if w.ndim != 2 or math.prod(row_shape) != w.shape[0]:
         raise ShapeError(f"linear needs (..., k) @ (k, n), got {a.shape} @ {w.shape}")
     k, n = w.shape
     if bias is not None and bias.shape != (n,):
         raise ShapeError(f"linear bias must have shape ({n},), got {bias.shape}")
-    a2 = a.data.reshape(-1, k)
+
+    def rows_in() -> np.ndarray:
+        return (a.data if take is None else a.data[take]).reshape(-1, k)
+
+    a2 = rows_in()
     out = a2 @ w.data
     if bias is not None:
         out += bias.data
+    if take is not None:
+        a2 = None  # gathered again in backward
+    if put is None:
+        data = out if take is not None else out.reshape(a.shape[:-1] + (n,))
+    else:
+        index, layout = put
+        data = np.zeros(tuple(layout) + (n,), dtype=out.dtype)
+        data[index] = out
 
     def back(g):
-        g2 = g.reshape(-1, n)
+        g2 = (g if put is None else g[put[0]]).reshape(-1, n)
         if bias is not None:
-            _accum(bias, _unbroadcast(g, bias.shape))
+            plain = put is None and take is None
+            _accum(bias, _unbroadcast(g if plain else g2, bias.shape))
         if a.requires_grad:
-            _accum(a, (g2 @ w.data.T).reshape(a.shape))
+            ga = g2 @ w.data.T
+            if take is None:
+                _accum(a, ga.reshape(a.shape))
+            else:
+                full = np.zeros_like(a.data)
+                full[take] = ga.reshape((-1,) + row_shape)
+                _accum(a, full)
         if w.requires_grad:
-            _accum(w, a2.T @ g2)
+            _accum(w, (rows_in() if a2 is None else a2).T @ g2)
 
     parents = (a, w) if bias is None else (a, w, bias)
-    return _from_op(out.reshape(a.shape[:-1] + (n,)), parents, back)
+    return _from_op(data, parents, back)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -476,14 +510,20 @@ def gather_bl(a: Tensor, b_idx, l_idx) -> Tensor:
 
     The output has shape S + a.shape[2:]: (n, ...) for paired 1-D arrays,
     or a (B, q, ...) grid for a (B, 1) batch index and (B, q) slots.
-    Repeated (b, l) pairs accumulate gradient.
+    Repeated (b, l) pairs accumulate gradient; distinct pairs are written
+    in one assignment, many times faster than ``np.add.at``.
     """
     b_idx = np.asarray(b_idx)
     l_idx = np.asarray(l_idx)
 
     def back(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, (b_idx, l_idx), g)
+        flat = np.ravel_multi_index(np.broadcast_arrays(b_idx, l_idx), a.shape[:2],
+                                    mode="wrap")
+        if np.unique(flat).size == flat.size:
+            ga[b_idx, l_idx] = g
+        else:
+            np.add.at(ga, (b_idx, l_idx), g)
         _accum(a, ga)
 
     return _from_op(a.data[b_idx, l_idx], (a,), back)
@@ -513,10 +553,13 @@ def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
         live = np.flatnonzero(n_rows > k)
         sums[live] += a.data[order[starts[live] + k]]
 
-    def back(g):
-        _accum(a, g[seg] / safe[seg].reshape((-1,) + (1,) * (a.ndim - 1)))
+    per_segment = safe.reshape((-1,) + (1,) * (a.ndim - 1))
 
-    return _from_op(sums / safe.reshape((-1,) + (1,) * (a.ndim - 1)), (a,), back)
+    def back(g):
+        # divide per segment, then spread: one row-sized array, same values
+        _accum(a, (g / per_segment)[seg])
+
+    return _from_op(sums / per_segment, (a,), back)
 
 
 def scatter_rows(rows: Tensor, b_idx, l_idx, batch: int, length: int) -> Tensor:

@@ -133,6 +133,34 @@ class TestPretrain:
         run_pretrain(tmp_path, corpus_file)
         assert len(encoders) == 1 and alive_at_train == [[False]]
 
+    @pytest.mark.parametrize("fraction", ["0.6", "0.9", "1.0", "3.0", "0", "-0.1"])
+    def test_dev_fraction_outside_half_open_unit_half_is_input_error(
+            self, tmp_path, corpus_file, capsys, fraction):
+        # round(1 / f) clamped to 2 would turn any f above 0.5 into a 1-in-2 split
+        prep_dir = run_prep(tmp_path, corpus_file)
+        out_dir = tmp_path / "pre"
+        code = main(["pretrain", "--corpus", str(corpus_file),
+                     "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
+                     *MODEL_FLAGS, "--dev-fraction", fraction])
+        assert code == 2
+        assert "--dev-fraction" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.melt").exists()
+
+    @pytest.mark.parametrize("fraction,n_dev", [("0.34", 10), ("0.1", 3), ("0.5", 15)])
+    def test_dev_fraction_holds_out_every_nth_chunk(self, tmp_path, corpus_file,
+                                                     monkeypatch, fraction, n_dev):
+        import melt.pretrain as pretrain_mod
+        split = []
+
+        def record(model, train_chunks, dev_chunks, *args, **kwargs):
+            split.append((len(train_chunks), len(dev_chunks)))
+            raise SystemExit(0)
+
+        monkeypatch.setattr(pretrain_mod, "train", record)
+        with pytest.raises(SystemExit):
+            run_pretrain(tmp_path, corpus_file, extra=["--dev-fraction", fraction])
+        assert split == [(30 - n_dev, n_dev)]  # 30 chunks; dev is every round(1/f)-th
+
     def test_vector_file_missing_an_id_is_input_error(self, tmp_path, corpus_file, capsys):
         from melt.corpus import ingest_jsonl
         prep_dir = run_prep(tmp_path, corpus_file)
@@ -408,6 +436,14 @@ class TestJobs:
                             if name != "config.json"})
         assert len(outputs[0]) == 4  # predictions and one snapshot per target
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "-4"])
+    def test_jobs_below_one_is_input_error(self, tmp_path, stance_file, capsys, jobs):
+        out_dir = tmp_path / "ft"
+        code = main(finetune_args(stance_file, out_dir, "--rand-init", "--jobs", jobs))
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
 
     def test_parallel_runs_match_serial(self, tmp_path):
         stance_path = tmp_path / "multi.jsonl"

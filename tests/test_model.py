@@ -423,6 +423,152 @@ class TestSelectedRows:
 
 
 # ---------------------------------------------------------------------------
+# every layer runs only the real slots' rows
+# ---------------------------------------------------------------------------
+
+
+def packed_case(n_layers):
+    """float64 model at d 16, a batch with mixed PAD tails, and a row grid into it."""
+    cfg = MeltConfig(n_layers=n_layers, d_model=16, ff_dim=32, n_heads=4, dropout=0.2,
+                     max_seq=6)
+    model = MeltModel(cfg, seed=11, dtype=np.float64)
+    real = np.array([6, 3, 1, 5])
+    x = np.random.default_rng(12).uniform(-1, 1, (4, 6, 16))
+    attn = np.arange(6)[None, :] < real[:, None]
+    rows = np.array([[5, 0, 2], [2, 4, 0], [0, 0, 3], [4, 5, 1]])  # PAD cells included
+    return model, x, attn, real, rows
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["every-slot", "rows"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_each_sequence_alone_gives_the_batch_rows(self, n_layers, with_rows):
+        model, x, attn, real, rows = packed_case(n_layers)
+        out = model.forward(Tensor(x), attn, rows=rows if with_rows else None).data
+        for b, n in enumerate(real):
+            alone = model.forward(Tensor(x[b:b + 1, :n]), np.ones((1, n), dtype=bool)).data[0]
+            if with_rows:
+                for j, slot in enumerate(rows[b]):
+                    want = alone[slot] if slot < n else np.zeros(16)
+                    np.testing.assert_allclose(out[b, j], want, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_allclose(out[b, :n], alone, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["every-slot", "rows"])
+    def test_pad_slot_outputs_are_zero_rows(self, with_rows, train):
+        model, x, attn, _, rows = packed_case(2)
+        rng = np.random.default_rng(3) if train else None
+        out = model.forward(Tensor(x), attn, train=train, rng=rng,
+                            rows=rows if with_rows else None).data
+        pad = ~attn[np.arange(4)[:, None], rows] if with_rows else ~attn
+        assert pad.any() and (out[pad] == 0.0).all()
+        assert (out[~pad] != 0.0).any(axis=-1).all()
+
+    @pytest.mark.parametrize("with_rows", [False, True], ids=["every-slot", "rows"])
+    def test_pad_vector_changes_no_output(self, with_rows):
+        cfg = MeltConfig(n_layers=2, d_model=16, ff_dim=32, n_heads=4, dropout=0.0,
+                         max_seq=6)
+        model = MeltModel(cfg, seed=13, dtype=np.float64)
+        chunks = [chunk_of(6, 6, "a"), chunk_of(2, 6, "b"), chunk_of(4, 6, "c")]
+        vectors = {k: v.astype(np.float64) for i, c in enumerate(chunks)
+                   for k, v in vectors_for(c, 16, seed=i).items()}
+        rows = np.array([[5], [1], [3]]) if with_rows else None
+        outs = []
+        for pad in (model.pad_vector.data.copy(), np.full(16, 40.0)):
+            model.pad_vector.data = pad
+            x, attn = embed(model, chunks, None, vectors)
+            outs.append(model.forward(x, attn, rows=rows).data)
+        assert outs[0].tobytes() == outs[1].tobytes()
+
+
+def _padded_layer(layer, x, attn_bias, n_heads, p_drop, train, rng, rows=None):
+    """Reference: the encoder layer over every slot, PAD included, as it ran before packing."""
+    from melt.tensor import (dropout, gather_bl, gelu, layer_norm, linear, matmul,
+                             softmax, transpose)
+    b, length, d = x.shape
+    dh = d // n_heads
+
+    def split_heads(t):
+        return transpose(reshape(t, (b, t.shape[1], n_heads, dh)), (0, 2, 1, 3))
+
+    if rows is None:
+        xq, n_rows = x, length
+        keep_attn = keep_rows = None
+    else:
+        n_rows = rows.shape[1]
+        b_col = np.arange(b)[:, None]
+        xq = gather_bl(x, b_col, rows)
+        keep_attn = (b_col[:, :, None], np.arange(n_heads)[None, :, None], rows[:, None, :])
+        keep_rows = (b_col, rows)
+    attn_shape, row_shape = (b, n_heads, length, length), (b, length, d)
+    q = split_heads(linear(xq, layer.wq, layer.bq))
+    k = split_heads(linear(x, layer.wk, layer.bk))
+    v = split_heads(linear(x, layer.wv, layer.bv))
+    scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh)) + attn_bias
+    attn = dropout(softmax(scores, axis=-1), p_drop, rng, train, attn_shape, keep_attn)
+    ctx = reshape(transpose(matmul(attn, v), (0, 2, 1, 3)), (b, n_rows, d))
+    attn_out = dropout(linear(ctx, layer.wo, layer.bo), p_drop, rng, train, row_shape,
+                       keep_rows)
+    x = layer_norm(xq + attn_out, layer.ln1_g, layer.ln1_b)
+    ff = linear(gelu(linear(x, layer.w1, layer.b1)), layer.w2, layer.b2)
+    ff = dropout(ff, p_drop, rng, train, row_shape, keep_rows)
+    return layer_norm(x + ff, layer.ln2_g, layer.ln2_b)
+
+
+def _padded_forward(model, x, attn_mask, train, rng, rows=None):
+    """Reference: ``MeltModel.forward`` before packing; only the last layer is pruned."""
+    b, length, _ = x.shape
+    bias = Tensor(np.where(attn_mask, 0.0, -1e9).astype(x.dtype).reshape(b, 1, 1, length))
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        x = _padded_layer(layer, x, bias, model.config.n_heads, model.config.dropout, train,
+                          rng, rows if i == last else None)
+    return x
+
+
+class TestPackedMemory:
+    """Packing keeps each activation once: no scatter or gather node of its own."""
+
+    @staticmethod
+    def peak(forward, model, x, attn, rows):
+        import tracemalloc
+        xt = Tensor(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = forward(model, xt, attn, True, np.random.default_rng(4), rows)
+            backward((out * out).sum())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, out
+
+    def case(self, all_real):
+        cfg = MeltConfig(n_layers=2, d_model=64, ff_dim=128, n_heads=4, dropout=0.1,
+                         max_seq=20)
+        model = MeltModel(cfg, seed=5)
+        real = np.full(8, 20) if all_real else np.array([20, 14, 9, 20, 5, 17, 12, 20])
+        x = np.random.default_rng(6).uniform(-1, 1, (8, 20, 64)).astype(np.float32)
+        attn = np.arange(20)[None, :] < real[:, None]
+        return model, x, attn, (real - 1)[:, None]  # each sequence's last slot
+
+    @pytest.mark.parametrize("with_rows", [True, False], ids=["rows", "every-slot"])
+    @pytest.mark.parametrize("all_real", [True, False], ids=["all-real", "pad-tails"])
+    def test_peak_stays_within_the_entry_gather_of_the_padded_forward(self, all_real,
+                                                                      with_rows):
+        model, x, attn, rows = self.case(all_real)
+        grid = rows if with_rows else None
+        ref_peak, ref_out = self.peak(_padded_forward, model, x, attn, grid)
+        peak, out = self.peak(lambda m, *a: m.forward(*a), model, x, attn, grid)
+        real = np.ones(rows.shape, dtype=bool) if with_rows else attn
+        np.testing.assert_allclose(out.data[real], ref_out.data[real], rtol=0, atol=1e-5)
+        if all_real:
+            assert peak <= ref_peak + x.nbytes  # the (B·L, d) entry gather
+        else:
+            assert peak < ref_peak
+
+
+# ---------------------------------------------------------------------------
 # parameter initialization
 # ---------------------------------------------------------------------------
 

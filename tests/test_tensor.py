@@ -117,6 +117,56 @@ class TestLinear:
         with pytest.raises(ShapeError, match=r"\(4,\)"):
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)))
 
+    # cells (0, 2), (1, 0), (1, 1) of a (2, 3) layout
+    CELLS = (np.array([0, 1, 1]), np.array([2, 0, 1]))
+
+    @pytest.mark.parametrize("mode", ["take", "put"])
+    def test_take_and_put_match_finite_differences(self, mode):
+        rng = np.random.default_rng(14)
+        # take reads (2, 3, 2, 2) rows flattened to k = 4; put writes (3, 4) rows
+        a_shape, out_shape = ((2, 3, 2, 2), (3, 5)) if mode == "take" else ((3, 4), (2, 3, 5))
+        a, w, b = (Tensor(rng.uniform(-2, 2, s), requires_grad=True)
+                   for s in (a_shape, (4, 5), (5,)))
+        weights = Tensor(rng.uniform(0.2, 1, out_shape))
+        kw = {"take": self.CELLS} if mode == "take" else {"put": (self.CELLS, (2, 3))}
+
+        def build():
+            return T.mul(T.linear(a, w, b, **kw), weights).sum()
+
+        backward(build())
+        for x in (a, w, b):
+            numeric = numeric_grad(lambda: float(build().data), x.data)
+            assert max_rel_err(x.grad, numeric) < 1e-4
+
+    def test_take_and_put_values_are_the_plain_rows(self):
+        rng = np.random.default_rng(15)
+        a, w, b = (Tensor(rng.standard_normal(s)) for s in ((2, 3, 4), (4, 5), (5,)))
+        plain = T.linear(a, w, b).data
+        taken = T.linear(a, w, b, take=self.CELLS).data
+        np.testing.assert_allclose(taken, plain[self.CELLS], rtol=0, atol=1e-14)
+        put = T.linear(Tensor(a.data[self.CELLS]), w, b, put=(self.CELLS, (2, 3))).data
+        want = np.zeros_like(plain)
+        want[self.CELLS] = plain[self.CELLS]
+        np.testing.assert_allclose(put, want, rtol=0, atol=1e-14)
+        assert not put[0, :2].any()
+
+    def test_take_keeps_no_copy_of_its_rows(self):
+        # the gathered (m, k) input is dropped after the forward and gathered again
+        rng = np.random.default_rng(16)
+        a = Tensor(rng.standard_normal((64, 40, 128)), requires_grad=True)
+        w = Tensor(rng.standard_normal((128, 8)), requires_grad=True)
+        cells = np.nonzero(np.ones((64, 40), dtype=bool))
+        tracemalloc.start()
+        try:
+            out = T.linear(a, w, take=cells)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < a.data.nbytes // 4
+        backward(out.sum())
+        np.testing.assert_allclose(w.grad, a.data.reshape(-1, 128).sum(axis=0)[:, None]
+                                   * np.ones((1, 8)), rtol=1e-10)
+
 
 class TestGatherRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -132,6 +182,21 @@ class TestGatherRows:
         assert isinstance(table.grad, RowGrad)
         assert table.grad.rows.tolist() == [0, 1, 3, 7]
         assert np.asarray(table.grad).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("b_idx,l_idx", [
+        ([0, 1, 1], [2, 0, 2]),             # distinct pairs: one assignment
+        ([0, 1, 0, 1], [2, 0, 2, 0]),       # repeats: accumulated
+        ([[0], [1]], [[2, -3], [0, 1]]),    # a (B, 1) x (B, q) grid; -3 is slot 0
+    ], ids=["distinct", "repeated", "grid"])
+    def test_gather_bl_gradient_equals_add_at(self, b_idx, l_idx):
+        rng = np.random.default_rng(10)
+        a = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        b_idx, l_idx = np.array(b_idx), np.array(l_idx)
+        g = rng.standard_normal(np.broadcast(b_idx, l_idx).shape + (4,))
+        backward(T.mul(gather_bl(a, b_idx, l_idx), Tensor(g)).sum())
+        want = np.zeros_like(a.data)
+        np.add.at(want, (b_idx, l_idx), g)
+        assert a.grad.tobytes() == want.tobytes()
 
     def test_second_contribution_densifies(self):
         rng = np.random.default_rng(9)
@@ -403,12 +468,17 @@ def test_segment_mean_is_bit_identical_to_add_at(dtype):
     rows = rng.standard_normal((60, 7)).astype(dtype)
     rows[3, 2] = -0.0
     seg = rng.permutation(np.repeat(np.arange(0, 18, 2), rng.integers(1, 12, 9))[:60])
-    out = segment_mean(Tensor(rows), seg, 19).data
+    t = Tensor(rows, requires_grad=True)
+    out = segment_mean(t, seg, 19)
+    g = rng.standard_normal((19, 7)).astype(dtype)
+    backward(T.mul(out, Tensor(g)).sum())
+    out = out.data
     sums = np.zeros((19, 7), dtype=dtype)
     np.add.at(sums, seg, rows)
     counts = np.maximum(np.bincount(seg, minlength=19).astype(dtype), 1.0)
     assert out.tobytes() == (sums / counts[:, None]).tobytes()
     assert not out[1::2].any()
+    assert t.grad.tobytes() == (g[seg] / counts[seg][:, None]).tobytes()
 
 
 def test_dropout_scaling_and_eval_identity():
