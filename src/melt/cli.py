@@ -25,7 +25,7 @@ from . import metrics as metrics_mod
 from . import pretrain as pretrain_mod
 from . import stance as stance_mod
 from . import wordenc
-from .corpus import (CorpusFormatError, RawMessage, SequenceChunk, StanceExample,
+from .corpus import (LABELS, CorpusFormatError, RawMessage, SequenceChunk, StanceExample,
                      build_chunks, ingest_jsonl, ingest_stance_jsonl)
 from .model import MeltConfig, MeltModel
 from .pretrain import (CheckpointError, PretrainConfig, TrainingDivergedError,
@@ -131,11 +131,7 @@ REQUIRED = {
 
 
 def _add_options(parser: argparse.ArgumentParser, opts) -> None:
-    seen = set()
     for name, typ, _default, help_text in opts:
-        if name in seen:
-            continue
-        seen.add(name)
         flag = "--" + name.replace("_", "-")
         if typ == "flag":
             group = parser.add_mutually_exclusive_group()
@@ -178,10 +174,7 @@ def _check_file_value(key: str, value, typ, default) -> None:
 
 def resolve_config(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, config file, MELT_* env vars, and explicit flags."""
-    opts = COMMAND_OPTS[command]
-    known = {}
-    for name, typ, default, _help in opts:
-        known.setdefault(name, (typ, default))
+    known = {name: (typ, default) for name, typ, default, _help in COMMAND_OPTS[command]}
     resolved = {name: default for name, (typ, default) in known.items()}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -328,12 +321,18 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage]) -> List[SequenceC
             except json.JSONDecodeError:
                 raise CorpusFormatError(f"line {lineno}: manifest row is not valid JSON") \
                     from None
+            if not isinstance(obj, dict):
+                raise CorpusFormatError(f"line {lineno}: manifest row is not a JSON object")
+            if not isinstance(obj.get("user_id"), str):
+                raise CorpusFormatError(f"line {lineno}: manifest row needs a string 'user_id'")
+            if not isinstance(obj.get("slots"), list):
+                raise CorpusFormatError(f"line {lineno}: manifest row needs a 'slots' list")
             slots = []
             for mid in obj["slots"]:
                 if mid is None:
                     slots.append(None)
                     continue
-                if mid not in messages_by_id:
+                if not isinstance(mid, str) or mid not in messages_by_id:
                     raise CorpusFormatError(
                         f"line {lineno}: manifest references unknown message '{mid}'")
                 slots.append(messages_by_id[mid])
@@ -646,6 +645,9 @@ def cmd_evaluate(cfg: dict) -> int:
     seen = set()
     with open(cfg["predictions"], "r", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        for column in ("example_id", "pred"):
+            if column not in (reader.fieldnames or ()):
+                raise CliError(f"predictions file has no '{column}' column")
         missing = []
         repeated = []
         for record in reader:
@@ -658,6 +660,9 @@ def cmd_evaluate(cfg: dict) -> int:
                 repeated.append(example_id)
                 continue
             seen.add(example_id)
+            if record["pred"] not in LABELS:
+                raise CliError(f"prediction for '{example_id}' is {record['pred']!r}, "
+                               f"not one of {', '.join(LABELS)}")
             rows.append((ex.stance_target, ex.label, record["pred"]))
         if missing:
             raise CliError("predictions reference ids absent from the gold file: "

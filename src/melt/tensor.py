@@ -8,10 +8,7 @@ backward rule on the output tensor; ``backward`` replays them once in
 reverse topological order, freeing each recorded node as soon as its rule
 has run.
 
-A gradient is a dense array of the tensor's shape, except that a row gather
-(``gather_rows``) hands its table a ``RowGrad``: only the rows it touched,
-so a large embedding table never gets a table-sized zero gradient.
-``np.asarray(grad)`` gives the dense gradient in either case.
+Every gradient is a dense array of its tensor's shape.
 
 Evaluation runs under ``no_grad``, which records nothing, so a forward
 pass holds only the arrays it is still using.
@@ -29,7 +26,6 @@ from scipy.special import erf
 
 __all__ = [
     "Tensor",
-    "RowGrad",
     "ShapeError",
     "tape",
     "backward",
@@ -37,7 +33,6 @@ __all__ = [
     "linear",
     "gather_rows",
     "gather_bl",
-    "gather_positions",
     "segment_mean",
     "scatter_rows",
     "softmax",
@@ -65,26 +60,6 @@ def _as_array(data, dtype=None) -> np.ndarray:
     return arr.astype(np.float32)
 
 
-class RowGrad:
-    """Row-sparse gradient: ``values[i]`` is the gradient of row ``rows[i]``.
-
-    ``rows`` are sorted and distinct; every other row of the ``shape``-shaped
-    gradient is zero. ``np.asarray`` builds the dense gradient.
-    """
-
-    __slots__ = ("rows", "values", "shape")
-
-    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple):
-        self.rows = rows
-        self.values = values
-        self.shape = shape
-
-    def __array__(self, dtype=None, copy=None):
-        dense = np.zeros(self.shape, dtype=self.values.dtype)
-        dense[self.rows] = self.values
-        return dense if dtype is None else dense.astype(dtype, copy=False)
-
-
 class Tensor:
     """A dense n-dimensional float array, optionally carrying a gradient.
 
@@ -97,7 +72,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[Union[np.ndarray, RowGrad]] = None
+        self.grad: Optional[np.ndarray] = None
         self._parents: tuple = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
 
@@ -215,12 +190,11 @@ def _from_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g) -> None:
-    """Add ``g`` to ``t.grad``; a second contribution to a RowGrad densifies it."""
+    """Add ``g`` to ``t.grad``."""
     if not t.requires_grad:
         return
-    if not isinstance(g, RowGrad):
-        g = np.asarray(g, dtype=t.data.dtype)
-    t.grad = g if t.grad is None else np.asarray(t.grad) + np.asarray(g)
+    g = np.asarray(g, dtype=t.data.dtype)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -278,9 +252,6 @@ def backward(loss: Tensor) -> None:
     reshape, transpose, sum) hands on its incoming array or a view of it,
     so one array can be the ``grad`` of several tensors. Treat every
     ``grad`` as read-only; nothing here modifies one in place.
-
-    A table read only through one ``gather_rows`` gets a ``RowGrad``;
-    ``np.asarray(t.grad)`` is the dense gradient for every tensor.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -489,18 +460,16 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Rows of ``a`` at ``indices``; repeated indices accumulate gradient.
 
-    The gradient of ``a`` is a RowGrad over the distinct rows read (a
-    negative index names the same row as its positive form). Each row sums
-    its contributions from zero in index order, as a dense ``np.add.at``
-    would, so ``np.asarray`` of it is bit-identical to that.
+    The gradient of ``a`` is ``np.add.at`` of the output's gradient into a
+    zero array of a's shape: each row sums its contributions from zero in
+    index order, and a row never read stays zero.
     """
     idx = np.asarray(indices)
 
     def back(g):
-        rows, inverse = np.unique(idx % a.shape[0], return_inverse=True)
-        values = np.zeros((len(rows),) + a.shape[1:], dtype=a.data.dtype)
-        np.add.at(values, inverse.reshape(idx.shape), g)
-        _accum(a, RowGrad(rows, values, a.shape))
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)
+        _accum(a, ga)
 
     return _from_op(a.data[idx], (a,), back)
 
@@ -527,12 +496,6 @@ def gather_bl(a: Tensor, b_idx, l_idx) -> Tensor:
         _accum(a, ga)
 
     return _from_op(a.data[b_idx, l_idx], (a,), back)
-
-
-def gather_positions(a: Tensor, positions) -> Tensor:
-    """One row per batch element: a[i, positions[i]]."""
-    positions = np.asarray(positions)
-    return gather_bl(a, np.arange(a.shape[0]), positions)
 
 
 def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:

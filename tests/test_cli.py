@@ -161,6 +161,31 @@ class TestPretrain:
             run_pretrain(tmp_path, corpus_file, extra=["--dev-fraction", fraction])
         assert split == [(30 - n_dev, n_dev)]  # 30 chunks; dev is every round(1/f)-th
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda row: {"user_id": row["user_id"]}, "slots"),
+        (lambda row: [row["user_id"], row["slots"]], "JSON object"),
+        (lambda row: {"slots": row["slots"]}, "user_id"),
+        (lambda row: {"user_id": 7, "slots": row["slots"]}, "user_id"),
+        (lambda row: {"user_id": row["user_id"], "slots": row["slots"][0]}, "slots"),
+        (lambda row: {"user_id": row["user_id"], "slots": [[1], *row["slots"][1:]]},
+         "'[1]'"),
+    ], ids=["no-slots", "not-an-object", "no-user-id", "int-user-id", "string-slots",
+            "list-slot"])
+    def test_malformed_manifest_row_is_input_error(self, tmp_path, corpus_file, capsys,
+                                                   edit, named):
+        prep_dir = run_prep(tmp_path, corpus_file)
+        manifest = prep_dir / "manifest.jsonl"
+        first, *rest = manifest.read_text().splitlines()
+        bad = json.dumps(edit(json.loads(first)))
+        manifest.write_text("\n".join([first, bad, *rest]) + "\n")
+        out_dir = tmp_path / "pre"
+        code = main(["pretrain", "--corpus", str(corpus_file), "--manifest", str(manifest),
+                     "--out", str(out_dir), *MODEL_FLAGS])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 2" in err and named in err
+        assert not (out_dir / "checkpoint.melt").exists()
+
     def test_vector_file_missing_an_id_is_input_error(self, tmp_path, corpus_file, capsys):
         from melt.corpus import ingest_jsonl
         prep_dir = run_prep(tmp_path, corpus_file)
@@ -542,6 +567,33 @@ class TestEvaluate:
                      str(stance_file)])
         assert code == 2
         assert dropped.split(",")[0] in capsys.readouterr().err
+
+    def test_unknown_label_is_input_error(self, tmp_path, stance_file, capsys):
+        preds = self.perfect_predictions(tmp_path, stance_file)
+        header, first, *rest = preds.read_text().splitlines()
+        cells = first.split(",")
+        cells[3] = "maybe"
+        preds.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+        code = main(["evaluate", "--predictions", str(preds), "--gold",
+                     str(stance_file)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert cells[0] in err and "'maybe'" in err
+
+    @pytest.mark.parametrize("column", ["example_id", "pred"])
+    def test_missing_column_is_input_error(self, tmp_path, stance_file, capsys, column):
+        preds = self.perfect_predictions(tmp_path, stance_file)
+        with open(preds, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(preds, "w", newline="") as fh:
+            kept = [name for name in rows[0] if name != column]
+            writer = csv.DictWriter(fh, kept, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        code = main(["evaluate", "--predictions", str(preds), "--gold",
+                     str(stance_file)])
+        assert code == 2
+        assert f"'{column}'" in capsys.readouterr().err
 
     def test_five_target_table_has_five_rows_plus_aggregate(self, tmp_path):
         from melt.corpus import STANCE_TARGETS

@@ -1,11 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from melt import optim
 from melt.optim import AdamW, AdamWState, MissingGradError, adamw_step, warmup_lr
-from melt.tensor import RowGrad, Tensor, backward, gather_rows, mul
+from melt.tensor import Tensor
 
 
 def make_state(shape, **kw):
@@ -100,74 +98,6 @@ def test_blocked_dense_step_is_bit_identical_to_formula(shape):
         assert param.tobytes() == ref_p.tobytes()
         assert st.m.tobytes() == ref_m.tobytes()
         assert st.v.tobytes() == ref_v.tobytes()
-
-
-# Index batches for a 12-row table; None is a step with a dense gradient.
-_ROW_SCHEDULES = {
-    "sparse": [[0, 3, 3, 7], [3, 5], [1, 1, 9, 1], [0], [10, 3], [2, 2], [7]],
-    "dense_between": [[0, 3, 3, 7], [3, 5], None, [1, 1, 9], [0], [10, 3], [7]],
-}
-
-
-def _table_grad(table: np.ndarray, idx, rng) -> RowGrad:
-    t = Tensor(table.copy(), requires_grad=True)
-    backward(mul(gather_rows(t, np.array(idx)),
-                 Tensor(rng.standard_normal((len(idx), table.shape[1])).astype(table.dtype)))
-             .sum())
-    return t.grad
-
-
-@pytest.mark.parametrize("schedule", sorted(_ROW_SCHEDULES))
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("weight_decay", [0.0, 0.1])
-def test_row_sparse_step_is_bit_identical_to_dense(schedule, dtype, weight_decay,
-                                                   monkeypatch):
-    # blocks of three rows, so the table and its active rows span several
-    monkeypatch.setattr(optim, "_BLOCK_BYTES", 3 * 5 * np.dtype(dtype).itemsize)
-    rng = np.random.default_rng(21)
-    sparse_p = rng.standard_normal((12, 5)).astype(dtype)
-    sparse_p[11, 0] = -0.0  # row 11 never has a gradient
-    sparse_p[3, 1] = -0.0
-    dense_p = sparse_p.copy()
-    sparse_st = AdamWState(m=np.zeros_like(sparse_p), v=np.zeros_like(sparse_p),
-                           weight_decay=weight_decay)
-    dense_st = AdamWState(m=np.zeros_like(dense_p), v=np.zeros_like(dense_p),
-                          weight_decay=weight_decay)
-    for step, idx in enumerate(_ROW_SCHEDULES[schedule]):
-        if idx is None:
-            grad = rng.standard_normal(sparse_p.shape).astype(dtype)
-        else:
-            grad = _table_grad(sparse_p, idx, rng)
-            assert isinstance(grad, RowGrad)
-        lr = warmup_lr(step, 4e-3, 4)
-        adamw_step(sparse_p, grad, sparse_st, lr)
-        adamw_step(dense_p, np.asarray(grad), dense_st, lr)
-        assert sparse_p.tobytes() == dense_p.tobytes()
-        assert sparse_st.m.tobytes() == dense_st.m.tobytes()
-        assert sparse_st.v.tobytes() == dense_st.v.tobytes()
-    if schedule == "sparse":
-        assert sparse_st.active_rows.tolist() == [0, 1, 2, 3, 5, 7, 9, 10]
-        assert sparse_p[11, 0].tobytes() == np.array(-0.0 if weight_decay == 0.0 else 0.0,
-                                                     dtype=dtype).tobytes()
-    else:
-        assert sparse_st.active_rows is None
-
-
-def test_row_sparse_step_allocates_no_table_sized_array():
-    rng = np.random.default_rng(22)
-    table = Tensor(rng.standard_normal((40_000, 64)).astype(np.float32), requires_grad=True)
-    opt = AdamW([("table", table)], weight_decay=0.1)
-    idx = rng.integers(0, 40_000, 500)
-    loss = gather_rows(table, idx).sum()
-    tracemalloc.start()
-    try:
-        backward(loss)
-        opt.step()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < table.data.nbytes // 4
-    assert len(opt.states["table"].active_rows) == len(np.unique(idx))
 
 
 def test_partition_invariance_with_zero_decay():
