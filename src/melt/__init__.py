@@ -1,40 +1,3 @@
 """Message-level transformer: masked-document pre-training plus stance fine-tuning."""
 
-from .corpus import (LABELS, STANCE_TARGETS, RawMessage, SequenceChunk, StanceExample,
-                     build_chunks, build_finetune_sequence, ingest_jsonl,
-                     ingest_stance_jsonl)
-from .model import MeltConfig, MeltModel
-from .pretrain import PretrainConfig, load_checkpoint, save_checkpoint, train
-from .stance import FinetuneConfig, StanceHead, finetune, predict
-from .tensor import Tensor, backward
-from .wordenc import HashEmbeddingEncoder, PrecomputedVectorStore, tokenize
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "LABELS",
-    "STANCE_TARGETS",
-    "RawMessage",
-    "SequenceChunk",
-    "StanceExample",
-    "build_chunks",
-    "build_finetune_sequence",
-    "ingest_jsonl",
-    "ingest_stance_jsonl",
-    "MeltConfig",
-    "MeltModel",
-    "PretrainConfig",
-    "load_checkpoint",
-    "save_checkpoint",
-    "train",
-    "FinetuneConfig",
-    "StanceHead",
-    "finetune",
-    "predict",
-    "Tensor",
-    "backward",
-    "HashEmbeddingEncoder",
-    "PrecomputedVectorStore",
-    "tokenize",
-    "__version__",
-]

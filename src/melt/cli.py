@@ -3,7 +3,9 @@
 Configuration precedence is flag > MELT_* environment variable > config
 file (JSON) > built-in default. Every command echoes its fully-resolved
 configuration to stdout and to <out>/config.json, and rerunning with that
-file reproduces the outputs byte for byte.
+file reproduces the outputs byte for byte. The echo comes after the values
+a command takes from its inputs: fine-tuning from a checkpoint records the
+checkpoint's model config, not the model flags.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 numeric failure.
 """
@@ -287,8 +289,8 @@ def _fmt(value: float) -> str:
 
 
 def cmd_prep(cfg: dict) -> int:
+    echo_config(cfg, cfg["out"])
     groups = ingest_jsonl(cfg["corpus"])
-    os.makedirs(cfg["out"], exist_ok=True)
     n_messages = 0
     n_chunks = 0
     n_pad = 0
@@ -310,7 +312,9 @@ def cmd_prep(cfg: dict) -> int:
     return EXIT_OK
 
 
-def load_manifest(path, messages_by_id: Dict[str, RawMessage]) -> List[SequenceChunk]:
+def load_manifest(path, messages_by_id: Dict[str, RawMessage],
+                  seq_len: int) -> List[SequenceChunk]:
+    """The manifest's chunks; every row holds the first row's slot count, at most ``seq_len``."""
     chunks: List[SequenceChunk] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -327,6 +331,13 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage]) -> List[SequenceC
                 raise CorpusFormatError(f"line {lineno}: manifest row needs a string 'user_id'")
             if not isinstance(obj.get("slots"), list):
                 raise CorpusFormatError(f"line {lineno}: manifest row needs a 'slots' list")
+            n_slots = len(obj["slots"])
+            if n_slots > seq_len:
+                raise CorpusFormatError(f"line {lineno}: manifest row has {n_slots} slots, "
+                                        f"more than --seq-len {seq_len}")
+            if chunks and n_slots != len(chunks[0].slots):
+                raise CorpusFormatError(f"line {lineno}: manifest row has {n_slots} slots, "
+                                        f"the first row {len(chunks[0].slots)}")
             slots = []
             for mid in obj["slots"]:
                 if mid is None:
@@ -349,9 +360,10 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage]) -> List[SequenceC
 
 
 def cmd_pretrain(cfg: dict) -> int:
+    echo_config(cfg, cfg["out"])
     groups = ingest_jsonl(cfg["corpus"])
     by_id = {m.message_id: m for msgs in groups.values() for m in msgs}
-    chunks = load_manifest(cfg["manifest"], by_id)
+    chunks = load_manifest(cfg["manifest"], by_id, cfg["seq_len"])
     if len(chunks) < 2:
         raise CliError("need at least 2 chunks to carve out a dev split")
     if not 0.0 < cfg["dev_fraction"] <= 0.5:
@@ -373,7 +385,6 @@ def cmd_pretrain(cfg: dict) -> int:
                              grad_clip=cfg["grad_clip"])
     result = pretrain_mod.train(model, train_chunks, dev_chunks, vectors, pconfig)
 
-    os.makedirs(cfg["out"], exist_ok=True)
     _write_csv(os.path.join(cfg["out"], "history.csv"), ["step", "lr", "loss"],
                ([s.step, _fmt(s.lr), _fmt(s.loss)] for s in result.steps))
     _write_csv(os.path.join(cfg["out"], "epochs.csv"), ["epoch", "dev_mse"],
@@ -433,19 +444,23 @@ def _finetune_cfg(cfg: dict) -> FinetuneConfig:
                           patience=cfg["patience"], seed=cfg["seed"])
 
 
-def _model_template(cfg: dict
-                    ) -> Tuple[MeltConfig, Optional[Dict[str, np.ndarray]], Optional[dict]]:
-    """Config, parameters and checkpoint header every per-target run starts from.
+def _model_template(cfg: dict) -> Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]]:
+    """Config and parameters every per-target run starts from.
 
-    With ``--rand-init`` there are no parameters (each run draws its own from
-    the seed) and no header.
+    With ``--rand-init`` there are no parameters: each run draws its own from
+    the seed. Otherwise the checkpoint's model config wins over the model
+    flags and is written into ``cfg``, and its word encoder must match.
     """
     if cfg["rand_init"]:
-        return _melt_config(cfg), None, None
+        return _melt_config(cfg), None
     if not cfg["checkpoint"]:
         raise CliError("provide --checkpoint or pass --rand-init")
     model, header = load_checkpoint(cfg["checkpoint"])
-    return model.config, {name: p.data for name, p in model.named_parameters()}, header
+    mc = model.config
+    cfg.update(layers=mc.n_layers, d_model=mc.d_model, ff_dim=mc.ff_dim, heads=mc.n_heads,
+               dropout=mc.dropout, seq_len=mc.max_seq, positions=mc.use_positions)
+    _check_word_encoder(header.get("word_encoder"), cfg)
+    return mc, {name: p.data for name, p in model.named_parameters()}
 
 
 def _word_level_for(cfg: dict, source, messages):
@@ -497,8 +512,15 @@ PREDICTION_HEADER = ["example_id", "target", "gold", "pred",
 def cmd_finetune(cfg: dict) -> int:
     if cfg["jobs"] < 1:
         raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
+    if cfg["arch"] not in ("melt", "word", "word-hist", "mfc"):
+        raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
+    if cfg["arch"] != "melt" and cfg["history_len"] is not None:
+        # the baselines pool a fixed history window; a length would be ignored
+        raise CliError(f"--history-len applies only to --arch melt, not '{cfg['arch']}'")
+    history_lens = _parse_history(cfg)
+    template = _model_template(cfg) if cfg["arch"] == "melt" else None
+    echo_config(cfg, cfg["out"])
     examples = ingest_stance_jsonl(cfg["stance"])
-    os.makedirs(cfg["out"], exist_ok=True)
 
     if cfg["targets"] == "all":
         targets = sorted({e.stance_target for e in examples})
@@ -507,13 +529,6 @@ def cmd_finetune(cfg: dict) -> int:
         unknown = [t for t in targets if t not in corpus_mod.STANCE_TARGETS]
         if unknown:
             raise CliError(f"unknown stance targets: {', '.join(unknown)}")
-
-    if cfg["arch"] not in ("melt", "word", "word-hist", "mfc"):
-        raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
-    if cfg["arch"] != "melt" and cfg["history_len"] is not None:
-        # the baselines pool a fixed history window; a length would be ignored
-        raise CliError(f"--history-len applies only to --arch melt, not '{cfg['arch']}'")
-    history_lens = _parse_history(cfg)
     sweep = len(history_lens) > 1
 
     if cfg["arch"] == "mfc":
@@ -550,15 +565,7 @@ def cmd_finetune(cfg: dict) -> int:
         print(f"wrote {len(rows)} {cfg['arch']} predictions")
         return EXIT_OK
 
-    model_cfg, params, header = _model_template(cfg)
-    if header is not None:
-        # Checkpoint config wins over model flags; surface mismatches immediately.
-        cfg["d_model"] = model_cfg.d_model
-        cfg["layers"] = model_cfg.n_layers
-        cfg["ff_dim"] = model_cfg.ff_dim
-        cfg["heads"] = model_cfg.n_heads
-        cfg["seq_len"] = model_cfg.max_seq
-        _check_word_encoder(header.get("word_encoder"), cfg)
+    model_cfg = template[0]
     for hist in history_lens:
         if hist is not None and hist > model_cfg.max_seq:
             raise CliError(f"--history-len: '{hist}' exceeds the model's max_seq "
@@ -573,7 +580,6 @@ def cmd_finetune(cfg: dict) -> int:
     if source.dim != model_cfg.d_model:
         raise CliError(f"word vectors are {source.dim}-d but the model wants "
                        f"{model_cfg.d_model}")
-    template = (model_cfg, params)
 
     train, dev, test = _split_examples(examples)
     sweep_rows = []
@@ -639,6 +645,7 @@ def cmd_evaluate(cfg: dict) -> int:
     Every prediction id must be a gold id and appear once, and every gold
     test example of a target that has predictions must be predicted.
     """
+    echo_config(cfg, cfg["out"])
     gold_examples = ingest_stance_jsonl(cfg["gold"])
     gold_by_id = {e.example_id: e for e in gold_examples}
     rows = []
@@ -685,7 +692,6 @@ def cmd_evaluate(cfg: dict) -> int:
     text += "\n\npooled over all examples:\n" + metrics_mod.render_report(pooled_rep)
     print(text)
     if cfg["out"]:
-        os.makedirs(cfg["out"], exist_ok=True)
         with open(os.path.join(cfg["out"], "metrics.txt"), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         metrics_mod.write_report_csv(os.path.join(cfg["out"], "metrics.csv"), table)
@@ -722,7 +728,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.command, args)
-        echo_config(cfg, cfg.get("out"))
         return HANDLERS[args.command](cfg)
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)

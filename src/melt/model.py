@@ -12,8 +12,11 @@ The encoder computes only real messages' rows. ``MeltModel.forward``
 gathers its input's real slots once into an (n, d) matrix, and every
 layer runs its row-wise work (projections, residuals, norms, feed-forward,
 row dropouts) on those rows. Callers read only a few top-layer rows (the
-selected slots in pre-training, the target slot in fine-tuning), so the
-last layer computes queries and everything after them only at those.
+selected slots in pre-training, the target slot in fine-tuning) and pass
+them as a grid; the last layer computes queries and everything after them
+only at the grid's cells that hold a real slot. A cell marked ``UNREAD``
+(pre-training's ragged selections leave some in every batch) and a cell
+at a PAD slot cost no row there and come out as zero rows.
 Attention keeps its padded (B, h, L, L) layout: each projection writes its
 rows into a zero (B, L, d) buffer within its own graph node, and the output
 projection reads the context's real rows within its node, so no
@@ -42,6 +45,7 @@ from .tensor import (Tensor, dropout, gather_bl, gather_rows, gelu, layer_norm,
 
 INIT_STD = 0.02
 ATTN_MASK_BIAS = -1e9  # finite stand-in for -inf; exp() underflows to exactly 0
+UNREAD = -1  # a cell of ``MeltModel.forward``'s rows grid that the caller never reads
 
 
 @dataclass
@@ -118,8 +122,8 @@ class _Cells(NamedTuple):
 
     Row i is grid cell (b[i], j[i]) and batch slot (b[i], slot[i]); ``src``
     is its index among the layer's input rows. ``grid`` holds the (B, Q)
-    slots of a partial grid; with ``grid`` and ``src`` None, Q = L and the
-    rows are the input rows.
+    slots of a partial grid, UNREAD cells included; with ``grid`` and
+    ``src`` None, Q = L and the rows are the input rows.
     """
     b: np.ndarray
     j: np.ndarray
@@ -210,6 +214,7 @@ class MeltModel:
         ``params`` maps every name of ``named_parameters`` to an array; a
         model built from it draws no random numbers.
         """
+        import scipy.special  # noqa: F401  gelu's erf, loaded here so set-up pays for it
         self.config = config
         self.seed = seed
         self.dtype = dtype
@@ -247,11 +252,12 @@ class MeltModel:
         score for that key, which zeroes their attention weight exactly.
 
         Without ``rows`` the output is (B, L, d). ``rows`` is a (B, q) int
-        array of the slots the caller reads (cells may repeat); the output
-        is then (B, q, d), cell [b, j] being slot rows[b, j]. Either way a
-        PAD slot's output is a zero row. The real slots are gathered once
-        and every layer runs on them; the last layer computes only the
-        real cells of ``rows``. This is exact: the rows equal a padded
+        array of the slots the caller reads (cells may repeat), or UNREAD
+        at a cell it does not read; the output is then (B, q, d), cell
+        [b, j] being slot rows[b, j]. A PAD slot's output and an UNREAD
+        cell's are zero rows. The real slots are gathered once and every
+        layer runs on them; the last layer computes only the cells of
+        ``rows`` at real slots. This is exact: the rows equal a padded
         forward's up to float rounding, and train-mode dropout consumes
         ``rng`` as the padded forward does.
         """
@@ -263,8 +269,9 @@ class MeltModel:
         if rows is not None:
             rows = np.asarray(rows)
             if (rows.ndim != 2 or rows.shape[0] != b or rows.dtype.kind not in "iu"
-                    or (rows.size and not 0 <= rows.min() <= rows.max() < length)):
-                raise ValueError(f"rows must be a ({b}, q) int array of slots in [0, {length})")
+                    or (rows.size and not UNREAD <= rows.min() <= rows.max() < length)):
+                raise ValueError(f"rows must be a ({b}, q) int array of slots in "
+                                 f"[0, {length}) or UNREAD ({UNREAD})")
         attn_mask = np.asarray(attn_mask, dtype=bool)
         bias = Tensor(np.where(attn_mask, 0.0, ATTN_MASK_BIAS)
                       .astype(x.dtype).reshape(b, 1, 1, length))
@@ -273,7 +280,7 @@ class MeltModel:
         if rows is None:
             top, out_shape = every, (b, length)
         else:
-            qb, qj = np.nonzero(attn_mask[np.arange(b)[:, None], rows])
+            qb, qj = np.nonzero((rows != UNREAD) & attn_mask[np.arange(b)[:, None], rows])
             packed = np.cumsum(attn_mask).reshape(b, length) - 1  # a real slot's row in h
             slot = rows[qb, qj]
             top, out_shape = _Cells(qb, qj, slot, packed[qb, slot], rows), rows.shape

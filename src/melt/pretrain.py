@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import Action, MaskPlan, SequenceChunk, apply_masking, batch_chunks
-from .model import MeltConfig, MeltModel, copy_param, embed_batch
+from .model import UNREAD, MeltConfig, MeltModel, copy_param, embed_batch
 from .optim import AdamW, warmup_lr
 from .tensor import Tensor, backward, mse_loss, no_grad
 
@@ -111,13 +111,14 @@ def _forward_masked(model: MeltModel, batch: Sequence[SequenceChunk],
 
     The top layer runs only at a (B, qmax) grid of slots, qmax being the
     largest selection in the batch: row b lists its selected slots first,
-    and its remaining cells point at slot 0 and are never read.
+    and its remaining cells are UNREAD, so the top layer computes exactly
+    one row per selected slot.
     """
     selected = [plan.selected_slots for plan in plans]
     counts = [len(sel) for sel in selected]
     if not any(counts):
         return None, None
-    grid = np.zeros((len(plans), max(counts)), dtype=np.int64)
+    grid = np.full((len(plans), max(counts)), UNREAD, dtype=np.int64)
     for bi, sel in enumerate(selected):
         grid[bi, :len(sel)] = sel
     targets = [plan.targets[slot] for plan, sel in zip(plans, selected) for slot in sel]

@@ -22,7 +22,6 @@ import threading
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import erf
 
 __all__ = [
     "Tensor",
@@ -588,7 +587,10 @@ def gelu(x: Tensor) -> Tensor:
 
     Forward and backward each reuse one buffer; the in-place steps keep the
     operation order of the formula, so the results are bit-identical to it.
+    scipy is imported here, not with this module, so commands that build no
+    model never load it.
     """
+    from scipy.special import erf
     cdf = x.data * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0

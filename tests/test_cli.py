@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import melt
 from melt.cli import main
 from melt.model import MeltConfig, MeltModel
 from melt.pretrain import load_checkpoint, save_checkpoint
@@ -186,6 +189,41 @@ class TestPretrain:
         assert "line 2" in err and named in err
         assert not (out_dir / "checkpoint.melt").exists()
 
+    @pytest.mark.parametrize("prep_len,edit,line", [
+        (40, lambda rows: [rows[0], rows[0][:-5] + [None] * 10, *rows[1:]], 2),
+        (40, lambda rows: [rows[0], rows[0][:-5], *rows[1:]], 2),
+        (45, lambda rows: rows, 1),
+    ], ids=["longer-than-seq-len", "shorter-than-first-row", "every-row-too-long"])
+    def test_manifest_slot_count_mismatch_is_input_error(self, tmp_path, corpus_file,
+                                                         capsys, prep_len, edit, line):
+        prep_dir = tmp_path / "prep"
+        assert main(["prep", "--corpus", str(corpus_file), "--out", str(prep_dir),
+                     "--seq-len", str(prep_len)]) == 0
+        manifest = prep_dir / "manifest.jsonl"
+        rows = [json.loads(text) for text in manifest.read_text().splitlines()]
+        slots = edit([row["slots"] for row in rows])
+        manifest.write_text("".join(json.dumps({"user_id": rows[0]["user_id"], "slots": s})
+                                    + "\n" for s in slots))
+        out_dir = tmp_path / "pre"
+        code = main(["pretrain", "--corpus", str(corpus_file), "--manifest", str(manifest),
+                     "--out", str(out_dir), *MODEL_FLAGS, "--seq-len", "40"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"line {line}:" in err and "slots" in err
+        assert not (out_dir / "checkpoint.melt").exists()
+
+    def test_manifest_shorter_than_seq_len_trains(self, tmp_path, corpus_file):
+        prep_dir = tmp_path / "prep"
+        assert main(["prep", "--corpus", str(corpus_file), "--out", str(prep_dir),
+                     "--seq-len", "30"]) == 0
+        out_dir = tmp_path / "pre"
+        assert main(["pretrain", "--corpus", str(corpus_file),
+                     "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
+                     *MODEL_FLAGS, "--seq-len", "40", "--epochs", "1",
+                     "--batch-size", "10"]) == 0
+        model, _ = load_checkpoint(out_dir / "checkpoint.melt")
+        assert model.config.max_seq == 40
+
     def test_vector_file_missing_an_id_is_input_error(self, tmp_path, corpus_file, capsys):
         from melt.corpus import ingest_jsonl
         prep_dir = run_prep(tmp_path, corpus_file)
@@ -238,6 +276,25 @@ class TestFinetune:
                                   "--checkpoint", str(pre / "checkpoint.melt")))
         assert code == 0
         assert (out_dir / "predictions.csv").exists()
+
+    def test_config_records_the_checkpoint_model(self, tmp_path, corpus_file, stance_file):
+        # model flags that differ from the checkpoint's lose, and config.json says so
+        pre = run_pretrain(tmp_path, corpus_file)
+        out_dir = tmp_path / "ft_cfg"
+        assert main(["finetune", "--stance", str(stance_file), "--out", str(out_dir),
+                     "--checkpoint", str(pre / "checkpoint.melt"), "--word-buckets", "256",
+                     "--word-seed", "3", "--layers", "3", "--seq-len", "30",
+                     "--head-hidden1", "16", "--head-hidden2", "8", "--epochs", "1"]) == 0
+        echoed = json.loads((out_dir / "config.json").read_text())
+        extents = {key: echoed[key] for key in ("d_model", "layers", "ff_dim", "heads",
+                                                "seq_len")}
+        assert extents == {"d_model": 16, "layers": 1, "ff_dim": 32, "heads": 2,
+                           "seq_len": 40}
+        rerun_path = tmp_path / "rerun.json"
+        rerun_path.write_text(json.dumps({**echoed, "out": str(tmp_path / "rerun")}))
+        assert main(["finetune", "--config", str(rerun_path)]) == 0
+        assert (tmp_path / "rerun" / "predictions.csv").read_bytes() == \
+            (out_dir / "predictions.csv").read_bytes()
 
     def test_word_encoder_mismatch_with_checkpoint_rejected(self, tmp_path, corpus_file,
                                                             stance_file, capsys):
@@ -695,3 +752,29 @@ class TestConfigResolution:
         assert main(["pretrain", "--config", str(rerun_path)]) == 0
         assert (tmp_path / "rerun" / "checkpoint.melt").read_bytes() == \
             (out_dir / "checkpoint.melt").read_bytes()
+
+
+def test_only_model_building_commands_import_scipy(tmp_path, corpus_file, stance_file):
+    prep_dir, mfc_dir, eval_dir = tmp_path / "prep", tmp_path / "mfc", tmp_path / "eval"
+    script = f"""
+import sys
+import melt.cli, melt.pretrain, melt.stance
+loaded = ["scipy" in sys.modules]
+for argv in (["prep", "--corpus", {str(corpus_file)!r}, "--out", {str(prep_dir)!r}],
+             ["finetune", "--stance", {str(stance_file)!r}, "--out", {str(mfc_dir)!r},
+              "--arch", "mfc"],
+             ["evaluate", "--predictions", {str(mfc_dir / "predictions.csv")!r},
+              "--gold", {str(stance_file)!r}, "--out", {str(eval_dir)!r}]):
+    assert melt.cli.main(argv) == 0, argv
+    loaded.append("scipy" in sys.modules)
+from melt.model import MeltConfig, MeltModel
+MeltModel(MeltConfig(n_layers=1, d_model=8, ff_dim=16, n_heads=2))
+loaded.append("scipy.special" in sys.modules)
+print(loaded)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(melt.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, True]"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from melt.corpus import Action, MaskPlan, RawMessage, SequenceChunk
-from melt.model import MeltConfig, MeltModel, embed_batch
+from melt.model import UNREAD, MeltConfig, MeltModel, embed_batch
 from melt.pretrain import _input_rows
 from melt.tensor import Tensor, backward, gather_rows, reshape
 
@@ -413,13 +413,93 @@ class TestSelectedRows:
         assert full.shape == (2, 4, 8)
         np.testing.assert_allclose(every, full, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("rows", [[[0, 4], [1, 2]], [[0, -1], [1, 2]], [[0, 1]],
+    @pytest.mark.parametrize("rows", [[[0, 4], [1, 2]], [[0, -2], [1, 2]], [[0, 1]],
                                       [[0.0, 1.0], [1.0, 2.0]]])
     def test_bad_rows_rejected(self, tiny_config, rows):
         model = MeltModel(tiny_config, seed=1)
         with pytest.raises(ValueError, match="rows"):
             model.forward(Tensor(np.zeros((2, 4, 8), dtype=np.float32)),
                           np.ones((2, 4), dtype=bool), rows=np.array(rows))
+
+
+# ---------------------------------------------------------------------------
+# UNREAD cells of the rows grid cost no top-layer row
+# ---------------------------------------------------------------------------
+
+
+def unread_case(d, ff, heads, dtype, dropout, seed=0):
+    """Two layers, PAD tails, and a ragged grid: each row's tail cells are UNREAD."""
+    cfg = MeltConfig(n_layers=2, d_model=d, ff_dim=ff, n_heads=heads, dropout=dropout,
+                     max_seq=40)
+    model = MeltModel(cfg, seed=seed, dtype=dtype)
+    real = np.array([40, 23, 31, 9, 40])
+    x = np.random.default_rng(seed + 1).uniform(-1, 1, (5, 40, d)).astype(dtype)
+    attn = np.arange(40)[None, :] < real[:, None]
+    grid = np.full((5, 6), UNREAD)
+    grid[0] = [3, 0, 39, 17, 8, 21]
+    grid[1, :2] = [22, 5]
+    grid[2, :4] = [0, 30, 12, 6]
+    grid[3, :1] = [8]  # row 4 reads nothing
+    return model, x, attn, grid
+
+
+def forward_pair(model, x, attn, grid, train, weights=None):
+    """The forward at ``grid`` and at grid with UNREAD cells pointing at slot 0.
+
+    Returns, per side, (output, generator, parameter gradients); with
+    ``weights`` the loss is the weighted sum of the read cells' outputs.
+    """
+    read = grid != UNREAD
+    results = []
+    for rows in (grid, np.where(read, grid, 0)):
+        rng = np.random.default_rng(7) if train else None
+        out = model.forward(Tensor(x), attn, train=train, rng=rng, rows=rows)
+        grads = None
+        if weights is not None:
+            backward((out * Tensor(weights * read[:, :, None])).sum())
+            grads = {n: np.asarray(p.grad) for n, p in model.named_parameters()
+                     if p.grad is not None}
+        results.append((out.data, rng, grads))
+    return results
+
+
+class TestUnreadCells:
+    def test_read_cells_are_byte_equal_at_paper_width_in_eval(self):
+        model, x, attn, grid = unread_case(768, 2048, 8, np.float32, 0.1)
+        (out, _, _), (ref, _, _) = forward_pair(model, x, attn, grid, train=False)
+        read = grid != UNREAD
+        assert out[read].tobytes() == ref[read].tobytes()
+        assert (out[~read] == 0.0).all()
+
+    def test_read_cells_match_in_train_mode_and_the_generator_ends_alike(self):
+        model, x, attn, grid = unread_case(16, 32, 4, np.float64, 0.2)
+        (out, rng, _), (ref, rng_ref, _) = forward_pair(model, x, attn, grid, train=True)
+        read = grid != UNREAD
+        np.testing.assert_allclose(out[read], ref[read], rtol=0, atol=1e-12)
+        assert (out[~read] == 0.0).all()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        evaluated = model.forward(Tensor(x), attn, rows=grid).data
+        assert np.abs(evaluated - out).max() > 1e-3  # dropout was live
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_gradients_match_the_slot_zero_grid(self, train):
+        model, x, attn, grid = unread_case(16, 32, 4, np.float64, 0.2)
+        weights = np.random.default_rng(5).uniform(-1, 1, grid.shape + (16,))
+        (_, _, got), (_, _, want) = forward_pair(model, x, attn, grid, train, weights)
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            if name.endswith(".bk"):
+                continue  # true gradient 0
+            assert np.abs(got[name] - g).max() <= 1e-9 * np.abs(g).max(), name
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_an_all_unread_grid_gives_zero_rows(self, train):
+        model, x, attn, _ = unread_case(16, 32, 4, np.float64, 0.2)
+        grid = np.full((5, 3), UNREAD)
+        (out, rng, _), (_, rng_ref, _) = forward_pair(model, x, attn, grid, train)
+        assert out.shape == (5, 3, 16) and (out == 0.0).all()
+        if train:
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,55 @@ class TestForwardMaskedRows:
         keep = [MaskPlan((Action.KEEP,) * 40) for _ in chunks]
         assert _forward_masked(model, chunks, keep, vectors, False, None) == (None, None)
 
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_top_layer_computes_one_query_row_per_selected_slot(self, monkeypatch,
+                                                                n_layers, train):
+        import melt.model as model_mod
+        model, chunks, plans, vectors = self.case(n_layers)
+        query_rows = []
+        linear = model_mod.linear
+
+        def counting_linear(a, w, *args, **kwargs):
+            if w is model.layers[-1].wq:
+                query_rows.append(a.shape[0])
+            return linear(a, w, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "linear", counting_linear)
+        rng = np.random.default_rng(8) if train else None
+        _forward_masked(model, chunks, plans, vectors, train, rng)
+        counts = [len(p.selected_slots) for p in plans]
+        assert max(counts) * len(plans) > sum(counts)  # the grid is ragged
+        assert query_rows == [sum(counts)]
+
+
+def _slot_zero_grid_forward_masked(model, batch, plans, vectors, train, rng):
+    """Reference: ``_forward_masked`` with each grid's tail pointing at slot 0."""
+    selected = [plan.selected_slots for plan in plans]
+    counts = [len(sel) for sel in selected]
+    if not any(counts):
+        return None, None
+    grid = np.zeros((len(plans), max(counts)), dtype=np.int64)
+    for bi, sel in enumerate(selected):
+        grid[bi, :len(sel)] = sel
+    targets = [plan.targets[slot] for plan, sel in zip(plans, selected) for slot in sel]
+    x, attn = embed_batch(model, batch, plans, _input_rows(model, batch, plans, vectors))
+    out = model.forward(x, attn, train=train, rng=rng, rows=grid)
+    b_idx = np.repeat(np.arange(len(plans)), counts)
+    cells = np.concatenate([np.arange(c) for c in counts])
+    preds = model.reconstruct_rows(out, b_idx, cells)
+    return preds, np.stack(targets)
+
+
+def test_dev_mse_bytes_equal_the_slot_zero_grid(monkeypatch):
+    _, vectors, chunks = small_setup(n_users=6, n_msgs=50, d=768)
+    model = MeltModel(MeltConfig(n_layers=2, d_model=768), seed=4)
+    plans = make_dev_plans(chunks, vectors, seed=23)
+    got = evaluate_dev(model, chunks, plans, vectors, batch_size=5)
+    monkeypatch.setattr(pretrain_mod, "_forward_masked", _slot_zero_grid_forward_masked)
+    want = evaluate_dev(model, chunks, plans, vectors, batch_size=5)
+    assert repr(got) == repr(want)
+
 
 class TestLoadWithoutInit:
     def test_checkpoint_loads_bit_identical_without_random_init(self, tmp_path,
