@@ -5,7 +5,7 @@ file (JSON) > built-in default. Every command echoes its fully-resolved
 configuration to stdout and to <out>/config.json, and rerunning with that
 file reproduces the outputs byte for byte. The echo comes after the values
 a command takes from its inputs: fine-tuning from a checkpoint records the
-checkpoint's model config, not the model flags.
+checkpoint's model config, and a model option set to another value exits 2.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 numeric failure.
 """
@@ -45,6 +45,13 @@ EXIT_NUMERIC = 3
 
 class CliError(ValueError):
     pass
+
+
+class Config(dict):
+    """A resolved configuration; ``given`` names the options that the config
+    file, a MELT_* variable or a flag set, as opposed to their defaults."""
+
+    given: frozenset = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +181,11 @@ def _check_file_value(key: str, value, typ, default) -> None:
         raise CliError(f"config key '{key}' must be {want}, got {json.dumps(value)}")
 
 
-def resolve_config(command: str, args: argparse.Namespace) -> dict:
+def resolve_config(command: str, args: argparse.Namespace) -> Config:
     """Merge defaults, config file, MELT_* env vars, and explicit flags."""
     known = {name: (typ, default) for name, typ, default, _help in COMMAND_OPTS[command]}
-    resolved = {name: default for name, (typ, default) in known.items()}
+    resolved = Config((name, default) for name, (typ, default) in known.items())
+    given = set()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
@@ -192,17 +200,21 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
                 raise CliError(f"unknown config key '{key}' for command '{command}'")
             _check_file_value(key, value, *known[key])
             resolved[key] = value
+            given.add(key)
     for name, (typ, _default) in known.items():
         env_key = ENV_PREFIX + name.upper()
         if env_key in os.environ:
             try:
                 resolved[name] = _parse_env(os.environ[env_key], typ)
+                given.add(name)
             except ValueError:
                 raise CliError(f"cannot parse env var {env_key}={os.environ[env_key]!r}") from None
     for name in known:
         value = getattr(args, name, None)
         if value is not None:
             resolved[name] = value
+            given.add(name)
+    resolved.given = frozenset(given)
     for name in REQUIRED[command]:
         if resolved.get(name) is None:
             raise CliError(f"'{command}' requires --{name.replace('_', '-')}")
@@ -444,12 +456,13 @@ def _finetune_cfg(cfg: dict) -> FinetuneConfig:
                           patience=cfg["patience"], seed=cfg["seed"])
 
 
-def _model_template(cfg: dict) -> Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]]:
+def _model_template(cfg: Config) -> Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]]:
     """Config and parameters every per-target run starts from.
 
     With ``--rand-init`` there are no parameters: each run draws its own from
-    the seed. Otherwise the checkpoint's model config wins over the model
-    flags and is written into ``cfg``, and its word encoder must match.
+    the seed. Otherwise the checkpoint's model config is written into
+    ``cfg``: a model option set to another value is rejected, and the word
+    encoder must match.
     """
     if cfg["rand_init"]:
         return _melt_config(cfg), None
@@ -457,8 +470,14 @@ def _model_template(cfg: dict) -> Tuple[MeltConfig, Optional[Dict[str, np.ndarra
         raise CliError("provide --checkpoint or pass --rand-init")
     model, header = load_checkpoint(cfg["checkpoint"])
     mc = model.config
-    cfg.update(layers=mc.n_layers, d_model=mc.d_model, ff_dim=mc.ff_dim, heads=mc.n_heads,
-               dropout=mc.dropout, seq_len=mc.max_seq, positions=mc.use_positions)
+    recorded = dict(layers=mc.n_layers, d_model=mc.d_model, ff_dim=mc.ff_dim,
+                    heads=mc.n_heads, dropout=mc.dropout, seq_len=mc.max_seq,
+                    positions=mc.use_positions)
+    for key, value in recorded.items():
+        if key in cfg.given and cfg[key] != value:
+            raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the checkpoint's "
+                           f"model has {value!r}")
+    cfg.update(recorded)
     _check_word_encoder(header.get("word_encoder"), cfg)
     return mc, {name: p.data for name, p in model.named_parameters()}
 
@@ -509,14 +528,21 @@ PREDICTION_HEADER = ["example_id", "target", "gold", "pred",
                      "p_against", "p_none", "p_favor"]
 
 
-def cmd_finetune(cfg: dict) -> int:
+def cmd_finetune(cfg: Config) -> int:
     if cfg["jobs"] < 1:
         raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
     if cfg["arch"] not in ("melt", "word", "word-hist", "mfc"):
         raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
-    if cfg["arch"] != "melt" and cfg["history_len"] is not None:
-        # the baselines pool a fixed history window; a length would be ignored
-        raise CliError(f"--history-len applies only to --arch melt, not '{cfg['arch']}'")
+    if cfg["arch"] != "melt":
+        # the baselines train no encoder, in one run per target over a fixed
+        # history window, so each of these would be ignored
+        for option, used in (("--history-len", cfg["history_len"] is not None),
+                             ("--checkpoint", cfg["checkpoint"] is not None),
+                             ("--rand-init", cfg["rand_init"]),
+                             ("--unfreeze-word", cfg["unfreeze_word"]),
+                             ("--pooled", cfg["pooled"]), ("--jobs above 1", cfg["jobs"] > 1)):
+            if used:
+                raise CliError(f"{option} applies only to --arch melt, not '{cfg['arch']}'")
     history_lens = _parse_history(cfg)
     template = _model_template(cfg) if cfg["arch"] == "melt" else None
     echo_config(cfg, cfg["out"])

@@ -8,15 +8,15 @@ reconstruction head that predicts the pooled vector of each selected
 message. Pre-training (with mask plans) and fine-tuning (without) share
 ``embed_batch``.
 
-The encoder computes only real messages' rows. ``MeltModel.forward``
-gathers its input's real slots once into an (n, d) matrix, and every
-layer runs its row-wise work (projections, residuals, norms, feed-forward,
-row dropouts) on those rows. Callers read only a few top-layer rows (the
-selected slots in pre-training, the target slot in fine-tuning) and pass
-them as a grid; the last layer computes queries and everything after them
-only at the grid's cells that hold a real slot. A cell marked ``UNREAD``
-(pre-training's ragged selections leave some in every batch) and a cell
-at a PAD slot cost no row there and come out as zero rows.
+The encoder computes only real messages' rows, and rows are what goes in
+and out: ``embed_batch`` takes the (n, d) input rows of the real slots not
+masked, and ``MeltModel.forward`` gathers its input's real slots once into
+an (n, d) matrix, runs every layer's row-wise work (projections,
+residuals, norms, feed-forward, row dropouts) on those rows, and returns
+one row per slot the caller reads. Callers read few top-layer rows (the
+selected slots in pre-training, the target slot in fine-tuning) and name
+them by a (B, L) bool mask; the last layer computes queries and
+everything after them only at those slots.
 Attention keeps its padded (B, h, L, L) layout: each projection writes its
 rows into a zero (B, L, d) buffer within its own graph node, and the output
 projection reads the context's real rows within its node, so no
@@ -25,7 +25,7 @@ weight stays exactly 0. Attention mixes a query only with its own
 sequence's keys and values, and every other op of a post-norm layer works
 row by row, so packing is exact math:
 
-- a PAD slot's output is a zero row, and ``pad_vector`` changes no output;
+- a PAD slot has no output row, and ``pad_vector`` changes no output;
 - train-mode dropout draws full-shape uniforms and keeps the entries of
   the rows computed, so the generator advances as in a padded forward;
 - only float rounding can differ from a padded forward: gradients of
@@ -45,7 +45,6 @@ from .tensor import (Tensor, dropout, gather_bl, gather_rows, gelu, layer_norm,
 
 INIT_STD = 0.02
 ATTN_MASK_BIAS = -1e9  # finite stand-in for -inf; exp() underflows to exactly 0
-UNREAD = -1  # a cell of ``MeltModel.forward``'s rows grid that the caller never reads
 
 
 @dataclass
@@ -121,9 +120,10 @@ class _Cells(NamedTuple):
     """The m rows a layer computes, as cells of its (B, Q) query grid.
 
     Row i is grid cell (b[i], j[i]) and batch slot (b[i], slot[i]); ``src``
-    is its index among the layer's input rows. ``grid`` holds the (B, Q)
-    slots of a partial grid, UNREAD cells included; with ``grid`` and
-    ``src`` None, Q = L and the rows are the input rows.
+    is its index among the layer's input rows. In the last layer, Q is the
+    most slots one sequence reads, j a slot's rank among those its sequence
+    reads, and ``grid`` the (B, Q) slots (0 where none is read). With
+    ``grid`` and ``src`` None, Q = L and the rows are the input rows.
     """
     b: np.ndarray
     j: np.ndarray
@@ -246,55 +246,51 @@ class MeltModel:
     def forward(self, x: Tensor, attn_mask: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 rows: Optional[np.ndarray] = None) -> Tensor:
-        """Contextualize a (B, L, d) batch. ``attn_mask`` is (B, L) bool, True = attend.
+        """Contextualize a (B, L, d) batch into one (m, d) row per slot read.
 
-        Masked-out positions contribute an additive -1e9 to every query's
-        score for that key, which zeroes their attention weight exactly.
-
-        Without ``rows`` the output is (B, L, d). ``rows`` is a (B, q) int
-        array of the slots the caller reads (cells may repeat), or UNREAD
-        at a cell it does not read; the output is then (B, q, d), cell
-        [b, j] being slot rows[b, j]. A PAD slot's output and an UNREAD
-        cell's are zero rows. The real slots are gathered once and every
-        layer runs on them; the last layer computes only the cells of
-        ``rows`` at real slots. This is exact: the rows equal a padded
-        forward's up to float rounding, and train-mode dropout consumes
-        ``rng`` as the padded forward does.
+        ``attn_mask`` is (B, L) bool, True at a real slot. A PAD slot adds
+        -1e9 to every query's score for its key, which zeroes its attention
+        weight exactly. ``rows`` is a (B, L) bool mask of the real slots the
+        caller reads; the output holds their rows in ``np.nonzero(rows)``
+        order, and without ``rows`` every real slot's in
+        ``np.nonzero(attn_mask)`` order. The real slots are gathered once
+        and every layer runs on them; the last layer computes only the rows
+        read. This is exact: the rows equal a padded forward's up to float
+        rounding, and train-mode dropout consumes ``rng`` as the padded
+        forward does.
         """
         b, length, d = x.shape
         if d != self.config.d_model:
             raise ValueError(f"input dim {d} != model dim {self.config.d_model}")
         if length > self.config.max_seq:
             raise ValueError(f"sequence length {length} exceeds max_seq {self.config.max_seq}")
+        attn_mask = np.asarray(attn_mask, dtype=bool)
         if rows is not None:
             rows = np.asarray(rows)
-            if (rows.ndim != 2 or rows.shape[0] != b or rows.dtype.kind not in "iu"
-                    or (rows.size and not UNREAD <= rows.min() <= rows.max() < length)):
-                raise ValueError(f"rows must be a ({b}, q) int array of slots in "
-                                 f"[0, {length}) or UNREAD ({UNREAD})")
-        attn_mask = np.asarray(attn_mask, dtype=bool)
+            if rows.shape != (b, length) or rows.dtype != bool or (rows & ~attn_mask).any():
+                raise ValueError(f"rows must be a ({b}, {length}) bool mask of real slots")
         bias = Tensor(np.where(attn_mask, 0.0, ATTN_MASK_BIAS)
                       .astype(x.dtype).reshape(b, 1, 1, length))
         slots = np.nonzero(attn_mask)
-        every = _Cells(slots[0], slots[1], slots[1])
-        if rows is None:
-            top, out_shape = every, (b, length)
-        else:
-            qb, qj = np.nonzero((rows != UNREAD) & attn_mask[np.arange(b)[:, None], rows])
+        top = every = _Cells(slots[0], slots[1], slots[1])
+        if rows is not None:
+            qb, slot = np.nonzero(rows)
+            qj = (np.cumsum(rows, axis=1) - 1)[qb, slot]  # a slot's rank among those read
+            grid = np.zeros((b, rows.sum(axis=1).max(initial=0)), dtype=np.intp)
+            grid[qb, qj] = slot
             packed = np.cumsum(attn_mask).reshape(b, length) - 1  # a real slot's row in h
-            slot = rows[qb, qj]
-            top, out_shape = _Cells(qb, qj, slot, packed[qb, slot], rows), rows.shape
+            top = _Cells(qb, qj, slot, packed[qb, slot], grid)
         h = gather_bl(x, *slots)
         p = self.config.dropout
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
             h = layer.forward(h, bias, slots, top if i == last else every,
                               self.config.n_heads, p, train, rng)
-        return scatter_rows(h, top.b, top.j, *out_shape)
+        return h
 
-    def reconstruct_rows(self, outputs: Tensor, b_idx, l_idx) -> Tensor:
-        """Apply the reconstruction head at the given (batch, row) cells of ``outputs``."""
-        return linear(gather_bl(outputs, b_idx, l_idx), self.head_w, self.head_b)
+    def reconstruct_rows(self, rows: Tensor) -> Tensor:
+        """Apply the reconstruction head to (m, d) top-layer rows."""
+        return linear(rows, self.head_w, self.head_b)
 
 
 # ---------------------------------------------------------------------------
@@ -307,15 +303,13 @@ def embed_batch(model: MeltModel, chunks: Sequence[SequenceChunk],
                 ) -> Tuple[Tensor, np.ndarray]:
     """Assemble the (B, L, d) input batch and its attention mask.
 
-    ``rows`` holds the input vector of every real slot that no plan marks
-    MASK_TOKEN: a message's pooled vector, or the recorded substitute of a
-    RANDOM_REPLACE slot. Fine-tuning passes them as the word level's
-    (n, d) output in (batch, slot) order, through which gradients reach a
-    trainable word level. Pre-training passes a constant already in place:
-    the (B, L, d) input with zeros at every other slot. MASK_TOKEN slots
-    take the learned mask vector and PAD slots the learned pad vector, so
-    the content of a masked slot never enters the input. Position
-    embeddings are added last.
+    ``rows`` is (n, d): the input vector of every real slot that no plan
+    marks MASK_TOKEN, in (batch, slot) order. That is a message's pooled
+    vector, or the recorded substitute of a RANDOM_REPLACE slot; a
+    trainable word level's output passes its gradients on. MASK_TOKEN
+    slots take the learned mask vector and PAD slots the learned pad
+    vector, so the content of a masked slot never enters the input.
+    Position embeddings are added last.
     """
     b = len(chunks)
     length = len(chunks[0].slots)
@@ -328,11 +322,7 @@ def embed_batch(model: MeltModel, chunks: Sequence[SequenceChunk],
                 f"mask plan has {len(plan.actions)} slots, chunk has {len(chunk.slots)}")
         masked[bi] = [action is Action.MASK_TOKEN for action in plan.actions]
     masked &= attn
-    if rows.ndim == 3:
-        x = rows
-    else:
-        b_idx, l_idx = np.nonzero(attn & ~masked)
-        x = scatter_rows(rows, b_idx, l_idx, b, length)
+    x = scatter_rows(rows, *np.nonzero(attn & ~masked), b, length)
     if plans is not None:
         mask_ind = masked[:, :, None].astype(model.dtype)
         x = x + Tensor(mask_ind) * reshape(model.mask_vector, (1, 1, d))

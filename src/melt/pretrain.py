@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import Action, MaskPlan, SequenceChunk, apply_masking, batch_chunks
-from .model import UNREAD, MeltConfig, MeltModel, copy_param, embed_batch
+from .model import MeltConfig, MeltModel, copy_param, embed_batch
 from .optim import AdamW, warmup_lr
 from .tensor import Tensor, backward, mse_loss, no_grad
 
@@ -88,19 +88,17 @@ def masked_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:
 
 def _input_rows(model: MeltModel, batch: Sequence[SequenceChunk],
                 plans: Sequence[MaskPlan], vectors: Mapping[str, np.ndarray]) -> Tensor:
-    """The ``embed_batch`` rows, written straight into the (B, L, d) input.
+    """The (n, d) ``embed_batch`` rows: every real slot not marked MASK_TOKEN.
 
-    Every real slot not marked MASK_TOKEN holds its row: a RANDOM_REPLACE
-    slot's recorded substitute, any other slot its message's own pooled
-    vector. MASK_TOKEN and PAD slots hold zeros.
+    In (batch, slot) order, a RANDOM_REPLACE slot's row is its recorded
+    substitute and any other slot's row its message's own pooled vector.
     """
-    x = np.zeros((len(batch), len(batch[0].slots), model.config.d_model), dtype=model.dtype)
-    for bi, (chunk, plan) in enumerate(zip(batch, plans)):
-        for li, (slot, action) in enumerate(zip(chunk.slots, plan.actions)):
-            if slot is not None and action is not Action.MASK_TOKEN:
-                x[bi, li] = (plan.replacements[li][1] if action is Action.RANDOM_REPLACE
-                             else vectors[slot.message_id])
-    return Tensor(x)
+    rows = [plan.replacements[li][1] if action is Action.RANDOM_REPLACE
+            else vectors[slot.message_id]
+            for chunk, plan in zip(batch, plans)
+            for li, (slot, action) in enumerate(zip(chunk.slots, plan.actions))
+            if slot is not None and action is not Action.MASK_TOKEN]
+    return Tensor(np.array(rows, dtype=model.dtype).reshape(-1, model.config.d_model))
 
 
 def _forward_masked(model: MeltModel, batch: Sequence[SequenceChunk],
@@ -109,25 +107,18 @@ def _forward_masked(model: MeltModel, batch: Sequence[SequenceChunk],
                     ) -> Tuple[Optional[Tensor], Optional[np.ndarray]]:
     """Predictions and stacked targets over every selected slot in the batch.
 
-    The top layer runs only at a (B, qmax) grid of slots, qmax being the
-    largest selection in the batch: row b lists its selected slots first,
-    and its remaining cells are UNREAD, so the top layer computes exactly
-    one row per selected slot.
+    The encoder reads the selected slots, every action but KEEP, so the
+    top layer computes exactly one row per selected slot; ascending
+    ``selected_slots`` puts the targets in the same order.
     """
-    selected = [plan.selected_slots for plan in plans]
-    counts = [len(sel) for sel in selected]
-    if not any(counts):
+    targets = [plan.targets[slot] for plan in plans for slot in plan.selected_slots]
+    if not targets:
         return None, None
-    grid = np.full((len(plans), max(counts)), UNREAD, dtype=np.int64)
-    for bi, sel in enumerate(selected):
-        grid[bi, :len(sel)] = sel
-    targets = [plan.targets[slot] for plan, sel in zip(plans, selected) for slot in sel]
     x, attn = embed_batch(model, batch, plans, _input_rows(model, batch, plans, vectors))
-    out = model.forward(x, attn, train=train, rng=rng, rows=grid)
-    b_idx = np.repeat(np.arange(len(plans)), counts)
-    cells = np.concatenate([np.arange(c) for c in counts])
-    preds = model.reconstruct_rows(out, b_idx, cells)
-    return preds, np.stack(targets)
+    read = np.array([[action is not Action.KEEP for action in plan.actions]
+                     for plan in plans])
+    out = model.forward(x, attn, train=train, rng=rng, rows=read)
+    return model.reconstruct_rows(out), np.stack(targets)
 
 
 def make_dev_plans(dev_chunks: Sequence[SequenceChunk],

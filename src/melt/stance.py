@@ -20,8 +20,8 @@ from .model import MeltModel
 from .model import embed_batch as embed_token_batch
 from .optim import AdamW
 from .pretrain import TrainingDivergedError
-from .tensor import (Tensor, backward, cross_entropy, dropout, linear, no_grad, reshape,
-                     sigmoid, softmax)
+from .tensor import (Tensor, backward, cross_entropy, dropout, linear, no_grad, sigmoid,
+                     softmax)
 
 
 @dataclass
@@ -129,9 +129,9 @@ def _forward_examples(model: MeltModel, head: StanceHead, word_level,
     rows = word_level.batch_vectors([slot for c in chunks for slot in c.slots
                                      if slot is not None])
     x, attn = embed_token_batch(model, chunks, None, rows)
-    targets = np.array(target_idx, dtype=np.int64).reshape(-1, 1)
-    out = model.forward(x, attn, train=train, rng=rng, rows=targets)
-    pooled = reshape(out, (len(chunks), model.config.d_model))
+    read = np.zeros(attn.shape, dtype=bool)
+    read[np.arange(len(chunks)), target_idx] = True
+    pooled = model.forward(x, attn, train=train, rng=rng, rows=read)
     return head.forward(pooled, p_drop=p_drop, train=train, rng=rng)
 
 

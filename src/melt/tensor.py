@@ -474,24 +474,17 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 def gather_bl(a: Tensor, b_idx, l_idx) -> Tensor:
-    """Select rows a[b, l] for index arrays that broadcast to one shape S.
+    """Rows a[b_idx[k], l_idx[k]] for paired 1-D index arrays of distinct cells.
 
-    The output has shape S + a.shape[2:]: (n, ...) for paired 1-D arrays,
-    or a (B, q, ...) grid for a (B, 1) batch index and (B, q) slots.
-    Repeated (b, l) pairs accumulate gradient; distinct pairs are written
-    in one assignment, many times faster than ``np.add.at``.
+    The output is (n,) + a.shape[2:]; backward writes the rows' gradient
+    into a zero array of a's shape in one assignment.
     """
     b_idx = np.asarray(b_idx)
     l_idx = np.asarray(l_idx)
 
     def back(g):
         ga = np.zeros_like(a.data)
-        flat = np.ravel_multi_index(np.broadcast_arrays(b_idx, l_idx), a.shape[:2],
-                                    mode="wrap")
-        if np.unique(flat).size == flat.size:
-            ga[b_idx, l_idx] = g
-        else:
-            np.add.at(ga, (b_idx, l_idx), g)
+        ga[b_idx, l_idx] = g
         _accum(a, ga)
 
     return _from_op(a.data[b_idx, l_idx], (a,), back)

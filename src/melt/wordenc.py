@@ -14,6 +14,7 @@ hash table itself, or into a d x d adapter over precomputed vectors.
 
 from __future__ import annotations
 
+import re
 import string
 import threading
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ from .tensor import Tensor, gather_rows, matmul, segment_mean
 EMPTY_TOKEN = "<empty>"
 DEFAULT_TOKEN_SEQ_LEN = 50
 
-_PUNCT = set(string.punctuation)
+# a run of characters that are neither whitespace nor punctuation, or one punctuation mark
+_TOKEN = re.compile("[^\\s{0}]+|[{0}]".format(re.escape(string.punctuation)))
 
 
 @dataclass
@@ -44,19 +46,7 @@ def tokenize(text: str, max_tokens: int = DEFAULT_TOKEN_SEQ_LEN) -> TokenSequenc
     Empty or whitespace-only text yields the single ``<empty>`` token so a
     message always has at least one vector to pool.
     """
-    tokens: List[str] = []
-    for piece in text.lower().split():
-        run = []
-        for ch in piece:
-            if ch in _PUNCT:
-                if run:
-                    tokens.append("".join(run))
-                    run = []
-                tokens.append(ch)
-            else:
-                run.append(ch)
-        if run:
-            tokens.append("".join(run))
+    tokens = _TOKEN.findall(text.lower())
     if not tokens:
         return TokenSequence([EMPTY_TOKEN])
     if len(tokens) > max_tokens:

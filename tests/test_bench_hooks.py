@@ -2,8 +2,10 @@
 
 ``perfbench/launch.py`` replaces names such as ``melt.stance.embed_token_batch``
 or ``MeltModel.forward`` with timed wrappers, and raises AttributeError when
-one has gone. These tests install its hooks in a fresh interpreter, so a
-rename in ``melt`` fails here rather than in a traced benchmark run.
+one has gone. These tests install its hooks in a fresh interpreter and
+drive the pre-training and fine-tuning forwards through them, so a rename
+or a changed signature in ``melt`` fails here rather than in a traced
+benchmark run.
 """
 
 import os
@@ -19,11 +21,24 @@ import numpy as np
 import launch
 rec = launch.Recorder()
 launch.full_hooks(rec)
+from melt import pretrain, stance
+from melt.corpus import Action, MaskPlan, RawMessage, SequenceChunk, StanceExample
 from melt.model import MeltConfig, MeltModel
 from melt.tensor import Tensor
+from melt.wordenc import FrozenWordLevel
 model = MeltModel(MeltConfig(n_layers=1, d_model=8, ff_dim=16, n_heads=2, max_seq=4))
 model.forward(Tensor(np.zeros((2, 4, 8), dtype=np.float32)), np.ones((2, 4), dtype=bool),
-              rows=np.zeros((2, 1), dtype=np.int64))
+              rows=np.arange(4) == np.array([[0], [3]]))
+messages = [RawMessage("u", f"m{i}", i, f"text {i}") for i in range(3)]
+vectors = {m.message_id: np.full(8, i, dtype=np.float32) for i, m in enumerate(messages)}
+chunk = SequenceChunk("u", (*messages, None))
+plan = MaskPlan((Action.MASK_TOKEN, Action.KEEP, Action.KEEP, Action.KEEP),
+                {0: vectors["m0"]})
+pretrain._forward_masked(model, [chunk], [plan], vectors, train=False, rng=None)
+example = StanceExample(messages[2], "favor", "climate", messages[:2])
+head = stance.StanceHead(8, hidden1=4, hidden2=4)
+stance._forward_examples(model, head, FrozenWordLevel(8, vectors), [example], None,
+                         p_drop=0.0, train=False, rng=None)
 print(" ".join(sorted({span[0] for span in rec.spans})))
 """
 
@@ -35,7 +50,9 @@ def test_full_hooks_install_and_record():
     proc = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["model.MeltModel.forward", "model.MeltModel.init"]
+    assert {"model.embed_batch", "model.embed_token_batch", "model.MeltModel.forward",
+            "model.MeltModel.reconstruct_rows", "model.MeltModel.init",
+            "stance.StanceHead.forward"} <= set(proc.stdout.split())
 
 
 WORD_LEVEL_SCRIPT = """

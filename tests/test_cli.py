@@ -278,12 +278,12 @@ class TestFinetune:
         assert (out_dir / "predictions.csv").exists()
 
     def test_config_records_the_checkpoint_model(self, tmp_path, corpus_file, stance_file):
-        # model flags that differ from the checkpoint's lose, and config.json says so
+        # config.json holds the checkpoint's model, and a rerun from it passes the model check
         pre = run_pretrain(tmp_path, corpus_file)
         out_dir = tmp_path / "ft_cfg"
         assert main(["finetune", "--stance", str(stance_file), "--out", str(out_dir),
                      "--checkpoint", str(pre / "checkpoint.melt"), "--word-buckets", "256",
-                     "--word-seed", "3", "--layers", "3", "--seq-len", "30",
+                     "--word-seed", "3",
                      "--head-hidden1", "16", "--head-hidden2", "8", "--epochs", "1"]) == 0
         echoed = json.loads((out_dir / "config.json").read_text())
         extents = {key: echoed[key] for key in ("d_model", "layers", "ff_dim", "heads",
@@ -295,6 +295,34 @@ class TestFinetune:
         assert main(["finetune", "--config", str(rerun_path)]) == 0
         assert (tmp_path / "rerun" / "predictions.csv").read_bytes() == \
             (out_dir / "predictions.csv").read_bytes()
+
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    @pytest.mark.parametrize("key,value", [
+        ("layers", 3), ("layers", 2), ("d_model", 32), ("ff_dim", 64), ("heads", 4),
+        ("seq_len", 30), ("dropout", 0.2), ("positions", False),
+    ], ids=["layers", "layers-default", "d-model", "ff-dim", "heads", "seq-len", "dropout",
+            "positions"])
+    def test_model_option_that_differs_from_the_checkpoint_rejected(
+            self, tmp_path, stance_file, capsys, monkeypatch, source, key, value):
+        # the checkpoint: 1 layer, d 16, ff 32, 2 heads, 40 slots, dropout 0.1, positions
+        model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2), seed=0)
+        ckpt = tmp_path / "m.melt"
+        save_checkpoint(ckpt, model, dev_mse=0.0, epoch=1, seed=0)
+        out_dir = tmp_path / "ft"
+        args = ["finetune", "--stance", str(stance_file), "--out", str(out_dir),
+                "--checkpoint", str(ckpt)]
+        option = "--" + key.replace("_", "-")
+        if source == "flag":
+            args += ["--no-positions"] if key == "positions" else [option, str(value)]
+        elif source == "env":
+            monkeypatch.setenv("MELT_" + key.upper(), "0" if value is False else str(value))
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({key: value}))
+            args += ["--config", str(cfg_path)]
+        assert main(args) == 2
+        assert option in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
 
     def test_word_encoder_mismatch_with_checkpoint_rejected(self, tmp_path, corpus_file,
                                                             stance_file, capsys):
@@ -451,6 +479,30 @@ class TestFinetune:
         assert code == 2
         assert "--history-len" in err and f"'{arch}'" in err
         assert not (out_dir / "predictions.csv").exists()
+
+
+    @pytest.mark.parametrize("arch", ["word", "word-hist", "mfc"])
+    @pytest.mark.parametrize("extra", [
+        ("--checkpoint", "/nonexistent.melt"), ("--rand-init",), ("--unfreeze-word",),
+        ("--pooled",), ("--jobs", "4"),
+    ], ids=["checkpoint", "rand-init", "unfreeze-word", "pooled", "jobs"])
+    def test_options_a_baseline_ignores_rejected(self, tmp_path, stance_file, capsys,
+                                                 arch, extra):
+        out_dir = tmp_path / arch
+        code = main(finetune_args(stance_file, out_dir, "--arch", arch, *extra))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert extra[0] in err and f"'{arch}'" in err
+        assert not (out_dir / "predictions.csv").exists()
+
+    def test_baseline_takes_those_options_at_their_defaults(self, tmp_path, stance_file,
+                                                            monkeypatch):
+        monkeypatch.setenv("MELT_JOBS", "1")
+        out_dir = tmp_path / "mfc"
+        assert main(["finetune", "--stance", str(stance_file), "--out", str(out_dir),
+                     "--arch", "mfc", "--no-rand-init", "--no-unfreeze-word",
+                     "--no-pooled"]) == 0
+        assert (out_dir / "predictions.csv").exists()
 
 
 class TestHashRows:

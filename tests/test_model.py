@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from melt.corpus import Action, MaskPlan, RawMessage, SequenceChunk
-from melt.model import UNREAD, MeltConfig, MeltModel, embed_batch
+from melt.model import MeltConfig, MeltModel, embed_batch
 from melt.pretrain import _input_rows
 from melt.tensor import Tensor, backward, gather_rows, reshape
 
@@ -144,7 +144,7 @@ class TestForward:
         model = MeltModel(tiny_config, seed=1)
         out = model.forward(Tensor(np.zeros((3, 4, 8), dtype=np.float32)),
                             np.ones((3, 4), dtype=bool))
-        assert out.shape == (3, 4, 8)
+        assert out.shape == (12, 8)
 
     def test_pad_content_cannot_leak_into_real_slots(self, tiny_config):
         model = MeltModel(tiny_config, seed=2)
@@ -155,7 +155,8 @@ class TestForward:
         poked = base.copy()
         poked[0, 3] += 17.0
         out_b = model.forward(Tensor(poked), attn).data
-        np.testing.assert_array_equal(out_a[0, :3], out_b[0, :3])
+        assert out_a.shape == (3, 8)
+        np.testing.assert_array_equal(out_a, out_b)
 
     def test_hand_computed_single_layer(self):
         cfg = MeltConfig(n_layers=1, d_model=2, ff_dim=2, n_heads=1, dropout=0.0,
@@ -171,7 +172,7 @@ class TestForward:
         layer.w2.data = np.zeros_like(layer.w2.data)
 
         x = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=np.float32)
-        out = model.forward(Tensor(x.reshape(1, 2, 2)), np.ones((1, 2), dtype=bool)).data[0]
+        out = model.forward(Tensor(x.reshape(1, 2, 2)), np.ones((1, 2), dtype=bool)).data
 
         # independent transcription: scores, softmax, residual, two norms
         def norm(v):
@@ -212,9 +213,9 @@ class TestForward:
 
 
 def top_rows(model, chunk, plan, vectors, slot):
-    """Top-layer output (1, 1, d) at ``slot``, the encoder's last layer run only there."""
+    """Top-layer output (1, d) at ``slot``, the encoder's last layer run only there."""
     x, attn = embed(model, [chunk], None if plan is None else [plan], vectors)
-    return model.forward(x, attn, rows=np.array([[slot]]))
+    return model.forward(x, attn, rows=np.arange(attn.shape[1])[None, :] == slot)
 
 
 class TestReconstruct:
@@ -227,8 +228,8 @@ class TestReconstruct:
         plan = MaskPlan((Action.MASK_TOKEN, Action.KEEP, Action.KEEP, Action.KEEP),
                         {0: vectors["um0"]}, {})
         out = top_rows(model, chunk, plan, vectors, 0)
-        preds = model.reconstruct_rows(out, np.array([0]), np.array([0]))
-        np.testing.assert_allclose(preds.data[0], out.data[0, 0], rtol=1e-6)
+        preds = model.reconstruct_rows(out)
+        np.testing.assert_allclose(preds.data, out.data, rtol=1e-6)
 
     def test_prediction_sensitive_to_context(self, tiny_config):
         model = MeltModel(tiny_config, seed=6)
@@ -238,8 +239,7 @@ class TestReconstruct:
                         {0: vectors["um0"]}, {})
 
         def predict_at_zero(vecs):
-            out = top_rows(model, chunk, plan, vecs, 0)
-            return model.reconstruct_rows(out, np.array([0]), np.array([0])).data[0]
+            return model.reconstruct_rows(top_rows(model, chunk, plan, vecs, 0)).data[0]
 
         before = predict_at_zero(vectors)
         moved = {k: v.copy() for k, v in vectors.items()}
@@ -255,14 +255,14 @@ class TestRepresentation:
         vectors = vectors_for(chunk, 8)
         a = top_rows(model, chunk, None, vectors, 1).data
         b = top_rows(model, chunk, None, vectors, 1).data
-        assert a.shape == (1, 1, 8)
+        assert a.shape == (1, 8)
         np.testing.assert_array_equal(a, b)
 
     def test_differs_from_raw_mean_vector(self, tiny_config):
         model = MeltModel(tiny_config, seed=8)
         chunk = chunk_of(3)
         vectors = vectors_for(chunk, 8)
-        rep = top_rows(model, chunk, None, vectors, 0).data[0, 0]
+        rep = top_rows(model, chunk, None, vectors, 0).data[0]
         assert np.abs(rep - vectors["um0"]).max() > 1e-3
 
 
@@ -311,14 +311,20 @@ class TestParameterCount:
 
 
 def pruned_case(n_layers, seed=0):
-    """float64 model at d 16, PAD tails, and a row grid with repeated cells."""
+    """float64 model at d 16, PAD tails, and a mask of the slots read."""
     cfg = MeltConfig(n_layers=n_layers, d_model=16, ff_dim=32, n_heads=4, dropout=0.2,
                      max_seq=6)
     model = MeltModel(cfg, seed=seed, dtype=np.float64)
     x = np.random.default_rng(seed + 100).uniform(-1, 1, (3, 6, 16))
     attn = np.array([[True] * 6, [True] * 4 + [False] * 2, [True] * 2 + [False] * 4])
-    rows = np.array([[5, 0, 2], [1, 1, 3], [0, 4, 0]])  # repeats; PAD slots 4 and 5
+    rows = np.zeros((3, 6), dtype=bool)
+    rows[0, [5, 0, 2]] = rows[1, [1, 3]] = rows[2, 0] = True
     return model, x, attn, rows
+
+
+def read_of_every(attn, rows):
+    """Where each slot of ``rows`` sits among the every-real-slot output rows."""
+    return (np.cumsum(attn).reshape(attn.shape) - 1)[rows]
 
 
 def run_both(model, x, attn, rows, train, weights=None):
@@ -326,7 +332,6 @@ def run_both(model, x, attn, rows, train, weights=None):
 
     Returns (full rows, pruned rows, full rng, pruned rng, full grads, pruned grads).
     """
-    from melt.tensor import backward, gather_bl
     results = []
     for pruned in (False, True):
         rng = np.random.default_rng(7) if train else None
@@ -334,7 +339,7 @@ def run_both(model, x, attn, rows, train, weights=None):
         out = model.forward(xt, attn, train=train, rng=rng,
                             rows=rows if pruned else None)
         if not pruned:
-            out = gather_bl(out, np.arange(len(rows))[:, None], rows)
+            out = gather_rows(out, read_of_every(attn, rows))
         grads = None
         if weights is not None:
             backward((out * Tensor(weights)).sum())
@@ -352,7 +357,7 @@ class TestSelectedRows:
     def test_rows_equal_full_forward_rows(self, n_layers, train):
         model, x, attn, rows = pruned_case(n_layers)
         full, part, rng_f, rng_p, _, _ = run_both(model, x, attn, rows, train)
-        assert part.shape == (3, 3, 16)
+        assert part.shape == (6, 16)
         np.testing.assert_allclose(part, full, rtol=0, atol=1e-12)
         if train:
             assert rng_p.bit_generator.state == rng_f.bit_generator.state
@@ -370,7 +375,7 @@ class TestSelectedRows:
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_gradients_match_full_path(self, n_layers, train):
         model, x, attn, rows = pruned_case(n_layers)
-        weights = np.random.default_rng(5).uniform(-1, 1, (3, 3, 16))
+        weights = np.random.default_rng(5).uniform(-1, 1, (6, 16))
         *_, g_full, g_part = run_both(model, x, attn, rows, train, weights)
         for name, want in g_full.items():
             if name.endswith(".bk"):
@@ -387,8 +392,8 @@ class TestSelectedRows:
         model = MeltModel(cfg, seed=3, dtype=np.float64)
         x = np.random.default_rng(4).uniform(-1, 1, (2, 4, 8))
         attn = np.array([[True] * 4, [True, True, True, False]])
-        rows = np.array([[3, 1], [0, 0]])
-        weights = Tensor(np.random.default_rng(6).uniform(-1, 1, (2, 2, 8)))
+        rows = np.array([[False, True, False, True], [True, False, False, False]])
+        weights = Tensor(np.random.default_rng(6).uniform(-1, 1, (3, 8)))
 
         def loss():
             # the same generator seed each call keeps the dropout masks fixed
@@ -408,55 +413,60 @@ class TestSelectedRows:
         model = MeltModel(tiny_config, seed=1)
         x = np.random.default_rng(0).uniform(-1, 1, (2, 4, 8)).astype(np.float32)
         attn = np.ones((2, 4), dtype=bool)
-        every = model.forward(Tensor(x), attn, rows=np.tile(np.arange(4), (2, 1))).data
+        every = model.forward(Tensor(x), attn, rows=attn).data
         full = model.forward(Tensor(x), attn).data
-        assert full.shape == (2, 4, 8)
+        assert full.shape == (8, 8)
         np.testing.assert_allclose(every, full, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("rows", [[[0, 4], [1, 2]], [[0, -2], [1, 2]], [[0, 1]],
-                                      [[0.0, 1.0], [1.0, 2.0]]])
+    @pytest.mark.parametrize("rows", [
+        np.ones((2, 3), dtype=bool),                            # too few slots
+        np.ones((1, 4), dtype=bool),                            # too few sequences
+        np.array([[1, 1, 1, 1], [1, 1, 0, 0]]),                 # not bool
+        np.array([[True, False, False, False], [False, False, True, False]]),  # a PAD slot
+    ])
     def test_bad_rows_rejected(self, tiny_config, rows):
         model = MeltModel(tiny_config, seed=1)
+        attn = np.array([[True] * 4, [True, True, False, False]])
         with pytest.raises(ValueError, match="rows"):
-            model.forward(Tensor(np.zeros((2, 4, 8), dtype=np.float32)),
-                          np.ones((2, 4), dtype=bool), rows=np.array(rows))
+            model.forward(Tensor(np.zeros((2, 4, 8), dtype=np.float32)), attn, rows=rows)
 
 
 # ---------------------------------------------------------------------------
-# UNREAD cells of the rows grid cost no top-layer row
+# slots the mask does not read cost no top-layer row
 # ---------------------------------------------------------------------------
 
 
 def unread_case(d, ff, heads, dtype, dropout, seed=0):
-    """Two layers, PAD tails, and a ragged grid: each row's tail cells are UNREAD."""
+    """Two layers, PAD tails, and ragged reads: each sequence reads 0 to 6 slots."""
     cfg = MeltConfig(n_layers=2, d_model=d, ff_dim=ff, n_heads=heads, dropout=dropout,
                      max_seq=40)
     model = MeltModel(cfg, seed=seed, dtype=dtype)
     real = np.array([40, 23, 31, 9, 40])
     x = np.random.default_rng(seed + 1).uniform(-1, 1, (5, 40, d)).astype(dtype)
     attn = np.arange(40)[None, :] < real[:, None]
-    grid = np.full((5, 6), UNREAD)
-    grid[0] = [3, 0, 39, 17, 8, 21]
-    grid[1, :2] = [22, 5]
-    grid[2, :4] = [0, 30, 12, 6]
-    grid[3, :1] = [8]  # row 4 reads nothing
-    return model, x, attn, grid
+    read = np.zeros((5, 40), dtype=bool)
+    read[0, [3, 0, 39, 17, 8, 21]] = read[1, [22, 5]] = read[2, [0, 30, 12, 6]] = True
+    read[3, 8] = True  # sequence 4 reads nothing
+    return model, x, attn, read
 
 
-def forward_pair(model, x, attn, grid, train, weights=None):
-    """The forward at ``grid`` and at grid with UNREAD cells pointing at slot 0.
+def forward_pair(model, x, attn, read, train, weights=None):
+    """The forward at ``read``, and the forward that also reads each slot 0, at ``read``.
 
-    Returns, per side, (output, generator, parameter gradients); with
-    ``weights`` the loss is the weighted sum of the read cells' outputs.
+    Returns, per side, (rows, generator, parameter gradients); with
+    ``weights`` the loss is the weighted sum of the rows.
     """
-    read = grid != UNREAD
+    wider = read.copy()
+    wider[:, 0] = True
     results = []
-    for rows in (grid, np.where(read, grid, 0)):
+    for rows in (read, wider):
         rng = np.random.default_rng(7) if train else None
         out = model.forward(Tensor(x), attn, train=train, rng=rng, rows=rows)
+        if rows is wider:
+            out = gather_rows(out, np.flatnonzero(read[wider]))
         grads = None
         if weights is not None:
-            backward((out * Tensor(weights * read[:, :, None])).sum())
+            backward((out * Tensor(weights)).sum())
             grads = {n: np.asarray(p.grad) for n, p in model.named_parameters()
                      if p.grad is not None}
         results.append((out.data, rng, grads))
@@ -465,27 +475,24 @@ def forward_pair(model, x, attn, grid, train, weights=None):
 
 class TestUnreadCells:
     def test_read_cells_are_byte_equal_at_paper_width_in_eval(self):
-        model, x, attn, grid = unread_case(768, 2048, 8, np.float32, 0.1)
-        (out, _, _), (ref, _, _) = forward_pair(model, x, attn, grid, train=False)
-        read = grid != UNREAD
-        assert out[read].tobytes() == ref[read].tobytes()
-        assert (out[~read] == 0.0).all()
+        model, x, attn, read = unread_case(768, 2048, 8, np.float32, 0.1)
+        (out, _, _), (ref, _, _) = forward_pair(model, x, attn, read, train=False)
+        assert out.shape == (read.sum(), 768)
+        assert out.tobytes() == ref.tobytes()
 
     def test_read_cells_match_in_train_mode_and_the_generator_ends_alike(self):
-        model, x, attn, grid = unread_case(16, 32, 4, np.float64, 0.2)
-        (out, rng, _), (ref, rng_ref, _) = forward_pair(model, x, attn, grid, train=True)
-        read = grid != UNREAD
-        np.testing.assert_allclose(out[read], ref[read], rtol=0, atol=1e-12)
-        assert (out[~read] == 0.0).all()
+        model, x, attn, read = unread_case(16, 32, 4, np.float64, 0.2)
+        (out, rng, _), (ref, rng_ref, _) = forward_pair(model, x, attn, read, train=True)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-        evaluated = model.forward(Tensor(x), attn, rows=grid).data
+        evaluated = model.forward(Tensor(x), attn, rows=read).data
         assert np.abs(evaluated - out).max() > 1e-3  # dropout was live
 
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     def test_gradients_match_the_slot_zero_grid(self, train):
-        model, x, attn, grid = unread_case(16, 32, 4, np.float64, 0.2)
-        weights = np.random.default_rng(5).uniform(-1, 1, grid.shape + (16,))
-        (_, _, got), (_, _, want) = forward_pair(model, x, attn, grid, train, weights)
+        model, x, attn, read = unread_case(16, 32, 4, np.float64, 0.2)
+        weights = np.random.default_rng(5).uniform(-1, 1, (read.sum(), 16))
+        (_, _, got), (_, _, want) = forward_pair(model, x, attn, read, train, weights)
         assert got.keys() == want.keys()
         for name, g in want.items():
             if name.endswith(".bk"):
@@ -495,9 +502,9 @@ class TestUnreadCells:
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     def test_an_all_unread_grid_gives_zero_rows(self, train):
         model, x, attn, _ = unread_case(16, 32, 4, np.float64, 0.2)
-        grid = np.full((5, 3), UNREAD)
-        (out, rng, _), (_, rng_ref, _) = forward_pair(model, x, attn, grid, train)
-        assert out.shape == (5, 3, 16) and (out == 0.0).all()
+        read = np.zeros(attn.shape, dtype=bool)
+        (out, rng, _), (_, rng_ref, _) = forward_pair(model, x, attn, read, train)
+        assert out.shape == (0, 16)
         if train:
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
@@ -508,14 +515,15 @@ class TestUnreadCells:
 
 
 def packed_case(n_layers):
-    """float64 model at d 16, a batch with mixed PAD tails, and a row grid into it."""
+    """float64 model at d 16, a batch with mixed PAD tails, and a mask of slots read."""
     cfg = MeltConfig(n_layers=n_layers, d_model=16, ff_dim=32, n_heads=4, dropout=0.2,
                      max_seq=6)
     model = MeltModel(cfg, seed=11, dtype=np.float64)
     real = np.array([6, 3, 1, 5])
     x = np.random.default_rng(12).uniform(-1, 1, (4, 6, 16))
     attn = np.arange(6)[None, :] < real[:, None]
-    rows = np.array([[5, 0, 2], [2, 4, 0], [0, 0, 3], [4, 5, 1]])  # PAD cells included
+    rows = np.zeros((4, 6), dtype=bool)
+    rows[0, [5, 0, 2]] = rows[1, [2, 0]] = rows[2, 0] = rows[3, [4, 1]] = True
     return model, x, attn, real, rows
 
 
@@ -524,26 +532,23 @@ class TestPackedRows:
     @pytest.mark.parametrize("n_layers", [1, 2])
     def test_each_sequence_alone_gives_the_batch_rows(self, n_layers, with_rows):
         model, x, attn, real, rows = packed_case(n_layers)
+        read = rows if with_rows else attn
         out = model.forward(Tensor(x), attn, rows=rows if with_rows else None).data
-        for b, n in enumerate(real):
-            alone = model.forward(Tensor(x[b:b + 1, :n]), np.ones((1, n), dtype=bool)).data[0]
-            if with_rows:
-                for j, slot in enumerate(rows[b]):
-                    want = alone[slot] if slot < n else np.zeros(16)
-                    np.testing.assert_allclose(out[b, j], want, rtol=0, atol=1e-12)
-            else:
-                np.testing.assert_allclose(out[b, :n], alone, rtol=0, atol=1e-12)
+        alone = [model.forward(Tensor(x[b:b + 1, :n]), np.ones((1, n), dtype=bool)).data
+                 for b, n in enumerate(real)]
+        want = np.stack([alone[b][slot] for b, slot in zip(*np.nonzero(read))])
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     @pytest.mark.parametrize("with_rows", [False, True], ids=["every-slot", "rows"])
-    def test_pad_slot_outputs_are_zero_rows(self, with_rows, train):
+    def test_pad_slots_give_no_output_rows(self, with_rows, train):
         model, x, attn, _, rows = packed_case(2)
         rng = np.random.default_rng(3) if train else None
         out = model.forward(Tensor(x), attn, train=train, rng=rng,
                             rows=rows if with_rows else None).data
-        pad = ~attn[np.arange(4)[:, None], rows] if with_rows else ~attn
-        assert pad.any() and (out[pad] == 0.0).all()
-        assert (out[~pad] != 0.0).any(axis=-1).all()
+        assert (~attn).any()
+        assert out.shape == ((rows if with_rows else attn).sum(), 16)
+        assert (out != 0.0).any(axis=-1).all()
 
     @pytest.mark.parametrize("with_rows", [False, True], ids=["every-slot", "rows"])
     def test_pad_vector_changes_no_output(self, with_rows):
@@ -553,7 +558,7 @@ class TestPackedRows:
         chunks = [chunk_of(6, 6, "a"), chunk_of(2, 6, "b"), chunk_of(4, 6, "c")]
         vectors = {k: v.astype(np.float64) for i, c in enumerate(chunks)
                    for k, v in vectors_for(c, 16, seed=i).items()}
-        rows = np.array([[5], [1], [3]]) if with_rows else None
+        rows = np.arange(6) == np.array([[5], [1], [3]]) if with_rows else None
         outs = []
         for pad in (model.pad_vector.data.copy(), np.full(16, 40.0)):
             model.pad_vector.data = pad
@@ -578,7 +583,8 @@ def _padded_layer(layer, x, attn_bias, n_heads, p_drop, train, rng, rows=None):
     else:
         n_rows = rows.shape[1]
         b_col = np.arange(b)[:, None]
-        xq = gather_bl(x, b_col, rows)
+        xq = reshape(gather_bl(x, np.repeat(np.arange(b), n_rows), rows.ravel()),
+                     (b, n_rows, d))
         keep_attn = (b_col[:, :, None], np.arange(n_heads)[None, :, None], rows[:, None, :])
         keep_rows = (b_col, rows)
     attn_shape, row_shape = (b, n_heads, length, length), (b, length, d)
@@ -611,12 +617,12 @@ class TestPackedMemory:
     """Packing keeps each activation once: no scatter or gather node of its own."""
 
     @staticmethod
-    def peak(forward, model, x, attn, rows):
+    def peak(forward, model, x, attn):
         import tracemalloc
         xt = Tensor(x, requires_grad=True)
         tracemalloc.start()
         try:
-            out = forward(model, xt, attn, True, np.random.default_rng(4), rows)
+            out = forward(model, xt, attn, True, np.random.default_rng(4))
             backward((out * out).sum())
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -636,12 +642,14 @@ class TestPackedMemory:
     @pytest.mark.parametrize("all_real", [True, False], ids=["all-real", "pad-tails"])
     def test_peak_stays_within_the_entry_gather_of_the_padded_forward(self, all_real,
                                                                       with_rows):
-        model, x, attn, rows = self.case(all_real)
-        grid = rows if with_rows else None
-        ref_peak, ref_out = self.peak(_padded_forward, model, x, attn, grid)
-        peak, out = self.peak(lambda m, *a: m.forward(*a), model, x, attn, grid)
-        real = np.ones(rows.shape, dtype=bool) if with_rows else attn
-        np.testing.assert_allclose(out.data[real], ref_out.data[real], rtol=0, atol=1e-5)
+        model, x, attn, last = self.case(all_real)
+        grid = last if with_rows else None
+        read = np.arange(20) == last if with_rows else None
+        ref_peak, ref_out = self.peak(
+            lambda *a: _padded_forward(*a, rows=grid), model, x, attn)
+        peak, out = self.peak(lambda m, *a: m.forward(*a, rows=read), model, x, attn)
+        real = np.ones(last.shape, dtype=bool) if with_rows else attn
+        np.testing.assert_allclose(out.data, ref_out.data[real], rtol=0, atol=1e-5)
         if all_real:
             assert peak <= ref_peak + x.nbytes  # the (B·L, d) entry gather
         else:

@@ -9,7 +9,7 @@ from melt.pretrain import (CheckpointManifestError, CheckpointTruncatedError,
                            TrainingDivergedError, _forward_masked, _input_rows,
                            evaluate_dev, load_checkpoint, load_params_into, make_dev_plans,
                            masked_loss, save_checkpoint, train)
-from melt.tensor import Tensor, backward
+from melt.tensor import Tensor, backward, gather_rows, reshape
 from melt.wordenc import HashEmbeddingEncoder, compute_message_vectors
 from synthdata import marker_corpus
 
@@ -274,12 +274,12 @@ class TestForwardMaskedRows:
         return model, chunks, plans, vectors
 
     def full_path(self, model, chunks, plans, vectors, rng):
-        """Every slot through the top layer, then the head at the selected slots."""
+        """Every real slot through the top layer, then the head at the selected slots."""
         x, attn = embed_batch(model, chunks, plans, _input_rows(model, chunks, plans, vectors))
         out = model.forward(x, attn, train=rng is not None, rng=rng)
-        b_idx = [b for b, p in enumerate(plans) for _ in p.selected_slots]
-        l_idx = [s for p in plans for s in p.selected_slots]
-        return model.reconstruct_rows(out, np.array(b_idx), np.array(l_idx))
+        packed = np.cumsum(attn).reshape(attn.shape) - 1
+        rows = [packed[b, s] for b, p in enumerate(plans) for s in p.selected_slots]
+        return model.reconstruct_rows(gather_rows(out, np.array(rows)))
 
     @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -334,20 +334,16 @@ class TestForwardMaskedRows:
 
 
 def _slot_zero_grid_forward_masked(model, batch, plans, vectors, train, rng):
-    """Reference: ``_forward_masked`` with each grid's tail pointing at slot 0."""
-    selected = [plan.selected_slots for plan in plans]
-    counts = [len(sel) for sel in selected]
-    if not any(counts):
+    """Reference: ``_forward_masked`` that also reads each chunk's slot 0, then drops it."""
+    read = np.array([[a is not Action.KEEP for a in p.actions] for p in plans])
+    if not read.any():
         return None, None
-    grid = np.zeros((len(plans), max(counts)), dtype=np.int64)
-    for bi, sel in enumerate(selected):
-        grid[bi, :len(sel)] = sel
-    targets = [plan.targets[slot] for plan, sel in zip(plans, selected) for slot in sel]
+    wider = read.copy()
+    wider[:, 0] = True
+    targets = [plan.targets[slot] for plan in plans for slot in plan.selected_slots]
     x, attn = embed_batch(model, batch, plans, _input_rows(model, batch, plans, vectors))
-    out = model.forward(x, attn, train=train, rng=rng, rows=grid)
-    b_idx = np.repeat(np.arange(len(plans)), counts)
-    cells = np.concatenate([np.arange(c) for c in counts])
-    preds = model.reconstruct_rows(out, b_idx, cells)
+    out = model.forward(x, attn, train=train, rng=rng, rows=wider)
+    preds = model.reconstruct_rows(gather_rows(out, np.flatnonzero(read[wider])))
     return preds, np.stack(targets)
 
 
@@ -398,18 +394,30 @@ class TestLoadWithoutInit:
             load_checkpoint(path)
 
 
-def _gathered_rows(model, batch, plans, vectors):
-    """Reference: the (n, d) rows gathered on their own, which ``embed_batch`` scatters."""
-    rows = [plan.replacements[li][1] if action is Action.RANDOM_REPLACE
-            else vectors[slot.message_id]
-            for chunk, plan in zip(batch, plans)
-            for li, (slot, action) in enumerate(zip(chunk.slots, plan.actions))
-            if slot is not None and action is not Action.MASK_TOKEN]
-    return Tensor(np.array(rows, dtype=model.dtype).reshape(-1, model.config.d_model))
+def _in_place_embed(model, batch, plans, vectors):
+    """Reference: ``embed_batch`` with each row written straight into a zero (B, L, d) input."""
+    b, length, d = len(batch), len(batch[0].slots), model.config.d_model
+    x = np.zeros((b, length, d), dtype=model.dtype)
+    masked = np.zeros((b, length, 1), dtype=model.dtype)
+    for bi, (chunk, plan) in enumerate(zip(batch, plans)):
+        for li, (slot, action) in enumerate(zip(chunk.slots, plan.actions)):
+            if slot is None:
+                continue
+            if action is Action.MASK_TOKEN:
+                masked[bi, li] = 1.0
+            else:
+                x[bi, li] = (plan.replacements[li][1] if action is Action.RANDOM_REPLACE
+                             else vectors[slot.message_id])
+    attn = np.array([[slot is not None for slot in c.slots] for c in batch])
+    pad = (~attn)[:, :, None].astype(model.dtype)
+    out = Tensor(x) + Tensor(masked) * reshape(model.mask_vector, (1, 1, d))
+    out = out + Tensor(pad) * reshape(model.pad_vector, (1, 1, d))
+    pos = gather_rows(model.pos_embedding, np.arange(length))
+    return out + reshape(pos, (1, length, d)), attn
 
 
 class TestInputRowsInPlace:
-    """Pre-training writes its rows straight into the embedded input."""
+    """The (n, d) rows that embed_batch scatters give the input that writing them in place gave."""
 
     def test_embedded_batch_is_byte_identical_to_scattered_rows(self):
         _, vectors, chunks = small_setup(n_users=4, n_msgs=30)  # 30 real + 10 PAD each
@@ -417,10 +425,9 @@ class TestInputRowsInPlace:
         plans = make_dev_plans(chunks, vectors, seed=17)
         actions = {a for p in plans for a in p.actions}
         assert {Action.MASK_TOKEN, Action.RANDOM_REPLACE} <= actions
-        placed, attn = embed_batch(model, chunks, plans,
-                                   _input_rows(model, chunks, plans, vectors))
-        scattered, attn_ref = embed_batch(model, chunks, plans,
-                                          _gathered_rows(model, chunks, plans, vectors))
+        scattered, attn = embed_batch(model, chunks, plans,
+                                      _input_rows(model, chunks, plans, vectors))
+        placed, attn_ref = _in_place_embed(model, chunks, plans, vectors)
         assert not attn.all()
         assert placed.data.tobytes() == scattered.data.tobytes()
         assert attn.tobytes() == attn_ref.tobytes()
@@ -429,8 +436,11 @@ class TestInputRowsInPlace:
         _, vectors, chunks = small_setup()
         cfg = PretrainConfig(warmup_steps=10, epochs=2, batch_size=4, seed=1337)
         runs = []
-        for rows in (_input_rows, _gathered_rows):
-            monkeypatch.setattr(pretrain_mod, "_input_rows", rows)
+        for in_place in (False, True):
+            if in_place:
+                monkeypatch.setattr(pretrain_mod, "embed_batch",
+                                    lambda model, batch, plans, rows:
+                                    _in_place_embed(model, batch, plans, vectors))
             model = small_model()
             res = train(model, chunks[2:], chunks[:2], vectors, cfg)
             runs.append(([(s.step, repr(s.lr), repr(s.loss)) for s in res.steps],

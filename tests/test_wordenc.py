@@ -1,6 +1,8 @@
+import string
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from melt.corpus import RawMessage
@@ -9,8 +11,34 @@ from melt.wordenc import (EMPTY_TOKEN, FrozenWordLevel, HashEmbeddingEncoder,
                           PrecomputedVectorStore, TrainableAdapterWordLevel,
                           TrainableHashWordLevel, VectorFileError,
                           compute_message_vectors, draw_row, fnv1a_64,
-                          load_precomputed, message_vector, pool_message, tokenize,
-                          write_vector_file)
+                          TokenSequence, load_precomputed, message_vector, pool_message,
+                          tokenize, write_vector_file)
+
+
+WHITESPACE = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())  # all 29
+PUNCTUATION = string.punctuation
+
+
+def loop_tokenize(text, max_tokens):
+    """Reference: split the lowercased text on whitespace, then walk each piece."""
+    tokens = []
+    for piece in text.lower().split():
+        run = []
+        for ch in piece:
+            if ch in PUNCTUATION:
+                if run:
+                    tokens.append("".join(run))
+                    run = []
+                tokens.append(ch)
+            else:
+                run.append(ch)
+        if run:
+            tokens.append("".join(run))
+    if not tokens:
+        return TokenSequence([EMPTY_TOKEN])
+    if len(tokens) > max_tokens:
+        return TokenSequence(tokens[:max_tokens], truncated=True)
+    return TokenSequence(tokens)
 
 
 class TestTokenize:
@@ -34,6 +62,15 @@ class TestTokenize:
 
     def test_consecutive_punctuation(self):
         assert tokenize("wow!!").tokens == ["wow", "!", "!"]
+
+    @settings(max_examples=500, deadline=None)
+    @example(text="".join(f"a{ch}" for ch in WHITESPACE), max_tokens=60)
+    @given(text=st.text(st.one_of(st.sampled_from(WHITESPACE + PUNCTUATION + "aZ9"),
+                                  st.characters())),
+           max_tokens=st.integers(1, 60))
+    def test_matches_the_character_loop(self, text, max_tokens):
+        assert tokenize(text, max_tokens) == loop_tokenize(text, max_tokens)
+
 
 
 def test_fnv1a_against_direct_transcription():
