@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 bad input or configuration, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -277,10 +279,14 @@ def _check_word_encoder(recorded: Optional[dict], cfg: dict) -> None:
                            f"{wanted.get(key)!r}")
 
 
+# each model option and the MeltConfig field it sets
+MODEL_FIELDS = {"layers": "n_layers", "d_model": "d_model", "ff_dim": "ff_dim",
+                "heads": "n_heads", "dropout": "dropout", "seq_len": "max_seq",
+                "positions": "use_positions"}
+
+
 def _melt_config(cfg: dict) -> MeltConfig:
-    return MeltConfig(n_layers=cfg["layers"], d_model=cfg["d_model"], ff_dim=cfg["ff_dim"],
-                      n_heads=cfg["heads"], dropout=cfg["dropout"], max_seq=cfg["seq_len"],
-                      use_positions=cfg["positions"])
+    return MeltConfig(**{field: cfg[option] for option, field in MODEL_FIELDS.items()})
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
@@ -301,6 +307,8 @@ def _fmt(value: float) -> str:
 
 
 def cmd_prep(cfg: dict) -> int:
+    if cfg["seq_len"] < 1:
+        raise CliError(f"--seq-len must be at least 1, got {cfg['seq_len']}")
     echo_config(cfg, cfg["out"])
     groups = ingest_jsonl(cfg["corpus"])
     n_messages = 0
@@ -328,39 +336,28 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage],
                   seq_len: int) -> List[SequenceChunk]:
     """The manifest's chunks; every row holds the first row's slot count, at most ``seq_len``."""
     chunks: List[SequenceChunk] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    for lineno, obj in corpus_mod.iter_jsonl(path):
+        if not isinstance(obj.get("user_id"), str):
+            raise CorpusFormatError(f"line {lineno}: manifest row needs a string 'user_id'")
+        if not isinstance(obj.get("slots"), list):
+            raise CorpusFormatError(f"line {lineno}: manifest row needs a 'slots' list")
+        n_slots = len(obj["slots"])
+        if n_slots > seq_len:
+            raise CorpusFormatError(f"line {lineno}: manifest row has {n_slots} slots, "
+                                    f"more than --seq-len {seq_len}")
+        if chunks and n_slots != len(chunks[0].slots):
+            raise CorpusFormatError(f"line {lineno}: manifest row has {n_slots} slots, "
+                                    f"the first row {len(chunks[0].slots)}")
+        slots = []
+        for mid in obj["slots"]:
+            if mid is None:
+                slots.append(None)
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise CorpusFormatError(f"line {lineno}: manifest row is not valid JSON") \
-                    from None
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"line {lineno}: manifest row is not a JSON object")
-            if not isinstance(obj.get("user_id"), str):
-                raise CorpusFormatError(f"line {lineno}: manifest row needs a string 'user_id'")
-            if not isinstance(obj.get("slots"), list):
-                raise CorpusFormatError(f"line {lineno}: manifest row needs a 'slots' list")
-            n_slots = len(obj["slots"])
-            if n_slots > seq_len:
-                raise CorpusFormatError(f"line {lineno}: manifest row has {n_slots} slots, "
-                                        f"more than --seq-len {seq_len}")
-            if chunks and n_slots != len(chunks[0].slots):
-                raise CorpusFormatError(f"line {lineno}: manifest row has {n_slots} slots, "
-                                        f"the first row {len(chunks[0].slots)}")
-            slots = []
-            for mid in obj["slots"]:
-                if mid is None:
-                    slots.append(None)
-                    continue
-                if not isinstance(mid, str) or mid not in messages_by_id:
-                    raise CorpusFormatError(
-                        f"line {lineno}: manifest references unknown message '{mid}'")
-                slots.append(messages_by_id[mid])
-            chunks.append(SequenceChunk(obj["user_id"], tuple(slots),
-                                        origin=obj.get("origin", 0)))
+            if not isinstance(mid, str) or mid not in messages_by_id:
+                raise CorpusFormatError(
+                    f"line {lineno}: manifest references unknown message '{mid}'")
+            slots.append(messages_by_id[mid])
+        chunks.append(SequenceChunk(obj["user_id"], tuple(slots), origin=obj.get("origin", 0)))
     if not chunks:
         raise CorpusFormatError("manifest contains no chunks")
     return chunks
@@ -381,6 +378,9 @@ def cmd_pretrain(cfg: dict) -> int:
     if not 0.0 < cfg["dev_fraction"] <= 0.5:
         # dev is every round(1/f)-th chunk; above 0.5 that is still every 2nd
         raise CliError(f"--dev-fraction must be in (0, 0.5], got {cfg['dev_fraction']}")
+    if cfg["grad_clip"] is not None and cfg["grad_clip"] <= 0:
+        # a clip at or below 0 would zero or reverse every update
+        raise CliError(f"--grad-clip must be above 0, got {cfg['grad_clip']}")
     stride = round(1.0 / cfg["dev_fraction"])
     dev_chunks = [c for i, c in enumerate(chunks) if i % stride == 0]
     train_chunks = [c for i, c in enumerate(chunks) if i % stride != 0]
@@ -415,16 +415,49 @@ def cmd_pretrain(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _split_examples(examples: Sequence[StanceExample]
-                    ) -> Tuple[List[StanceExample], List[StanceExample], List[StanceExample]]:
-    train = [e for e in examples if e.split == "train"]
-    dev = [e for e in examples if e.split == "dev"]
-    test = [e for e in examples if e.split == "test"]
-    if not dev and len(train) >= 5:
-        # No dev rows: carve a deterministic slice out of train.
-        dev = train[::5]
-        train = [e for i, e in enumerate(train) if i % 5 != 0]
-    return train, dev, test
+def _resolve_targets(cfg: dict, examples: Sequence[StanceExample]) -> List[str]:
+    """The targets to run, sorted: those ``--targets`` names, or every target in the file."""
+    if cfg["targets"] == "all":
+        return sorted({e.stance_target for e in examples})
+    named = [t.strip() for t in cfg["targets"].split(",") if t.strip()]
+    if not named:
+        raise CliError(f"--targets names no target: {cfg['targets']!r}")
+    repeated = sorted({t for t in named if named.count(t) > 1})
+    if repeated:
+        raise CliError(f"--targets names {', '.join(repeated)} more than once")
+    unknown = [t for t in named if t not in corpus_mod.STANCE_TARGETS]
+    if unknown:
+        raise CliError(f"unknown stance targets: {', '.join(unknown)}")
+    return sorted(named)
+
+
+# the splits each --arch reads
+ARCH_SPLITS = {"mfc": ("train", "test"), "word": corpus_mod.SPLITS,
+               "word-hist": corpus_mod.SPLITS, "melt": ("train", "dev")}
+
+Run = Tuple[str, List[StanceExample], List[StanceExample], List[StanceExample]]
+
+
+def _plan_runs(examples: Sequence[StanceExample], targets: Sequence[str], arch: str,
+               pooled: bool) -> List[Run]:
+    """``(tag, train, dev, test)`` of each run: one per target, or one ``all`` run.
+
+    A file without dev rows gives every fifth train example, counted over
+    all targets, to dev. Each run must hold the splits ``arch`` reads.
+    """
+    parts = {name: [e for e in examples if e.split == name] for name in corpus_mod.SPLITS}
+    if not parts["dev"] and len(parts["train"]) >= 5:
+        parts["dev"] = parts["train"][::5]
+        del parts["train"][::5]
+    runs = [("all", parts)] if pooled else [
+        (target, {name: [e for e in rows if e.stance_target == target]
+                  for name, rows in parts.items()})
+        for target in targets]
+    for tag, split in runs:
+        for name in ARCH_SPLITS[arch]:
+            if not split[name]:
+                raise CliError(f"target '{tag}' has no {name} rows")
+    return [(tag, split["train"], split["dev"], split["test"]) for tag, split in runs]
 
 
 def _parse_history(cfg: dict) -> List[Optional[int]]:
@@ -470,9 +503,7 @@ def _model_template(cfg: Config) -> Tuple[MeltConfig, Optional[Dict[str, np.ndar
         raise CliError("provide --checkpoint or pass --rand-init")
     model, header = load_checkpoint(cfg["checkpoint"])
     mc = model.config
-    recorded = dict(layers=mc.n_layers, d_model=mc.d_model, ff_dim=mc.ff_dim,
-                    heads=mc.n_heads, dropout=mc.dropout, seq_len=mc.max_seq,
-                    positions=mc.use_positions)
+    recorded = {option: getattr(mc, field) for option, field in MODEL_FIELDS.items()}
     for key, value in recorded.items():
         if key in cfg.given and cfg[key] != value:
             raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the checkpoint's "
@@ -496,16 +527,16 @@ def _word_level_for(cfg: dict, source, messages):
     return wordenc.TrainableAdapterWordLevel(source)
 
 
-def _run_one_target(model_template: Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]],
-                    cfg: dict, source, train, dev, test,
-                    history_len: Optional[int], tag: str):
+def _run_one_target(template: Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]],
+                    cfg: dict, source, history_len: Optional[int], run: Run):
     """Independent fine-tuning run; builds its own model so runs can parallelize.
 
     Returns only what the caller saves: (tag, model, best dev loss, best
     epoch, predictions). The head and an unfrozen word level are freed when
     the run ends.
     """
-    model_cfg, params = model_template
+    tag, train, dev, test = run
+    model_cfg, params = template
     model = MeltModel(model_cfg, seed=cfg["seed"], params=params)
     head = StanceHead(model.config.d_model, hidden1=cfg["head_hidden1"],
                       hidden2=cfg["head_hidden2"], seed=cfg["seed"])
@@ -516,6 +547,52 @@ def _run_one_target(model_template: Tuple[MeltConfig, Optional[Dict[str, np.ndar
     preds = stance_mod.predict(model, head, word_level, test, history_len=history_len) \
         if test else []
     return tag, model, result.best_dev_loss, result.best_epoch, preds
+
+
+def _melt_predictions(cfg: dict, template, history_lens: Sequence[Optional[int]],
+                      examples: Sequence[StanceExample],
+                      runs: Sequence[Run]) -> List[stance_mod.Prediction]:
+    """Fine-tune every run at each history length; the last length's predictions.
+
+    A single length saves each run's snapshot; a sweep writes the weighted
+    F1 of each length to history_sweep.csv instead. Runs go through
+    ``pool.map`` under ``--jobs`` above 1 and the builtin ``map`` otherwise,
+    so one job runs them in order on this thread.
+    """
+    for hist in history_lens:
+        if hist is not None and hist > template[0].max_seq:
+            raise CliError(f"--history-len: '{hist}' exceeds the model's max_seq "
+                           f"{template[0].max_seq}")
+    source = _make_word_source(cfg)
+    if not (cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder)):
+        # A trainable hash table pools its own rows and never reads these
+        # vectors; for a vector file this also checks every id up front.
+        vectors = compute_message_vectors(corpus_mod.all_messages(examples), source)
+        if not cfg["unfreeze_word"]:
+            source = wordenc.FrozenWordLevel(cfg["d_model"], vectors)
+    sweep = len(history_lens) > 1
+    sweep_rows = []
+    with (ThreadPoolExecutor(max_workers=cfg["jobs"]) if cfg["jobs"] > 1
+          else contextlib.nullcontext()) as pool:
+        run_map = map if pool is None else pool.map
+        for hist in history_lens:
+            preds: List[stance_mod.Prediction] = []
+            for tag, model, best_dev_loss, best_epoch, run_preds in run_map(
+                    functools.partial(_run_one_target, template, cfg, source, hist), runs):
+                preds.extend(run_preds)
+                if not sweep:
+                    save_checkpoint(os.path.join(cfg["out"], f"snapshot_{tag}.melt"), model,
+                                    dev_mse=best_dev_loss, epoch=best_epoch, seed=cfg["seed"],
+                                    extra={"word_encoder": _word_meta(cfg), "stance_tag": tag})
+            if sweep:
+                table = metrics_mod.per_target_report(
+                    [(p.stance_target, p.gold, p.label) for p in preds], pooled=cfg["pooled"])
+                sweep_rows.append([hist, _fmt(table["aggregate_weighted_f1"])])
+                print(f"history_len {hist}: weighted F1 {table['aggregate_weighted_f1']:.4f}")
+    if sweep:
+        _write_csv(os.path.join(cfg["out"], "history_sweep.csv"),
+                   ["history_len", "weighted_f1"], sweep_rows)
+    return preds
 
 
 def _prediction_rows(preds: Sequence[stance_mod.Prediction]):
@@ -531,7 +608,7 @@ PREDICTION_HEADER = ["example_id", "target", "gold", "pred",
 def cmd_finetune(cfg: Config) -> int:
     if cfg["jobs"] < 1:
         raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
-    if cfg["arch"] not in ("melt", "word", "word-hist", "mfc"):
+    if cfg["arch"] not in ARCH_SPLITS:
         raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
     if cfg["arch"] != "melt":
         # the baselines train no encoder, in one run per target over a fixed
@@ -547,116 +624,24 @@ def cmd_finetune(cfg: Config) -> int:
     template = _model_template(cfg) if cfg["arch"] == "melt" else None
     echo_config(cfg, cfg["out"])
     examples = ingest_stance_jsonl(cfg["stance"])
-
-    if cfg["targets"] == "all":
-        targets = sorted({e.stance_target for e in examples})
-    else:
-        targets = [t.strip() for t in cfg["targets"].split(",") if t.strip()]
-        unknown = [t for t in targets if t not in corpus_mod.STANCE_TARGETS]
-        if unknown:
-            raise CliError(f"unknown stance targets: {', '.join(unknown)}")
-    sweep = len(history_lens) > 1
+    runs = _plan_runs(examples, _resolve_targets(cfg, examples), cfg["arch"], cfg["pooled"])
 
     if cfg["arch"] == "mfc":
-        train, _dev, test = _split_examples(examples)
-        rows = []
-        for target in targets:
-            tr = [e for e in train if e.stance_target == target]
-            te = [e for e in test if e.stance_target == target]
-            if not tr or not te:
-                raise CliError(f"target '{target}' lacks train or test rows")
-            rows.extend(stance_mod.mfc_predict([e.label for e in tr], te))
-        _write_csv(os.path.join(cfg["out"], "predictions.csv"), PREDICTION_HEADER,
-                   _prediction_rows(rows))
-        print(f"wrote {len(rows)} MFC predictions")
-        return EXIT_OK
-
-    if cfg["arch"] in ("word", "word-hist"):
-        source = _make_word_source(cfg)
-        vectors = compute_message_vectors(corpus_mod.all_messages(examples), source)
-        train, dev, test = _split_examples(examples)
-        rows = []
+        preds = [p for _tag, train, _dev, test in runs
+                 for p in stance_mod.mfc_predict([e.label for e in train], test)]
+    elif cfg["arch"] in ("word", "word-hist"):
+        vectors = compute_message_vectors(corpus_mod.all_messages(examples),
+                                          _make_word_source(cfg))
         fcfg = _finetune_cfg(cfg)
-        for target in targets:
-            tr = [e for e in train if e.stance_target == target]
-            dv = [e for e in dev if e.stance_target == target]
-            te = [e for e in test if e.stance_target == target]
-            if not tr or not dv or not te:
-                raise CliError(f"target '{target}' lacks train/dev/test rows")
-            rows.extend(stance_mod.word_baseline(
-                tr, dv, te, vectors, fcfg, with_history=cfg["arch"] == "word-hist",
-                hidden1=cfg["head_hidden1"], hidden2=cfg["head_hidden2"]))
-        _write_csv(os.path.join(cfg["out"], "predictions.csv"), PREDICTION_HEADER,
-                   _prediction_rows(rows))
-        print(f"wrote {len(rows)} {cfg['arch']} predictions")
-        return EXIT_OK
-
-    model_cfg = template[0]
-    for hist in history_lens:
-        if hist is not None and hist > model_cfg.max_seq:
-            raise CliError(f"--history-len: '{hist}' exceeds the model's max_seq "
-                           f"{model_cfg.max_seq}")
-    source = _make_word_source(cfg)
-    if not (cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder)):
-        # A trainable hash table pools its own rows and never reads these
-        # vectors; for a vector file this also checks every id up front.
-        vectors = compute_message_vectors(corpus_mod.all_messages(examples), source)
-        if not cfg["unfreeze_word"]:
-            source = wordenc.FrozenWordLevel(cfg["d_model"], vectors)
-    if source.dim != model_cfg.d_model:
-        raise CliError(f"word vectors are {source.dim}-d but the model wants "
-                       f"{model_cfg.d_model}")
-
-    train, dev, test = _split_examples(examples)
-    sweep_rows = []
-    all_preds: List[stance_mod.Prediction] = []
-    for hist in history_lens:
-        jobs = []
-        if cfg["pooled"]:
-            jobs.append(("all", train, dev, test))
-        else:
-            for target in targets:
-                tr = [e for e in train if e.stance_target == target]
-                dv = [e for e in dev if e.stance_target == target]
-                te = [e for e in test if e.stance_target == target]
-                if not tr or not dv:
-                    raise CliError(f"target '{target}' lacks train or dev rows")
-                jobs.append((target, tr, dv, te))
-        results = []
-        if cfg["jobs"] > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-                futures = [pool.submit(_run_one_target, template, cfg, source,
-                                       tr, dv, te, hist, tag)
-                           for tag, tr, dv, te in jobs]
-                results = [f.result() for f in futures]
-        else:
-            for tag, tr, dv, te in jobs:
-                results.append(_run_one_target(template, cfg, source,
-                                               tr, dv, te, hist, tag))
-        results.sort(key=lambda r: r[0])
-        preds_this: List[stance_mod.Prediction] = []
-        for tag, model, best_dev_loss, best_epoch, preds in results:
-            preds_this.extend(preds)
-            if not sweep:
-                suffix = f"snapshot_{tag}.melt"
-                save_checkpoint(os.path.join(cfg["out"], suffix), model,
-                                dev_mse=best_dev_loss, epoch=best_epoch,
-                                seed=cfg["seed"],
-                                extra={"word_encoder": _word_meta(cfg), "stance_tag": tag})
-        if sweep:
-            table = metrics_mod.per_target_report(
-                [(p.stance_target, p.gold, p.label) for p in preds_this],
-                pooled=cfg["pooled"])
-            sweep_rows.append([hist, _fmt(table["aggregate_weighted_f1"])])
-            print(f"history_len {hist}: weighted F1 {table['aggregate_weighted_f1']:.4f}")
-        all_preds = preds_this
-
+        preds = [p for _tag, train, dev, test in runs
+                 for p in stance_mod.word_baseline(
+                     train, dev, test, vectors, fcfg, with_history=cfg["arch"] == "word-hist",
+                     hidden1=cfg["head_hidden1"], hidden2=cfg["head_hidden2"])]
+    else:
+        preds = _melt_predictions(cfg, template, history_lens, examples, runs)
     _write_csv(os.path.join(cfg["out"], "predictions.csv"), PREDICTION_HEADER,
-               _prediction_rows(all_preds))
-    if sweep:
-        _write_csv(os.path.join(cfg["out"], "history_sweep.csv"),
-                   ["history_len", "weighted_f1"], sweep_rows)
-    print(f"wrote {len(all_preds)} predictions")
+               _prediction_rows(preds))
+    print(f"wrote {len(preds)} {cfg['arch']} predictions")
     return EXIT_OK
 
 

@@ -66,17 +66,6 @@ class MeltConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "d_model": self.d_model,
-            "ff_dim": self.ff_dim,
-            "n_heads": self.n_heads,
-            "dropout": self.dropout,
-            "max_seq": self.max_seq,
-            "use_positions": self.use_positions,
-        }
-
 
 def _gaussian(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return (rng.standard_normal(shape) * INIT_STD).astype(dtype)

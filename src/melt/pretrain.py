@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -331,7 +331,7 @@ def save_checkpoint(path, model: MeltModel, *, dev_mse: float, epoch: int, seed:
     """Persist model parameters (or an explicit snapshot) with metadata."""
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "dev_mse": dev_mse,
         "epoch": epoch,
         "seed": seed,

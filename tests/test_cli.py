@@ -64,6 +64,16 @@ class TestPrep:
         empty.write_text("")
         assert main(["prep", "--corpus", str(empty), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("seq_len", ["0", "-5"])
+    def test_seq_len_below_one_is_input_error(self, tmp_path, corpus_file, capsys, seq_len):
+        # 0 would divide by zero while cutting windows, and -5 write rows with no slots
+        out_dir = tmp_path / "prep"
+        code = main(["prep", "--corpus", str(corpus_file), "--out", str(out_dir),
+                     "--seq-len", seq_len])
+        assert code == 2
+        assert "--seq-len" in capsys.readouterr().err
+        assert not (out_dir / "manifest.jsonl").exists()
+
     def test_config_echoed(self, tmp_path, corpus_file, capsys):
         out_dir = run_prep(tmp_path, corpus_file)
         echoed = json.loads((out_dir / "config.json").read_text())
@@ -147,6 +157,19 @@ class TestPretrain:
                      *MODEL_FLAGS, "--dev-fraction", fraction])
         assert code == 2
         assert "--dev-fraction" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.melt").exists()
+
+    @pytest.mark.parametrize("clip", ["0", "-1", "-0.5"])
+    def test_grad_clip_at_or_below_zero_is_input_error(self, tmp_path, corpus_file, capsys,
+                                                       clip):
+        # a negative clip would turn descent into ascent, and 0 zero every update
+        prep_dir = run_prep(tmp_path, corpus_file)
+        out_dir = tmp_path / "pre"
+        code = main(["pretrain", "--corpus", str(corpus_file),
+                     "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
+                     *MODEL_FLAGS, "--grad-clip", clip])
+        assert code == 2
+        assert "--grad-clip" in capsys.readouterr().err
         assert not (out_dir / "checkpoint.melt").exists()
 
     @pytest.mark.parametrize("fraction,n_dev", [("0.34", 10), ("0.1", 3), ("0.5", 15)])
@@ -463,6 +486,52 @@ class TestFinetune:
         with open(out_dir / "predictions.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len({r["pred"] for r in rows}) == 1
+
+    def test_mfc_predictions_come_in_sorted_target_order(self, tmp_path):
+        stance_path = tmp_path / "multi.jsonl"
+        write_stance_jsonl(stance_path, stance_corpus(
+            90, n_history=2, seed=33, split_fracs=(0.6, 0.2),
+            targets=("abortion", "climate", "feminism")))
+        out_dir = tmp_path / "mfc"
+        assert main(["finetune", "--stance", str(stance_path), "--out", str(out_dir),
+                     "--arch", "mfc", "--targets", "feminism,climate"]) == 0
+        with open(out_dir / "predictions.csv") as fh:
+            targets = [row["target"] for row in csv.DictReader(fh)]
+        assert targets == sorted(targets)
+        assert set(targets) == {"climate", "feminism"}
+
+    @pytest.mark.parametrize("arch", ["melt", "mfc"])
+    @pytest.mark.parametrize("targets,named", [
+        (",", "no target"), (" , ", "no target"), ("climate,climate", "climate"),
+        ("climate,abortion,climate", "climate more than once"),
+    ], ids=["comma", "blank", "twice", "twice-apart"])
+    def test_targets_naming_none_or_one_twice_is_input_error(self, tmp_path, stance_file,
+                                                             capsys, arch, targets, named):
+        # an empty list would write a header-only file, and a repeat each prediction twice
+        out_dir = tmp_path / "ft"
+        extra = ("--rand-init",) if arch == "melt" else ()
+        code = main(finetune_args(stance_file, out_dir, "--arch", arch, *extra,
+                                  "--targets", targets))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--targets" in err and named in err
+        assert not (out_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("n,fracs,arch,split", [
+        (40, (0.7, 0.3), "mfc", "test"), (40, (0.7, 0.3), "word", "test"),
+        (4, (1.0, 0.0), "melt", "dev"),
+    ], ids=["mfc-no-test", "word-no-test", "melt-too-few-to-carve-dev"])
+    def test_target_lacking_a_split_its_arch_reads_is_input_error(
+            self, tmp_path, capsys, n, fracs, arch, split):
+        stance_path = tmp_path / "thin.jsonl"
+        write_stance_jsonl(stance_path, stance_corpus(n, n_history=2, seed=5,
+                                                      split_fracs=fracs))
+        out_dir = tmp_path / "ft"
+        extra = ("--rand-init",) if arch == "melt" else ()
+        code = main(finetune_args(stance_path, out_dir, "--arch", arch, *extra))
+        assert code == 2
+        assert f"target 'climate' has no {split} rows" in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
 
     def test_word_baseline_arch(self, tmp_path, stance_file):
         out_dir = tmp_path / "wb"

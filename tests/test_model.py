@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,8 +40,11 @@ class TestConfig:
             MeltConfig(n_layers=0)
 
     def test_round_trips_through_dict(self):
+        # checkpoint headers write the fields in this order
         cfg = MeltConfig(n_layers=2, d_model=16, ff_dim=32, n_heads=4)
-        assert MeltConfig(**cfg.to_dict()) == cfg
+        assert list(dataclasses.asdict(cfg)) == ["n_layers", "d_model", "ff_dim", "n_heads",
+                                                 "dropout", "max_seq", "use_positions"]
+        assert MeltConfig(**dataclasses.asdict(cfg)) == cfg
 
 
 class TestEmbed:

@@ -124,6 +124,44 @@ class TestTrain:
             train(small_model(), [], chunks[:2], vectors, PretrainConfig())
 
 
+class TestClipGrads:
+    @staticmethod
+    def params_with_grads(scale):
+        rng = np.random.default_rng(4)
+        params = []
+        for name, shape in (("w", (3, 4)), ("b", (4,)), ("frozen", (2,))):
+            p = Tensor(np.zeros(shape, dtype=np.float32))
+            p.grad = None if name == "frozen" else \
+                (rng.standard_normal(shape) * scale).astype(np.float32)
+            params.append((name, p))
+        return params
+
+    @staticmethod
+    def global_norm(params):
+        return np.sqrt(sum((p.grad.astype(np.float64) ** 2).sum()
+                           for _, p in params if p.grad is not None))
+
+    def test_norm_above_the_clip_is_scaled_down_to_it(self):
+        params = self.params_with_grads(scale=10.0)
+        before = {name: p.grad.copy() for name, p in params if p.grad is not None}
+        assert self.global_norm(params) > 1.0
+        pretrain_mod._clip_grads(params, 1.0)
+        assert self.global_norm(params) == pytest.approx(1.0, rel=1e-6)
+        # one scale for every gradient: the direction is kept
+        ratios = [p.grad / before[name] for name, p in params if p.grad is not None]
+        assert np.allclose(np.concatenate([r.ravel() for r in ratios]), ratios[0].flat[0],
+                           rtol=1e-6)
+
+    def test_norm_below_the_clip_leaves_gradients_untouched(self):
+        params = self.params_with_grads(scale=0.01)
+        before = {name: p.grad.copy() for name, p in params if p.grad is not None}
+        assert self.global_norm(params) < 1.0
+        pretrain_mod._clip_grads(params, 1.0)
+        for name, p in params:
+            if p.grad is not None:
+                assert np.array_equal(p.grad, before[name])
+
+
 class TestEvaluateDev:
     def test_zero_head_closed_form(self):
         _, vectors, chunks = small_setup()
