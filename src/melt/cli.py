@@ -381,6 +381,8 @@ def cmd_pretrain(cfg: dict) -> int:
     if cfg["grad_clip"] is not None and cfg["grad_clip"] <= 0:
         # a clip at or below 0 would zero or reverse every update
         raise CliError(f"--grad-clip must be above 0, got {cfg['grad_clip']}")
+    if cfg["warmup_steps"] < 0:
+        raise CliError(f"--warmup-steps must be at least 0, got {cfg['warmup_steps']}")
     stride = round(1.0 / cfg["dev_fraction"])
     dev_chunks = [c for i, c in enumerate(chunks) if i % stride == 0]
     train_chunks = [c for i, c in enumerate(chunks) if i % stride != 0]
@@ -608,6 +610,9 @@ PREDICTION_HEADER = ["example_id", "target", "gold", "pred",
 def cmd_finetune(cfg: Config) -> int:
     if cfg["jobs"] < 1:
         raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
+    for key in ("head_hidden1", "head_hidden2"):
+        if cfg[key] < 1:
+            raise CliError(f"--{key.replace('_', '-')} must be at least 1, got {cfg[key]}")
     if cfg["arch"] not in ARCH_SPLITS:
         raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
     if cfg["arch"] != "melt":

@@ -11,9 +11,9 @@ message. Pre-training (with mask plans) and fine-tuning (without) share
 The encoder computes only real messages' rows, and rows are what goes in
 and out: ``embed_batch`` takes the (n, d) input rows of the real slots not
 masked, and ``MeltModel.forward`` gathers its input's real slots once into
-an (n, d) matrix, runs every layer's row-wise work (projections,
-residuals, norms, feed-forward, row dropouts) on those rows, and returns
-one row per slot the caller reads. Callers read few top-layer rows (the
+an (n, d) matrix (a view when no slot is PAD), runs every layer's
+row-wise work (projections, residuals, norms, feed-forward, row dropouts)
+on those rows, and returns one row per slot the caller reads. Callers read few top-layer rows (the
 selected slots in pre-training, the target slot in fine-tuning) and name
 them by a (B, L) bool mask; the last layer computes queries and
 everything after them only at those slots.
@@ -26,8 +26,11 @@ sequence's keys and values, and every other op of a post-norm layer works
 row by row, so packing is exact math:
 
 - a PAD slot has no output row, and ``pad_vector`` changes no output;
-- train-mode dropout draws full-shape uniforms and keeps the entries of
-  the rows computed, so the generator advances as in a padded forward;
+- train-mode dropout gives each computed entry the mask a padded forward
+  would: a row dropout draws uniforms only for the rows computed and
+  advances the generator over the others, and the attention-weight
+  dropout draws the full (B, h, L, L) uniforms and keeps the entries it
+  needs, so the generator advances as in a padded forward;
 - only float rounding can differ from a padded forward: gradients of
   biases, norms and weights sum over n real rows instead of B·L rows.
 """
@@ -158,10 +161,30 @@ class EncoderLayer:
         the queries into a zero (B, Q, d) buffer at out's cells, so
         attention keeps its (B, h, Q, L) layout and a PAD key's zero score
         plus the -1e9 bias keeps its weight at exactly 0. The projections,
-        residuals, norms and feed-forward run only on packed rows. Dropout
-        draws the full (B, h, L, L) and (B, L, d) uniforms and keeps the
-        entries of the rows computed, so the generator advances as in a
-        padded layer.
+        residuals, norms and feed-forward run only on packed rows. The
+        attention-weight dropout draws the full (B, h, L, L) uniforms and
+        keeps the entries at out's cells; the row dropouts draw only the
+        rows computed and skip the generator over the others, so it
+        advances as in a padded layer. No intermediate is bound longer
+        than the op that reads it, so an array that no backward rule keeps
+        is freed as soon as it has been read.
+        """
+        batch, length = attn_bias.shape[0], attn_bias.shape[-1]
+        row_shape, keep_rows = (batch, length, x.shape[1]), (out.b, out.slot)
+        xq = x if out.src is None else gather_rows(x, out.src)
+        h = xq + dropout(self._attend(x, xq, attn_bias, slots, out, n_heads, p_drop, train, rng),
+                         p_drop, rng, train, row_shape, keep_rows)
+        h = layer_norm(h, self.ln1_g, self.ln1_b)
+        h = h + dropout(linear(gelu(linear(h, self.w1, self.b1)), self.w2, self.b2), p_drop,
+                        rng, train, row_shape, keep_rows)
+        return layer_norm(h, self.ln2_g, self.ln2_b)
+
+    def _attend(self, x: Tensor, xq: Tensor, attn_bias: Tensor,
+                slots: Tuple[np.ndarray, np.ndarray], out: _Cells, n_heads: int,
+                p_drop: float, train: bool, rng: Optional[np.random.Generator]) -> Tensor:
+        """Self-attention of out's query rows ``xq`` over the keys of ``x``, output-projected.
+
+        Returns the (m, d) rows before their dropout.
         """
         d = x.shape[1]
         batch, length = attn_bias.shape[0], attn_bias.shape[-1]
@@ -171,26 +194,17 @@ class EncoderLayer:
         def split_heads(t: Tensor) -> Tensor:
             return transpose(reshape(t, t.shape[:2] + (n_heads, dh)), (0, 2, 1, 3))
 
-        xq = x if out.src is None else gather_rows(x, out.src)
-        q_put = ((out.b, out.j), (batch, q_len))
-        kv_put = (slots, (batch, length))
-        q = split_heads(linear(xq, self.wq, self.bq, put=q_put))
-        k = split_heads(linear(x, self.wk, self.bk, put=kv_put))
-        v = split_heads(linear(x, self.wv, self.bv, put=kv_put))
-        scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh)) + attn_bias
+        q = split_heads(linear(xq, self.wq, self.bq, put=((out.b, out.j), (batch, q_len))))
+        k = split_heads(linear(x, self.wk, self.bk, put=(slots, (batch, length))))
+        v = split_heads(linear(x, self.wv, self.bv, put=(slots, (batch, length))))
+        attn = softmax(matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh)) + attn_bias,
+                       axis=-1)
         keep_attn = None if out.grid is None else (
             np.arange(batch)[:, None, None], np.arange(n_heads)[None, :, None],
             out.grid[:, None, :])
-        attn = dropout(softmax(scores, axis=-1), p_drop, rng, train,
-                       (batch, n_heads, length, length), keep_attn)
-        ctx = transpose(matmul(attn, v), (0, 2, 1, 3))
-        row_shape, keep_rows = (batch, length, d), (out.b, out.slot)
-        attn_out = dropout(linear(ctx, self.wo, self.bo, take=(out.b, out.j)), p_drop, rng,
-                           train, row_shape, keep_rows)
-        x = layer_norm(xq + attn_out, self.ln1_g, self.ln1_b)
-        ff = linear(gelu(linear(x, self.w1, self.b1)), self.w2, self.b2)
-        ff = dropout(ff, p_drop, rng, train, row_shape, keep_rows)
-        return layer_norm(x + ff, self.ln2_g, self.ln2_b)
+        attn = dropout(attn, p_drop, rng, train, (batch, n_heads, length, length), keep_attn)
+        return linear(transpose(matmul(attn, v), (0, 2, 1, 3)), self.wo, self.bo,
+                      take=(out.b, out.j))
 
 
 class MeltModel:
@@ -269,7 +283,8 @@ class MeltModel:
             grid[qb, qj] = slot
             packed = np.cumsum(attn_mask).reshape(b, length) - 1  # a real slot's row in h
             top = _Cells(qb, qj, slot, packed[qb, slot], grid)
-        h = gather_bl(x, *slots)
+        # with no PAD slot the real rows are x's own rows, in order: a view, no copy
+        h = reshape(x, (b * length, d)) if attn_mask.all() else gather_bl(x, *slots)
         p = self.config.dropout
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):

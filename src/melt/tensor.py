@@ -3,10 +3,13 @@
 Everything downstream (the message encoder, the classification heads, both
 training loops) is built from the ops in this module. Data is numpy-backed:
 training runs in float32, while float64 inputs are accepted so numerical
-checks can run at higher precision. Each op records its inputs and a local
-backward rule on the output tensor; ``backward`` replays them once in
-reverse topological order, freeing each recorded node as soon as its rule
-has run.
+checks can run at higher precision. An op output that needs a gradient
+gets a record: the records of its inputs (or the inputs themselves when
+they are leaves), its backward rule and its gradient. A rule keeps only
+the arrays it reads, never an input tensor, so an intermediate array goes
+as soon as the forward code drops it unless a rule reads it. ``backward``
+sweeps the records once in reverse topological order, freeing each as
+soon as its rule has run.
 
 Every gradient is a dense array of its tensor's shape.
 
@@ -63,17 +66,17 @@ class Tensor:
     """A dense n-dimensional float array, optionally carrying a gradient.
 
     ``requires_grad`` marks leaves (parameters). Tensors produced by ops
-    inherit it from their inputs and carry the recorded backward rule.
+    inherit it from their inputs and carry their op's record in ``_node``;
+    a leaf's ``_node`` is None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self._parents: tuple = ()
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._node: Optional[_Node] = None
 
     @property
     def shape(self) -> tuple:
@@ -142,6 +145,26 @@ class Tensor:
 
 TensorLike = Union[Tensor, np.ndarray, float, int, list]
 
+Rule = Callable[[np.ndarray], tuple]
+
+
+class _Node:
+    """The autograd record of one op output.
+
+    ``parents`` holds one entry per op input: its record, the input itself
+    when it is a leaf, or None when it needs no gradient. ``rule(g)`` maps
+    the output's gradient to one gradient (or None) per input. ``grad``
+    accumulates the output's gradient during a sweep, in ``dtype``.
+    """
+
+    __slots__ = ("parents", "rule", "grad", "dtype")
+
+    def __init__(self, parents: tuple, rule: Rule, dtype):
+        self.parents = parents
+        self.rule = rule
+        self.grad: Optional[np.ndarray] = None
+        self.dtype = dtype
+
 
 def _ensure(x: TensorLike, dtype=None) -> Tensor:
     if isinstance(x, Tensor):
@@ -160,11 +183,10 @@ _grad_mode = _GradMode()
 def no_grad():
     """Record no backward rules inside the block; for evaluation.
 
-    Op outputs get ``requires_grad=False`` and keep neither their inputs
-    nor a backward rule, so each intermediate array is freed as soon as
-    the forward code drops it instead of living as long as the output.
-    Values are the same as with recording. The switch is per thread: a
-    training loop in another thread keeps recording.
+    Op outputs get ``requires_grad=False`` and no record, so no rule
+    keeps an array past the forward code's use of it. Values are the same
+    as with recording. The switch is per thread: a training loop in
+    another thread keeps recording.
     """
     previous = _grad_mode.recording
     _grad_mode.recording = False
@@ -174,26 +196,44 @@ def no_grad():
         _grad_mode.recording = previous
 
 
-def _from_op(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
+def _from_op(data: np.ndarray, parents: tuple, rule: Rule) -> Tensor:
+    """The output tensor of an op over ``parents``, recorded when it needs a gradient.
+
+    ``rule`` must not hold a parent tensor; it returns one gradient per
+    parent, and None stands for one that is not needed.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = _grad_mode.recording and any(p.requires_grad for p in parents)
     out.grad = None
+    out._node = None
     if out.requires_grad:
-        out._parents = parents
-        out._backward = backward_fn
-    else:
-        out._parents = ()
-        out._backward = None
+        out._node = _Node(tuple(_target(p) for p in parents), rule, data.dtype)
     return out
 
 
-def _accum(t: Tensor, g) -> None:
-    """Add ``g`` to ``t.grad``."""
+def _target(t: Tensor):
+    """Where gradient for ``t`` goes: its record, itself if a leaf, else None."""
     if not t.requires_grad:
-        return
-    g = np.asarray(g, dtype=t.data.dtype)
-    t.grad = g if t.grad is None else t.grad + g
+        return None
+    return t if t._node is None else t._node
+
+
+def _accum(target, g) -> None:
+    """Add ``g`` to the ``grad`` of a record or leaf, in its dtype."""
+    g = np.asarray(g, dtype=target.dtype)
+    target.grad = g if target.grad is None else target.grad + g
+
+
+def _zeros_like(a: np.ndarray) -> Callable[[], np.ndarray]:
+    """``np.zeros_like(a)``, memory layout included, without holding ``a``."""
+    perm = sorted(range(a.ndim), key=lambda axis: -abs(a.strides[axis]))
+    shape = tuple(a.shape[axis] for axis in perm)
+    inverse = tuple(int(axis) for axis in np.argsort(perm))
+    dtype = a.dtype
+    if perm == list(range(a.ndim)):
+        return lambda: np.zeros(shape, dtype=dtype)
+    return lambda: np.zeros(shape, dtype=dtype).transpose(inverse)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -207,25 +247,27 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def tape(root: Tensor) -> list:
-    """Recorded operations reachable from ``root``, inputs before consumers.
+    """Records and leaves reachable from ``root``, inputs before consumers.
 
-    Only gradient-relevant nodes are kept; each appears exactly once, so one
-    backward pass visits every node once.
+    Only gradient-relevant entries are kept: a record (``_Node``) per op
+    output and the leaf tensor itself per leaf. Each appears exactly once,
+    so one backward pass visits every entry once.
     """
     order: list = []
     seen: set = set()
-    stack_ = [(root, False)]
+    stack_ = [(_target(root), False)]
     while stack_:
         node, expanded = stack_.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if node is None or id(node) in seen:
             continue
         seen.add(id(node))
         stack_.append((node, True))
-        for parent in node._parents:
-            stack_.append((parent, False))
+        if isinstance(node, _Node):
+            for parent in node.parents:
+                stack_.append((parent, False))
     return order
 
 
@@ -241,11 +283,12 @@ def backward(loss: Tensor) -> None:
     derivatives); tensors not feeding into ``loss`` are left untouched.
     Fan-out is handled by summation during the single reverse sweep.
 
-    The sweep frees the graph as it goes: once an op output's rule has run,
-    the output drops its rule, its inputs and its ``grad``, so the arrays
-    its rule held go as soon as nothing else uses them. After ``backward``
-    only leaves (parameters and inputs) have a ``grad``, and the graph can
-    be swept only once: a second ``backward`` over it raises RuntimeError.
+    The sweep frees the records as it goes: once a record's rule has run,
+    the record drops its rule, its parents and its ``grad``, so the arrays
+    the rule held go as soon as nothing else uses them. Op outputs never
+    hold a ``grad``: after ``backward`` only leaves (parameters and inputs)
+    have one, and the graph can be swept only once: a second ``backward``
+    over it raises RuntimeError.
 
     Gradient arrays are shared, not copied: a pass-through rule (add,
     reshape, transpose, sum) hands on its incoming array or a view of it,
@@ -257,16 +300,18 @@ def backward(loss: Tensor) -> None:
     order = tape(loss)
     for node in order:
         node.grad = None
-    loss.grad = np.ones_like(loss.data)
+    (loss if loss._node is None else loss._node).grad = np.ones_like(loss.data)
     while order:
         node = order.pop()
-        if node._backward is None:
+        if not isinstance(node, _Node):
             continue  # a leaf keeps its gradient
         if node.grad is not None:
-            node._backward(node.grad)
+            for parent, g in zip(node.parents, node.rule(node.grad)):
+                if parent is not None and g is not None:
+                    _accum(parent, g)
         node.grad = None
-        node._parents = ()
-        node._backward = _swept
+        node.parents = ()
+        node.rule = _swept
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +322,10 @@ def backward(loss: Tensor) -> None:
 def add(a: TensorLike, b: TensorLike) -> Tensor:
     a = _ensure(a)
     b = _ensure(b, a.dtype)
+    a_shape, b_shape = a.shape, b.shape
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _from_op(a.data + b.data, (a, b), back)
 
@@ -288,30 +333,32 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
 def sub(a: TensorLike, b: TensorLike) -> Tensor:
     a = _ensure(a)
     b = _ensure(b, a.dtype)
+    a_shape, b_shape = a.shape, b.shape
 
     def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, -_unbroadcast(g, b.shape))
+        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
 
     return _from_op(a.data - b.data, (a, b), back)
 
 
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
+    """Elementwise product; each side keeps the other operand only if it needs a gradient."""
     a = _ensure(a)
     b = _ensure(b, a.dtype)
+    a_shape, b_shape = a.shape, b.shape
+    b_data = b.data if a.requires_grad else None
+    a_data = a.data if b.requires_grad else None
 
     def back(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.shape))
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _from_op(a.data * b.data, (a, b), back)
 
 
 def neg(a: Tensor) -> Tensor:
     def back(g):
-        _accum(a, -g)
+        return (-g,)
 
     return _from_op(-a.data, (a,), back)
 
@@ -330,12 +377,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     if b.ndim == 2:
         return linear(a, b)
+    a_shape, b_shape = a.shape, b.shape
+    b_data = b.data if a.requires_grad else None
+    a_data = a.data if b.requires_grad else None
 
     def back(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-        if b.requires_grad:
-            _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+        ga = gb = None
+        if b_data is not None:
+            ga = _unbroadcast(np.matmul(g, b_data.swapaxes(-1, -2)), a_shape)
+        if a_data is not None:
+            gb = _unbroadcast(np.matmul(a_data.swapaxes(-1, -2), g), b_shape)
+        return ga, gb
 
     return _from_op(np.matmul(a.data, b.data), (a, b), back)
 
@@ -350,13 +402,15 @@ def linear(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     into the product's own buffer, so the op keeps one output array and
     one graph node. Values are those of ``matmul(a, w) + bias``, and the
     bias gradient is summed one leading axis at a time, as ``add`` does.
+    The rule keeps the (rows, k) input only for dW and the weight only
+    for dA.
 
     ``take`` and ``put`` move rows between a padded layout and a packed
     (m, ...) one inside this node, so neither layout is held twice:
 
     - ``take``, a tuple of 1-D index arrays into a's leading axes, makes the
-      input rows ``a[take]``, each flattened to k values; they are gathered
-      again in backward instead of kept;
+      input rows ``a[take]``, each flattened to k values; the rule keeps
+      those rows, not ``a``;
     - ``put`` = (index, shape), ``index`` a tuple of 1-D index arrays,
       makes the output a zero ``shape + (n,)`` tensor holding the
       product's rows at ``index``.
@@ -371,15 +425,10 @@ def linear(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
     if bias is not None and bias.shape != (n,):
         raise ShapeError(f"linear bias must have shape ({n},), got {bias.shape}")
 
-    def rows_in() -> np.ndarray:
-        return (a.data if take is None else a.data[take]).reshape(-1, k)
-
-    a2 = rows_in()
+    a2 = (a.data if take is None else a.data[take]).reshape(-1, k)
     out = a2 @ w.data
     if bias is not None:
         out += bias.data
-    if take is not None:
-        a2 = None  # gathered again in backward
     if put is None:
         data = out if take is not None else out.reshape(a.shape[:-1] + (n,))
     else:
@@ -387,29 +436,38 @@ def linear(a: Tensor, w: Tensor, bias: Optional[Tensor] = None,
         data = np.zeros(tuple(layout) + (n,), dtype=out.dtype)
         data[index] = out
 
+    a_shape = a.shape
+    a_zeros = _zeros_like(a.data) if take is not None else None
+    w_data = w.data if a.requires_grad else None
+    rows = a2 if w.requires_grad else None
+    has_bias, plain = bias is not None, put is None and take is None
+
     def back(g):
         g2 = (g if put is None else g[put[0]]).reshape(-1, n)
-        if bias is not None:
-            plain = put is None and take is None
-            _accum(bias, _unbroadcast(g if plain else g2, bias.shape))
-        if a.requires_grad:
-            ga = g2 @ w.data.T
+        ga = gw = gb = None
+        if has_bias:
+            gb = _unbroadcast(g if plain else g2, (n,))
+        if w_data is not None:
+            ga = g2 @ w_data.T
             if take is None:
-                _accum(a, ga.reshape(a.shape))
+                ga = ga.reshape(a_shape)
             else:
-                full = np.zeros_like(a.data)
+                full = a_zeros()
                 full[take] = ga.reshape((-1,) + row_shape)
-                _accum(a, full)
-        if w.requires_grad:
-            _accum(w, (rows_in() if a2 is None else a2).T @ g2)
+                ga = full
+        if rows is not None:
+            gw = rows.T @ g2
+        return ga, gw, gb
 
     parents = (a, w) if bias is None else (a, w, bias)
     return _from_op(data, parents, back)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
+    a_shape = a.shape
+
     def back(g):
-        _accum(a, g.reshape(a.shape))
+        return (g.reshape(a_shape),)
 
     return _from_op(a.data.reshape(shape), (a,), back)
 
@@ -419,34 +477,31 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def back(g):
-        _accum(a, g.transpose(inverse))
+        return (g.transpose(inverse),)
 
     return _from_op(a.data.transpose(axes), (a,), back)
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    a_shape = a.shape
+
     def back(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape))
+        return (np.broadcast_to(g, a_shape),)
 
     return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    a_shape = a.shape
     count = a.size if axis is None else a.shape[axis]
 
     def back(g):
         scaled = g / count
-        if axis is None:
-            _accum(a, np.broadcast_to(scaled, a.shape))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             scaled = np.expand_dims(scaled, axis)
-        _accum(a, np.broadcast_to(scaled, a.shape))
+        return (np.broadcast_to(scaled, a_shape),)
 
     return _from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
 
@@ -464,11 +519,12 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     index order, and a row never read stays zero.
     """
     idx = np.asarray(indices)
+    zeros = _zeros_like(a.data)
 
     def back(g):
-        ga = np.zeros_like(a.data)
+        ga = zeros()
         np.add.at(ga, idx, g)
-        _accum(a, ga)
+        return (ga,)
 
     return _from_op(a.data[idx], (a,), back)
 
@@ -481,11 +537,12 @@ def gather_bl(a: Tensor, b_idx, l_idx) -> Tensor:
     """
     b_idx = np.asarray(b_idx)
     l_idx = np.asarray(l_idx)
+    zeros = _zeros_like(a.data)
 
     def back(g):
-        ga = np.zeros_like(a.data)
+        ga = zeros()
         ga[b_idx, l_idx] = g
-        _accum(a, ga)
+        return (ga,)
 
     return _from_op(a.data[b_idx, l_idx], (a,), back)
 
@@ -512,7 +569,7 @@ def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
 
     def back(g):
         # divide per segment, then spread: one row-sized array, same values
-        _accum(a, (g / per_segment)[seg])
+        return ((g / per_segment)[seg],)
 
     return _from_op(sums / per_segment, (a,), back)
 
@@ -528,7 +585,7 @@ def scatter_rows(rows: Tensor, b_idx, l_idx, batch: int, length: int) -> Tensor:
     data[b_idx, l_idx] = rows.data
 
     def back(g):
-        _accum(rows, g[b_idx, l_idx])
+        return (g[b_idx, l_idx],)
 
     return _from_op(data, (rows,), back)
 
@@ -546,27 +603,28 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def back(g):
         inner = (g * out).sum(axis=axis, keepdims=True)
-        _accum(x, out * (g - inner))
+        return (out * (g - inner),)
 
     return _from_op(out, (x,), back)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale-shift.
+
+    The rule keeps the normalized input and its inverse deviation, not x.
+    """
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    d = x.shape[-1]
+    gamma_data = gamma.data
 
     def back(g):
-        gg = g * gamma.data
+        gg = g * gamma_data
         gx = inv * (gg - gg.mean(axis=-1, keepdims=True)
                     - xhat * (gg * xhat).mean(axis=-1, keepdims=True))
-        _accum(x, gx)
         axes = tuple(range(g.ndim - 1))
-        _accum(gamma, (g * xhat).sum(axis=axes))
-        _accum(beta, g.sum(axis=axes))
+        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _from_op(xhat * gamma.data + beta.data, (x, gamma, beta), back)
 
@@ -584,22 +642,23 @@ def gelu(x: Tensor) -> Tensor:
     model never load it.
     """
     from scipy.special import erf
-    cdf = x.data * _INV_SQRT2
+    x_data = x.data
+    cdf = x_data * _INV_SQRT2
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
 
     def back(g):
-        dx = x.data * -0.5
-        dx *= x.data
+        dx = x_data * -0.5
+        dx *= x_data
         np.exp(dx, out=dx)
         dx *= _INV_SQRT2PI
-        dx *= x.data
+        dx *= x_data
         dx += cdf
         dx *= g
-        _accum(x, dx)
+        return (dx,)
 
-    return _from_op(x.data * cdf, (x,), back)
+    return _from_op(x_data * cdf, (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -610,19 +669,53 @@ def sigmoid(x: Tensor) -> Tensor:
     out[~pos] = ex / (1.0 + ex)
 
     def back(g):
-        _accum(x, g * out * (1.0 - out))
+        return (g * out * (1.0 - out),)
 
     return _from_op(out, (x,), back)
+
+
+def _draw_kept(rng: np.random.Generator, p: float, draw_shape: tuple, keep) -> np.ndarray:
+    """``rng.random(draw_shape)[keep] >= p``, leaving the generator as that does.
+
+    When ``keep`` is a tuple of 1-D index arrays picking distinct rows in
+    ascending order and the generator is a PCG64, only the kept rows'
+    uniforms are drawn: one ``rng.random`` call per run of adjacent kept
+    rows, and ``advance`` over each gap, since PCG64 spends one 64-bit
+    output per float64. ``advance`` drops a buffered 32-bit half-output,
+    which the full draw keeps, so it is put back. Any other index picks
+    from a full draw.
+    """
+    bits = rng.bit_generator
+    rows_only = isinstance(bits, np.random.PCG64) and all(np.ndim(i) == 1 for i in keep)
+    flat = np.ravel_multi_index(keep, draw_shape[:len(keep)]) if rows_only else None
+    if flat is None or (np.diff(flat) <= 0).any():
+        return rng.random(draw_shape)[keep] >= p
+    row = math.prod(draw_shape[len(keep):])
+    kept = np.empty((flat.size, row), dtype=bool)
+    before = bits.state
+    starts = np.flatnonzero(np.diff(flat, prepend=-2) != 1).tolist()
+    done = 0  # draw rows passed so far
+    for start, stop in zip(starts, starts[1:] + [flat.size]):
+        bits.advance((int(flat[start]) - done) * row)
+        kept[start:stop] = (rng.random((stop - start) * row) >= p).reshape(stop - start, row)
+        done = int(flat[start]) + stop - start
+    bits.advance((math.prod(draw_shape[:len(keep)]) - done) * row)
+    if before["has_uint32"]:
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": before["uinteger"]}
+    return kept.reshape((flat.size,) + tuple(draw_shape[len(keep):]))
 
 
 def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
             train: bool, draw_shape: Optional[tuple] = None, keep=None) -> Tensor:
     """Inverted dropout: scale kept units by 1/(1-p) when training, identity in eval.
 
-    With an index ``keep``, ``x`` is a part of a larger tensor: the mask's
-    uniforms are drawn at that tensor's ``draw_shape`` and ``keep`` picks
-    x's entries from them, so the generator advances as for a dropout over
-    all of it.
+    With an index ``keep``, ``x`` is a part of a larger tensor: its mask is
+    that of a dropout over all of ``draw_shape``, picked by ``keep``, and
+    the generator advances as for one. When ``keep`` is a tuple of 1-D
+    index arrays picking distinct rows in ascending order (a row dropout),
+    only the kept rows' uniforms are drawn; any other index picks from a
+    full draw. The rule keeps a bool mask and rebuilds ``mask * scale``
+    where it multiplies.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
@@ -630,16 +723,13 @@ def dropout(x: Tensor, p: float, rng: Optional[np.random.Generator],
         return x
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    if keep is None:
-        draw = rng.random(x.shape)
-    else:
-        draw = rng.random(draw_shape)[keep]
-    mask = (draw >= p).astype(x.data.dtype) / (1.0 - p)
+    kept = rng.random(x.shape) >= p if keep is None else _draw_kept(rng, p, draw_shape, keep)
+    scale = np.asarray(1.0, dtype=x.dtype) / (1.0 - p)
 
     def back(g):
-        _accum(x, g * mask)
+        return (g * (kept * scale),)
 
-    return _from_op(x.data * mask, (x,), back)
+    return _from_op(x.data * (kept * scale), (x,), back)
 
 
 def mse_loss(pred: Tensor, target: TensorLike) -> Tensor:
@@ -652,8 +742,7 @@ def mse_loss(pred: Tensor, target: TensorLike) -> Tensor:
 
     def back(g):
         scale = g * (2.0 / n)
-        _accum(pred, scale * diff)
-        _accum(target, -scale * diff)
+        return scale * diff, -scale * diff
 
     return _from_op(np.asarray((diff * diff).mean(), dtype=pred.dtype), (pred, target), back)
 
@@ -675,12 +764,13 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     m = z.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
     loss = (lse - z[np.arange(n), y]).mean()
+    logits_shape = logits.shape
 
     def back(g):
         p = np.exp(z - m)
         p /= p.sum(axis=1, keepdims=True)
         p[np.arange(n), y] -= 1.0
         p *= g / n
-        _accum(logits, p.reshape(logits.shape))
+        return (p.reshape(logits_shape),)
 
     return _from_op(np.asarray(loss, dtype=logits.dtype), (logits,), back)

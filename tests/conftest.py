@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from melt.model import MeltConfig
+from melt.tensor import Tensor, tape
 
 
 @pytest.fixture
@@ -40,3 +41,35 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Elementwise |a - n| / max(1, |a|, |n|), reduced to the worst case."""
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def pinned_tensors(loss) -> list:
+    """Non-leaf tensors that ``loss``'s records or their rules' closures reference.
+
+    A record's rule should hold only arrays, so the tensors of a forward
+    pass go when the forward code drops them; any tensor returned here
+    would keep its array alive until the backward sweep.
+    """
+    found, seen = [], set()
+
+    def scan(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            if obj._node is not None:
+                found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                scan(item)
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                try:
+                    scan(cell.cell_contents)
+                except ValueError:  # a cell not yet filled
+                    pass
+
+    for node in tape(loss):
+        scan(getattr(node, "parents", ()))
+        scan(getattr(node, "rule", None))
+    return found

@@ -172,6 +172,19 @@ class TestPretrain:
         assert "--grad-clip" in capsys.readouterr().err
         assert not (out_dir / "checkpoint.melt").exists()
 
+    @pytest.mark.parametrize("warmup", ["-1", "-5"])
+    def test_negative_warmup_steps_is_input_error(self, tmp_path, corpus_file, capsys,
+                                                  warmup):
+        # below 0 it would train silently as 0
+        prep_dir = run_prep(tmp_path, corpus_file)
+        out_dir = tmp_path / "pre"
+        code = main(["pretrain", "--corpus", str(corpus_file),
+                     "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
+                     *MODEL_FLAGS, "--warmup-steps", warmup])
+        assert code == 2
+        assert "--warmup-steps" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.melt").exists()
+
     @pytest.mark.parametrize("fraction,n_dev", [("0.34", 10), ("0.1", 3), ("0.5", 15)])
     def test_dev_fraction_holds_out_every_nth_chunk(self, tmp_path, corpus_file,
                                                      monkeypatch, fraction, n_dev):
@@ -537,6 +550,17 @@ class TestFinetune:
         out_dir = tmp_path / "wb"
         assert main(finetune_args(stance_file, out_dir, "--arch", "word")) == 0
         assert (out_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("arch", ["melt", "word", "word-hist"])
+    @pytest.mark.parametrize("option", ["--head-hidden1", "--head-hidden2"])
+    def test_head_width_below_one_is_input_error(self, tmp_path, stance_file, capsys,
+                                                 arch, option):
+        out_dir = tmp_path / "ft"
+        extra = ("--rand-init",) if arch == "melt" else ()
+        code = main(finetune_args(stance_file, out_dir, "--arch", arch, *extra, option, "0"))
+        assert code == 2
+        assert option in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
 
     @pytest.mark.parametrize("arch", ["word", "word-hist", "mfc"])
     def test_history_len_rejected_for_non_melt_arch(self, tmp_path, stance_file, capsys,

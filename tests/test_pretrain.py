@@ -9,6 +9,7 @@ from melt.pretrain import (CheckpointManifestError, CheckpointTruncatedError,
                            TrainingDivergedError, _forward_masked, _input_rows,
                            evaluate_dev, load_checkpoint, load_params_into, make_dev_plans,
                            masked_loss, save_checkpoint, train)
+from melt import tensor as T
 from melt.tensor import Tensor, backward, gather_rows, reshape
 from melt.wordenc import HashEmbeddingEncoder, compute_message_vectors
 from synthdata import marker_corpus
@@ -72,6 +73,21 @@ class TestTrain:
         assert runs[0][0] == runs[1][0]
         for name in runs[0][1]:
             np.testing.assert_array_equal(runs[0][1][name], runs[1][1][name])
+
+    def test_step_records_pin_no_intermediate_tensor(self, monkeypatch):
+        from conftest import pinned_tensors
+        swept = []
+
+        def checked_backward(loss):
+            swept.append((len(T.tape(loss)), pinned_tensors(loss)))
+            backward(loss)
+
+        monkeypatch.setattr(pretrain_mod, "backward", checked_backward)
+        _, vectors, chunks = small_setup()
+        cfg = PretrainConfig(base_lr=4e-3, warmup_steps=10, epochs=1, batch_size=8, seed=7)
+        train(small_model(dropout=0.1), chunks[2:10], chunks[:2], vectors, cfg)
+        assert swept and all(size > 40 for size, _ in swept)
+        assert [pinned for _, pinned in swept] == [[]] * len(swept)
 
     def test_word_encoder_untouched(self):
         enc, vectors, chunks = small_setup()

@@ -175,6 +175,28 @@ class TestFreezing:
         assert not np.array_equal(wl.table.data, before)
 
 
+    def test_unfrozen_step_records_pin_no_intermediate_tensor(self, monkeypatch):
+        from conftest import pinned_tensors
+        from melt.tensor import backward, tape
+        swept = []
+
+        def checked_backward(loss):
+            swept.append((len(tape(loss)), pinned_tensors(loss)))
+            backward(loss)
+
+        monkeypatch.setattr(stance, "backward", checked_backward)
+        examples, enc, _ = setup_world(30)
+        train, dev, _ = split_examples(examples)
+        model = MeltModel(MeltConfig(n_layers=2, d_model=D, ff_dim=32, n_heads=2, dropout=0.1,
+                                     max_seq=40), seed=3)
+        head = StanceHead(D, hidden1=8, hidden2=4, seed=3)
+        cfg = FinetuneConfig(lr=1e-3, batch_size=5, max_epochs=1, patience=1, seed=3,
+                             dropout=0.05, unfreeze_word=True)
+        finetune(model, head, TrainableHashWordLevel(enc), train, dev, cfg)
+        assert swept and all(size > 60 for size, _ in swept)
+        assert [pinned for _, pinned in swept] == [[]] * len(swept)
+
+
 class TestEarlyStopping:
     def test_restores_best_dev_snapshot(self):
         examples, _, vectors = setup_world(40)

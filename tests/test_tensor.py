@@ -150,22 +150,27 @@ class TestLinear:
         np.testing.assert_allclose(put, want, rtol=0, atol=1e-14)
         assert not put[0, :2].any()
 
-    def test_take_keeps_no_copy_of_its_rows(self):
-        # the gathered (m, k) input is dropped after the forward and gathered again
+    def test_take_keeps_its_rows_and_not_its_input(self):
+        # the rule keeps the gathered quarter of the rows; the input goes when dropped
         rng = np.random.default_rng(16)
-        a = Tensor(rng.standard_normal((64, 40, 128)), requires_grad=True)
+        src = Tensor(rng.standard_normal((64, 40, 128)), requires_grad=True)
         w = Tensor(rng.standard_normal((128, 8)), requires_grad=True)
-        cells = np.nonzero(np.ones((64, 40), dtype=bool))
+        cells = np.nonzero(np.arange(40) % 4 == np.zeros((64, 1), dtype=int))
         tracemalloc.start()
         try:
+            a = src * 2.0
             out = T.linear(a, w, take=cells)
+            del a
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < a.data.nbytes // 4
+        assert held < src.data.nbytes // 3
         backward(out.sum())
-        np.testing.assert_allclose(w.grad, a.data.reshape(-1, 128).sum(axis=0)[:, None]
+        np.testing.assert_allclose(w.grad, 2 * src.data[cells].sum(axis=0)[:, None]
                                    * np.ones((1, 8)), rtol=1e-10)
+        want = np.zeros_like(src.data)
+        want[cells] = 2 * w.data.sum(axis=1)
+        np.testing.assert_allclose(src.grad, want, rtol=1e-12)
 
 
 class TestGatherRows:
@@ -337,7 +342,7 @@ class TestBackward:
         backward(loss)
         np.testing.assert_allclose(x.grad, 2 * x.data + 1, rtol=1e-6)
         for node in (y, loss):
-            assert node.grad is None and node._parents == ()
+            assert node.grad is None and node._node.grad is None and node._node.parents == ()
 
     def test_backward_peak_stays_near_two_intermediates(self):
         rng = np.random.default_rng(4)
@@ -356,6 +361,26 @@ class TestBackward:
             tracemalloc.stop()
         assert peak < 3 * n * x.data.itemsize
 
+    def test_forward_keeps_only_what_rules_read(self):
+        # add keeps shapes, not arrays: each dropped sum goes as soon as it is read
+        rng = np.random.default_rng(5)
+        n = 1 << 16
+        x = Tensor(rng.standard_normal(n), requires_grad=True)
+        c = Tensor(rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            h = x
+            for _ in range(8):
+                h = h + c
+            loss = h.sum()
+            del h
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 * x.data.nbytes
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, np.ones(n))
+
     def test_tape_is_topological_and_unique(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = x * x
@@ -365,8 +390,8 @@ class TestBackward:
         assert len(order) == len({id(t) for t in order})
         pos = {id(t): i for i, t in enumerate(order)}
         for node in order:
-            for parent in node._parents:
-                if parent.requires_grad:
+            for parent in getattr(node, "parents", ()):  # a leaf has none
+                if parent is not None:
                     assert pos[id(parent)] < pos[id(node)]
 
 
@@ -484,6 +509,74 @@ def test_dropout_scaling_and_eval_identity():
         dropout(x, 1.0, np.random.default_rng(0), train=True)
 
 
+class TestKeptRowDropout:
+    """A dropout over picked rows of a larger draw matches the full-draw formula bit for bit."""
+
+    ROWS = (4, 7, 6)  # a (B, L, d) draw
+    ROW_CASES = {
+        "gaps": ((0, 0, 2, 3), (1, 5, 0, 6)),
+        "adjacent": ((0, 0, 0, 1, 2, 2, 3), (2, 3, 4, 6, 0, 1, 6)),  # (1, 6), (2, 0) too
+        "every-row": tuple(np.nonzero(np.ones((4, 7), dtype=bool))),
+        "empty": ((), ()),
+    }
+
+    @staticmethod
+    def generators(seed, pending):
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        for rng in rngs:
+            rng.random(3)
+            if pending:
+                rng.integers(10)  # leaves half a 64-bit output buffered
+        return rngs
+
+    def check(self, dtype, draw_shape, keep, pending):
+        rng, ref_rng = self.generators(31, pending)
+        shape = np.zeros(draw_shape)[keep].shape
+        data = np.random.default_rng(32)
+        x = Tensor(data.standard_normal(shape).astype(dtype), requires_grad=True)
+        g = data.standard_normal(shape).astype(dtype)
+        out = dropout(x, 0.3, rng, True, draw_shape, keep)
+        backward(T.mul(out, Tensor(g)).sum())
+        mask = (ref_rng.random(draw_shape)[keep] >= 0.3).astype(dtype) / (1 - 0.3)
+        assert out.data.dtype == dtype and x.grad.dtype == dtype
+        assert out.data.tobytes() == (x.data * mask).tobytes()
+        assert x.grad.tobytes() == (g * mask).tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(1 << 40, size=3).tolist() == ref_rng.integers(1 << 40, size=3).tolist()
+        return mask
+
+    @pytest.mark.parametrize("pending", [False, True], ids=["aligned", "half-buffered"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(ROW_CASES))
+    def test_rows_match_the_full_draw(self, case, dtype, pending):
+        keep = tuple(np.array(i, dtype=np.intp) for i in self.ROW_CASES[case])
+        mask = self.check(dtype, self.ROWS, keep, pending)
+        if case != "empty":
+            assert (mask == 0).any() and (mask != 0).any()
+            assert np.signbit(dropout(Tensor(-np.ones_like(mask)), 0.3, self.generators(
+                31, pending)[0], True, self.ROWS, keep).data[mask == 0]).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_grid_with_repeated_filler_cells(self, dtype):
+        grid = np.array([[3, 0, 0], [1, 4, 0], [2, 0, 4]])  # slot 0 fills unread cells
+        keep = (np.arange(3)[:, None, None], np.arange(2)[None, :, None], grid[:, None, :])
+        self.check(dtype, (3, 2, 5, 5), keep, pending=True)
+
+    def test_rows_draw_only_what_they_keep(self):
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.bit_generator, self.sizes = rng, rng.bit_generator, []
+
+            def random(self, size=None):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        rng = Counting(np.random.default_rng(5))
+        keep = tuple(np.array(i) for i in self.ROW_CASES["adjacent"])
+        dropout(Tensor(np.ones((7, 6))), 0.3, rng, True, self.ROWS, keep)
+        assert rng.sizes == [3 * 6, 3 * 6, 1 * 6]  # one call per run of adjacent rows
+
+
 def test_repeated_forward_backward_bit_identical():
     rng_data = np.random.default_rng(3)
     a_data = rng_data.uniform(-1, 1, (4, 4)).astype(np.float32)
@@ -517,9 +610,9 @@ class TestNoGrad:
         recorded = self.forward(w, g, b, x)
         with no_grad():
             bare = self.forward(w, g, b, x)
-        assert recorded.requires_grad and recorded._parents
+        assert recorded.requires_grad and recorded._node.parents
         assert not bare.requires_grad
-        assert bare._parents == () and bare._backward is None
+        assert bare._node is None
         assert bare.data.tobytes() == recorded.data.tobytes()
 
     def test_recording_resumes_after_the_block_even_on_error(self):
