@@ -244,11 +244,11 @@ def _make_word_source(cfg: dict):
         return HashEmbeddingEncoder(dim=cfg["d_model"], buckets=cfg["word_buckets"],
                                     seed=cfg["word_seed"])
     if choice.startswith("precomputed:"):
-        store = load_precomputed(choice.split(":", 1)[1])
-        if store.dim != cfg["d_model"]:
-            raise CliError(f"precomputed vectors are {store.dim}-d but --d-model "
+        frozen = load_precomputed(choice.split(":", 1)[1])
+        if frozen.dim != cfg["d_model"]:
+            raise CliError(f"precomputed vectors are {frozen.dim}-d but --d-model "
                            f"is {cfg['d_model']}")
-        return store
+        return frozen
     raise CliError(f"--word-encoder must be 'hash' or 'precomputed:<path>', got '{choice}'")
 
 
@@ -519,8 +519,9 @@ def _word_level_for(cfg: dict, source, messages):
     """The word level of one run, whose messages are ``messages``.
 
     ``source`` is the FrozenWordLevel every run shares, or the hash encoder
-    or vector store an unfrozen level trains over. An unfrozen hash table
-    holds only the rows ``messages`` reach.
+    an unfrozen table trains over. An unfrozen hash table holds only the
+    rows ``messages`` reach; otherwise an unfrozen level is an adapter over
+    the frozen one.
     """
     if not cfg["unfreeze_word"]:
         return source
@@ -569,9 +570,8 @@ def _melt_predictions(cfg: dict, template, history_lens: Sequence[Optional[int]]
     if not (cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder)):
         # A trainable hash table pools its own rows and never reads these
         # vectors; for a vector file this also checks every id up front.
-        vectors = compute_message_vectors(corpus_mod.all_messages(examples), source)
-        if not cfg["unfreeze_word"]:
-            source = wordenc.FrozenWordLevel(cfg["d_model"], vectors)
+        source = wordenc.FrozenWordLevel(
+            cfg["d_model"], compute_message_vectors(corpus_mod.all_messages(examples), source))
     sweep = len(history_lens) > 1
     sweep_rows = []
     with (ThreadPoolExecutor(max_workers=cfg["jobs"]) if cfg["jobs"] > 1

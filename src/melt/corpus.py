@@ -85,15 +85,17 @@ def iter_jsonl(path) -> Iterable[Tuple[int, dict]]:
             yield lineno, obj
 
 
-def ingest_jsonl(path) -> Dict[str, List[RawMessage]]:
-    """Messages grouped by user, sorted by (timestamp, message_id).
+def _read_messages(path, kind: str) -> Tuple[List[Tuple[int, dict, RawMessage]],
+                                              Dict[str, List[RawMessage]]]:
+    """A message file's rows in file order, and each user's messages.
 
-    Users are returned in sorted id order; duplicate message ids are
-    rejected.
+    Rows are (line number, JSON object, message); each user's messages are
+    sorted by (timestamp, message_id). Duplicate message ids and a file
+    with no messages are rejected.
     """
+    rows: List[Tuple[int, dict, RawMessage]] = []
     seen: Dict[str, int] = {}
-    groups: Dict[str, List[RawMessage]] = {}
-    count = 0
+    by_user: Dict[str, List[RawMessage]] = {}
     for lineno, obj in iter_jsonl(path):
         msg = _parse_message(obj, lineno)
         if msg.message_id in seen:
@@ -101,14 +103,23 @@ def ingest_jsonl(path) -> Dict[str, List[RawMessage]]:
                 f"line {lineno}: duplicate message_id '{msg.message_id}' "
                 f"(first seen at line {seen[msg.message_id]})")
         seen[msg.message_id] = lineno
-        groups.setdefault(msg.user_id, []).append(msg)
-        count += 1
-    if count == 0:
-        raise CorpusFormatError("corpus file contains no messages")
-    ordered: Dict[str, List[RawMessage]] = {}
-    for user_id in sorted(groups):
-        ordered[user_id] = sorted(groups[user_id], key=lambda m: (m.timestamp, m.message_id))
-    return ordered
+        rows.append((lineno, obj, msg))
+        by_user.setdefault(msg.user_id, []).append(msg)
+    if not rows:
+        raise CorpusFormatError(f"{kind} file contains no messages")
+    for history in by_user.values():
+        history.sort(key=lambda m: (m.timestamp, m.message_id))
+    return rows, by_user
+
+
+def ingest_jsonl(path) -> Dict[str, List[RawMessage]]:
+    """Messages grouped by user, sorted by (timestamp, message_id).
+
+    Users are returned in sorted id order; duplicate message ids are
+    rejected.
+    """
+    _, by_user = _read_messages(path, "corpus")
+    return {user_id: by_user[user_id] for user_id in sorted(by_user)}
 
 
 def build_chunks(history: Sequence[RawMessage], seq_len: int = SEQ_LEN) -> List[SequenceChunk]:
@@ -171,7 +182,6 @@ class MaskPlan:
     actions: Tuple[Action, ...]
     targets: Dict[int, np.ndarray] = field(default_factory=dict)
     replacements: Dict[int, Tuple[str, np.ndarray]] = field(default_factory=dict)
-    seed: Optional[int] = None
 
     @property
     def selected_slots(self) -> List[int]:
@@ -180,8 +190,7 @@ class MaskPlan:
 
 def apply_masking(chunk: SequenceChunk, rng: np.random.Generator,
                   vectors: Mapping[str, np.ndarray],
-                  replacement_pool: Optional[Sequence[str]] = None,
-                  seed: Optional[int] = None) -> MaskPlan:
+                  replacement_pool: Optional[Sequence[str]] = None) -> MaskPlan:
     """BERT-style selection at message granularity.
 
     Each real slot is independently selected with p=0.15; a selected slot is
@@ -220,7 +229,7 @@ def apply_masking(chunk: SequenceChunk, rng: np.random.Generator,
             else:
                 # Pool held only this message; keep the original vector.
                 replacements[i] = (slot.message_id, vectors[slot.message_id])
-    return MaskPlan(tuple(actions), targets, replacements, seed=seed)
+    return MaskPlan(tuple(actions), targets, replacements)
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +262,7 @@ def ingest_stance_jsonl(path) -> List[StanceExample]:
     all of the same user's strictly earlier messages. An optional ``split``
     key (train|dev|test) defaults to train.
     """
-    rows: List[Tuple[int, dict, RawMessage]] = []
-    seen: Dict[str, int] = {}
-    for lineno, obj in iter_jsonl(path):
-        msg = _parse_message(obj, lineno)
-        if msg.message_id in seen:
-            raise CorpusFormatError(
-                f"line {lineno}: duplicate message_id '{msg.message_id}'")
-        seen[msg.message_id] = lineno
-        rows.append((lineno, obj, msg))
-    if not rows:
-        raise CorpusFormatError("stance file contains no messages")
-
-    by_user: Dict[str, List[RawMessage]] = {}
-    for _, _, msg in rows:
-        by_user.setdefault(msg.user_id, []).append(msg)
-    for user in by_user:
-        by_user[user].sort(key=lambda m: (m.timestamp, m.message_id))
-
+    rows, by_user = _read_messages(path, "stance")
     examples: List[StanceExample] = []
     for lineno, obj, msg in rows:
         has_label = "label" in obj

@@ -219,7 +219,6 @@ class MeltModel:
         """
         import scipy.special  # noqa: F401  gelu's erf, loaded here so set-up pays for it
         self.config = config
-        self.seed = seed
         self.dtype = dtype
         d = config.d_model
         make = _param_maker(seed, params, dtype)

@@ -24,7 +24,6 @@ class AdamWState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    base_lr: float = 4e-3
     weight_decay: float = 0.1
 
 
@@ -109,7 +108,6 @@ class AdamW:
                 beta1=betas[0],
                 beta2=betas[1],
                 eps=eps,
-                base_lr=base_lr,
                 weight_decay=weight_decay,
             )
             for name, p in self.params

@@ -126,7 +126,7 @@ def make_dev_plans(dev_chunks: Sequence[SequenceChunk],
     """Fixed dev mask plans, rolled once from the derived dev seed."""
     rng = np.random.default_rng(seed)
     pool = [m.message_id for c in dev_chunks for m in c.real_messages()]
-    return [apply_masking(c, rng, vectors, pool, seed=seed) for c in dev_chunks]
+    return [apply_masking(c, rng, vectors, pool) for c in dev_chunks]
 
 
 def evaluate_dev(model: MeltModel, dev_chunks: Sequence[SequenceChunk],
@@ -179,8 +179,7 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
         rng = np.random.default_rng(config.seed ^ epoch)
         for batch in batch_chunks(train_chunks, config.batch_size):
             pool = [m.message_id for c in batch for m in c.real_messages()]
-            plans = [apply_masking(c, rng, vectors, pool, seed=config.seed ^ epoch)
-                     for c in batch]
+            plans = [apply_masking(c, rng, vectors, pool) for c in batch]
             lr = warmup_lr(global_step, config.base_lr, config.warmup_steps)
             loss_val = _train_step(model, opt, batch, plans, vectors, rng, lr,
                                    config.grad_clip, global_step)

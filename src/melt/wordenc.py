@@ -2,14 +2,15 @@
 
 The message transformer only ever sees one vector per message: the
 arithmetic mean of that message's per-token vectors. Two sources are
-provided — a deterministic hash-embedding table, and an ingestion path for
-vectors computed externally (one vector per message id). Both sides of the
-pipeline (the reconstruction label and the model input) read the same
-pooled vector through the same code path.
+provided — a deterministic hash-embedding table, and a file of vectors
+computed externally (one vector per message id), which loads into a
+``FrozenWordLevel``. ``compute_message_vectors`` pools or looks up every
+message's vector once; both sides of the pipeline (the reconstruction label
+and the model input) read that one vector.
 
 For fine-tuning with an unfrozen word level, thin trainable wrappers expose
 the same per-message vectors as autodiff tensors: gradients flow into the
-hash table itself, or into a d x d adapter over precomputed vectors.
+hash table itself, or into a d x d adapter over a frozen level's vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import re
 import string
 import threading
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,27 +31,15 @@ DEFAULT_TOKEN_SEQ_LEN = 50
 _TOKEN = re.compile("[^\\s{0}]+|[{0}]".format(re.escape(string.punctuation)))
 
 
-@dataclass
-class TokenSequence:
-    tokens: List[str]
-    truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def tokenize(text: str, max_tokens: int = DEFAULT_TOKEN_SEQ_LEN) -> TokenSequence:
+def tokenize(text: str, max_tokens: int = DEFAULT_TOKEN_SEQ_LEN) -> List[str]:
     """Lowercase, split on whitespace, break punctuation into single tokens.
 
-    Empty or whitespace-only text yields the single ``<empty>`` token so a
-    message always has at least one vector to pool.
+    At most ``max_tokens`` tokens are kept. Empty or whitespace-only text
+    yields the single ``<empty>`` token so a message always has at least
+    one vector to pool.
     """
     tokens = _TOKEN.findall(text.lower())
-    if not tokens:
-        return TokenSequence([EMPTY_TOKEN])
-    if len(tokens) > max_tokens:
-        return TokenSequence(tokens[:max_tokens], truncated=True)
-    return TokenSequence(tokens)
+    return tokens[:max_tokens] if tokens else [EMPTY_TOKEN]
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -94,8 +82,6 @@ class HashEmbeddingEncoder:
     Encoders may be shared across threads.
     """
 
-    frozen = True
-
     def __init__(self, dim: int = 768, buckets: int = 65536, seed: int = 1337):
         if dim < 1 or buckets < 1:
             raise ValueError("dim and buckets must be positive")
@@ -113,29 +99,19 @@ class HashEmbeddingEncoder:
         self._store = np.empty((0, dim), dtype=np.float32)
         self._lock = threading.Lock()
 
-    def _token_buckets(self, toks: TokenSequence) -> List[int]:
+    def token_ids(self, tokens: List[str]) -> List[int]:
+        """Bucket of each token; each distinct token is hashed once per encoder."""
         memo = self._bucket_of
         ids = []
-        for token in toks.tokens:
+        for token in tokens:
             bucket = memo.get(token)
             if bucket is None:
                 bucket = memo[token] = fnv1a_64(token) % self.buckets
             ids.append(bucket)
         return ids
 
-    def token_ids(self, toks: TokenSequence) -> np.ndarray:
-        """Bucket of each token; each distinct token is hashed once per encoder."""
-        return np.array(self._token_buckets(toks), dtype=np.int64)
-
-    def rows(self, buckets: np.ndarray) -> np.ndarray:
+    def rows(self, buckets: List[int]) -> np.ndarray:
         """The rows of ``buckets``, in order, drawing those not yet reached."""
-        return self._gather(np.asarray(buckets).tolist())
-
-    def encode(self, toks: TokenSequence) -> np.ndarray:
-        """One row per token, in token order."""
-        return self._gather(self._token_buckets(toks))
-
-    def _gather(self, buckets: List[int]) -> np.ndarray:
         with self._lock:
             slot_of = self._slot_of
             slots = [slot_of.get(bucket) for bucket in buckets]
@@ -156,19 +132,6 @@ class HashEmbeddingEncoder:
             self._slot_of[bucket] = slot
 
 
-def pool_message(vectors: np.ndarray) -> np.ndarray:
-    """Elementwise arithmetic mean of a message's per-token vectors."""
-    arr = np.asarray(vectors)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError(f"pool_message needs a nonempty (n, d) array, got shape {arr.shape}")
-    return arr.mean(axis=0)
-
-
-def message_vector(encoder: HashEmbeddingEncoder, text: str) -> np.ndarray:
-    """tokenize -> encode -> mean; the single path both labels and inputs use."""
-    return pool_message(encoder.encode(tokenize(text)))
-
-
 # ---------------------------------------------------------------------------
 # precomputed vector ingestion
 # ---------------------------------------------------------------------------
@@ -176,28 +139,6 @@ def message_vector(encoder: HashEmbeddingEncoder, text: str) -> np.ndarray:
 
 class VectorFileError(ValueError):
     """Malformed vector file; message carries the offending line number."""
-
-
-class PrecomputedVectorStore:
-    """Per-message vectors produced externally, keyed by message id."""
-
-    frozen = True
-
-    def __init__(self, dim: int, vectors: Dict[str, np.ndarray]):
-        self.dim = dim
-        self.vectors = vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __contains__(self, message_id: str) -> bool:
-        return message_id in self.vectors
-
-    def get(self, message_id: str) -> np.ndarray:
-        try:
-            return self.vectors[message_id]
-        except KeyError:
-            raise KeyError(f"no precomputed vector for message id '{message_id}'") from None
 
 
 def write_vector_file(path, dim: int, items: Iterable[tuple]) -> None:
@@ -211,8 +152,11 @@ def write_vector_file(path, dim: int, items: Iterable[tuple]) -> None:
             fh.write(f"{message_id}\t{data.tobytes().hex()}\n")
 
 
-def load_precomputed(path) -> PrecomputedVectorStore:
-    """Parse a vector file; bad rows raise with their 1-based line number."""
+def load_precomputed(path) -> FrozenWordLevel:
+    """The frozen word level a vector file holds.
+
+    Bad rows raise with their 1-based line number.
+    """
     vectors: Dict[str, np.ndarray] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -246,7 +190,7 @@ def load_precomputed(path) -> PrecomputedVectorStore:
             if message_id in vectors:
                 raise VectorFileError(f"line {lineno}: duplicate message id '{message_id}'")
             vectors[message_id] = vec.astype(np.float32)
-    return PrecomputedVectorStore(dim, vectors)
+    return FrozenWordLevel(dim, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +201,19 @@ def load_precomputed(path) -> PrecomputedVectorStore:
 def compute_message_vectors(messages: Iterable, source) -> Dict[str, np.ndarray]:
     """Map message_id -> pooled d-dim vector for every message.
 
-    ``source`` is either a HashEmbeddingEncoder (pool of token vectors) or a
-    PrecomputedVectorStore (direct lookup; a message it lacks raises
-    ValueError naming the id).
+    ``source`` is either a HashEmbeddingEncoder, whose rows for a message's
+    tokens are averaged, or a FrozenWordLevel, whose vectors are looked up
+    (a message it lacks raises ValueError naming the id).
     """
     out: Dict[str, np.ndarray] = {}
-    if isinstance(source, PrecomputedVectorStore):
+    if isinstance(source, FrozenWordLevel):
         for msg in messages:
-            if msg.message_id not in source:
+            if msg.message_id not in source.vectors:
                 raise ValueError(f"no precomputed vector for message id '{msg.message_id}'")
-            out[msg.message_id] = source.get(msg.message_id)
+            out[msg.message_id] = source.vectors[msg.message_id]
         return out
     for msg in messages:
-        out[msg.message_id] = message_vector(source, msg.text)
+        out[msg.message_id] = source.rows(source.token_ids(tokenize(msg.text))).mean(axis=0)
     return out
 
 
@@ -312,11 +256,11 @@ class TrainableHashWordLevel:
         if messages is None:
             self.buckets = np.arange(encoder.buckets)
         else:
-            ids = {text: encoder.token_ids(tokenize(text))
+            ids = {text: np.array(encoder.token_ids(tokenize(text)))
                    for text in dict.fromkeys(msg.text for msg in messages)}
             self.buckets = np.unique(np.concatenate(list(ids.values())))
             self._rows_of = {text: np.searchsorted(self.buckets, i) for text, i in ids.items()}
-        self.table = Tensor(encoder.rows(self.buckets), requires_grad=True)
+        self.table = Tensor(encoder.rows(self.buckets.tolist()), requires_grad=True)
 
     def trainable_params(self) -> list:
         return [("word.table", self.table)]
@@ -327,7 +271,7 @@ class TrainableHashWordLevel:
             if len(self.buckets) < self.encoder.buckets:
                 raise ValueError(f"message '{msg.message_id}' is not among those "
                                  "the word level's table was built for")
-            rows = self._rows_of[msg.text] = self.encoder.token_ids(tokenize(msg.text))
+            rows = self._rows_of[msg.text] = np.array(self.encoder.token_ids(tokenize(msg.text)))
         return rows
 
     def batch_vectors(self, messages: Sequence) -> Tensor:
@@ -338,20 +282,20 @@ class TrainableHashWordLevel:
 
 
 class TrainableAdapterWordLevel:
-    """Precomputed vectors passed through a trainable d x d adapter.
+    """A frozen level's vectors passed through a trainable d x d adapter.
 
     The adapter starts at identity, so before any update it reproduces the
     frozen behavior exactly.
     """
 
-    def __init__(self, store: PrecomputedVectorStore):
-        self.dim = store.dim
-        self.store = store
-        self.adapter = Tensor(np.eye(store.dim, dtype=np.float32), requires_grad=True)
+    def __init__(self, frozen: FrozenWordLevel):
+        self.dim = frozen.dim
+        self.frozen = frozen
+        self.adapter = Tensor(np.eye(frozen.dim, dtype=np.float32), requires_grad=True)
 
     def trainable_params(self) -> list:
         return [("word.adapter", self.adapter)]
 
     def batch_vectors(self, messages: Sequence) -> Tensor:
-        rows = np.stack([self.store.get(m.message_id) for m in messages])
+        rows = np.stack([self.frozen.vectors[m.message_id] for m in messages])
         return matmul(Tensor(rows), self.adapter)

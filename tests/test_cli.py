@@ -386,16 +386,22 @@ class TestFinetune:
         assert code == 2
 
     def test_precomputed_vectors_path(self, tmp_path, stance_file):
-        examples = stance_corpus(120, n_history=6, seed=21, split_fracs=(0.6, 0.2))
-        from melt.corpus import all_messages
+        # a file of the hash table's own vectors predicts as the frozen table
+        from melt.corpus import all_messages, ingest_stance_jsonl
         enc = HashEmbeddingEncoder(dim=16, buckets=256, seed=3)
-        vectors = compute_message_vectors(all_messages(examples), enc)
+        vectors = compute_message_vectors(all_messages(ingest_stance_jsonl(stance_file)), enc)
         vec_path = tmp_path / "vecs.tsv"
         write_vector_file(vec_path, 16, vectors.items())
-        out_dir = tmp_path / "ft_pre"
-        code = main(finetune_args(stance_file, out_dir, "--rand-init",
-                                  "--word-encoder", f"precomputed:{vec_path}"))
-        assert code == 0
+        assert main(finetune_args(stance_file, tmp_path / "hash", "--rand-init")) == 0
+        assert main(finetune_args(stance_file, tmp_path / "file", "--rand-init",
+                                  "--word-encoder", f"precomputed:{vec_path}")) == 0
+        assert (tmp_path / "file" / "predictions.csv").read_bytes() == \
+            (tmp_path / "hash" / "predictions.csv").read_bytes()
+        out_dir = tmp_path / "adapter"
+        assert main(finetune_args(stance_file, out_dir, "--rand-init", "--unfreeze-word",
+                                  "--word-encoder", f"precomputed:{vec_path}")) == 0
+        assert (out_dir / "predictions.csv").exists()
+        assert (out_dir / "snapshot_climate.melt").exists()
 
     def test_vector_file_missing_an_id_is_input_error(self, tmp_path, stance_file, capsys):
         examples = stance_corpus(120, n_history=6, seed=21, split_fracs=(0.6, 0.2))
@@ -616,7 +622,7 @@ class TestHashRows:
     @staticmethod
     def reached(messages):
         return sorted({fnv1a_64(token) % 65536 for m in messages
-                       for token in tokenize(m.text).tokens})
+                       for token in tokenize(m.text)})
 
     def test_pretrain(self, tmp_path, corpus_file, drawn):
         from melt.corpus import ingest_jsonl

@@ -276,3 +276,10 @@ class TestStanceIngest:
         rows = self.base_rows()[:2]
         with pytest.raises(CorpusFormatError, match="labeled"):
             ingest_stance_jsonl(self.write(tmp_path, rows))
+
+    def test_duplicate_message_id_names_both_lines(self, tmp_path):
+        rows = self.base_rows()
+        rows.append({"user_id": "v", "message_id": "h1", "timestamp": 3, "text": "again"})
+        with pytest.raises(CorpusFormatError,
+                           match=r"line 4: duplicate message_id 'h1' \(first seen at line 2\)"):
+            ingest_stance_jsonl(self.write(tmp_path, rows))

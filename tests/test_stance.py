@@ -155,12 +155,12 @@ class TestFreezing:
     def test_frozen_word_level_unchanged_by_finetuning(self):
         examples, enc, vectors = setup_world(30)
         train, dev, _ = split_examples(examples)
-        table_before = enc.rows(np.arange(enc.buckets)).copy()
+        table_before = enc.rows(list(range(enc.buckets))).copy()
         model = MeltModel(CFG, seed=3)
         head = StanceHead(D, hidden1=8, hidden2=4, seed=3)
         cfg = FinetuneConfig(lr=1e-3, batch_size=5, max_epochs=2, patience=1, seed=3)
         finetune(model, head, FrozenWordLevel(D, vectors), train, dev, cfg)
-        np.testing.assert_array_equal(enc.rows(np.arange(enc.buckets)), table_before)
+        np.testing.assert_array_equal(enc.rows(list(range(enc.buckets))), table_before)
 
     def test_unfrozen_word_level_updates(self):
         examples, enc, vectors = setup_world(30)

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from melt.corpus import RawMessage
 from melt.tensor import Tensor, backward
 from melt.wordenc import (EMPTY_TOKEN, FrozenWordLevel, HashEmbeddingEncoder,
-                          PrecomputedVectorStore, TrainableAdapterWordLevel,
-                          TrainableHashWordLevel, VectorFileError,
-                          compute_message_vectors, draw_row, fnv1a_64,
-                          TokenSequence, load_precomputed, message_vector, pool_message,
+                          TrainableAdapterWordLevel, TrainableHashWordLevel, VectorFileError,
+                          compute_message_vectors, draw_row, fnv1a_64, load_precomputed,
                           tokenize, write_vector_file)
 
 
@@ -34,34 +32,28 @@ def loop_tokenize(text, max_tokens):
                 run.append(ch)
         if run:
             tokens.append("".join(run))
-    if not tokens:
-        return TokenSequence([EMPTY_TOKEN])
-    if len(tokens) > max_tokens:
-        return TokenSequence(tokens[:max_tokens], truncated=True)
-    return TokenSequence(tokens)
+    return tokens[:max_tokens] if tokens else [EMPTY_TOKEN]
 
 
 class TestTokenize:
     def test_punctuation_splits_off(self):
-        assert tokenize("Hello, world!").tokens == ["hello", ",", "world", "!"]
+        assert tokenize("Hello, world!") == ["hello", ",", "world", "!"]
 
     def test_single_letter(self):
-        assert tokenize("A").tokens == ["a"]
+        assert tokenize("A") == ["a"]
 
     def test_truncation_at_limit(self):
-        seq = tokenize(" ".join(f"w{i}" for i in range(60)))
-        assert len(seq.tokens) == 50
-        assert seq.truncated
+        assert tokenize(" ".join(f"w{i}" for i in range(60))) == [f"w{i}" for i in range(50)]
 
     def test_under_limit_not_truncated(self):
-        assert not tokenize("a b c").truncated
+        assert tokenize("a b c") == ["a", "b", "c"]
 
     def test_empty_text_yields_sentinel(self):
-        assert tokenize("").tokens == [EMPTY_TOKEN]
-        assert tokenize("   \t ").tokens == [EMPTY_TOKEN]
+        assert tokenize("") == [EMPTY_TOKEN]
+        assert tokenize("   \t ") == [EMPTY_TOKEN]
 
     def test_consecutive_punctuation(self):
-        assert tokenize("wow!!").tokens == ["wow", "!", "!"]
+        assert tokenize("wow!!") == ["wow", "!", "!"]
 
     @settings(max_examples=500, deadline=None)
     @example(text="".join(f"a{ch}" for ch in WHITESPACE), max_tokens=60)
@@ -88,37 +80,36 @@ def test_fnv1a_against_direct_transcription():
 class TestHashEncoder:
     def test_same_token_same_vector(self):
         enc = HashEmbeddingEncoder(dim=16, buckets=128, seed=0)
-        out = enc.encode(tokenize("echo echo"))
+        out = enc.rows(enc.token_ids(tokenize("echo echo")))
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_one_vector_per_token(self):
         enc = HashEmbeddingEncoder(dim=16, buckets=128, seed=0)
-        assert enc.encode(tokenize("a b c d")).shape == (4, 16)
+        assert enc.rows(enc.token_ids(tokenize("a b c d"))).shape == (4, 16)
 
     def test_different_seeds_differ(self):
         a = HashEmbeddingEncoder(dim=16, buckets=128, seed=1)
         b = HashEmbeddingEncoder(dim=16, buckets=128, seed=2)
-        assert not np.array_equal(a.encode(tokenize("token"))[0],
-                                  b.encode(tokenize("token"))[0])
+        assert not np.array_equal(a.rows(a.token_ids(["token"])), b.rows(b.token_ids(["token"])))
 
     def test_table_scale(self):
         enc = HashEmbeddingEncoder(dim=64, buckets=4096, seed=3)
-        assert abs(float(enc.rows(np.arange(4096)).std()) - 1 / np.sqrt(64)) < 0.002
+        assert abs(float(enc.rows(list(range(4096))).std()) - 1 / np.sqrt(64)) < 0.002
 
     def test_row_is_its_buckets_own_stream_whatever_the_order_reached(self):
         dim, buckets, seed = 300, 1000, 41
         first = [7, 999, 0, 7, 512]
         a = HashEmbeddingEncoder(dim=dim, buckets=buckets, seed=seed)
         b = HashEmbeddingEncoder(dim=dim, buckets=buckets, seed=seed)
-        got_a = a.rows(np.array(first))
-        b.rows(np.array([512, 3, 0]))
-        got_b = b.rows(np.array(first))
+        got_a = a.rows(first)
+        b.rows([512, 3, 0])
+        got_b = b.rows(first)
         for i, bucket in enumerate(first):
             rng = np.random.default_rng([seed, bucket])
             want = (rng.standard_normal(dim) / np.sqrt(dim)).astype(np.float32)
             assert got_a[i].tobytes() == want.tobytes()
         assert got_a.dtype == np.float32 and got_a.tobytes() == got_b.tobytes()
-        assert a.rows(np.arange(buckets))[first].tobytes() == got_a.tobytes()
+        assert a.rows(list(range(buckets)))[first].tobytes() == got_a.tobytes()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -128,7 +119,7 @@ class TestHashEncoder:
         import sys
         from concurrent.futures import ThreadPoolExecutor
         enc = HashEmbeddingEncoder(dim=16, buckets=4096, seed=9)
-        batches = [np.random.default_rng(i).integers(0, 4096, 60) for i in range(48)]
+        batches = [np.random.default_rng(i).integers(0, 4096, 60).tolist() for i in range(48)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -139,7 +130,7 @@ class TestHashEncoder:
         reached = np.unique(np.concatenate(batches))
         assert len(enc._slot_of) == len(reached)
         for ids, rows in zip(batches, got):
-            want = np.stack([draw_row(9, int(b), 16) for b in ids])
+            want = np.stack([draw_row(9, b, 16) for b in ids])
             assert rows.tobytes() == want.tobytes()
 
     def test_token_ids_hash_each_distinct_token_once(self, monkeypatch):
@@ -155,8 +146,8 @@ class TestHashEncoder:
         first = enc.token_ids(tokenize("echo, delta echo"))
         second = enc.token_ids(tokenize("delta echo"))
         assert sorted(hashed) == [",", "delta", "echo"]
-        assert first.tolist() == [fnv1a_64(t) % 64 for t in ("echo", ",", "delta", "echo")]
-        assert second.tolist() == first[2:].tolist()
+        assert first == [fnv1a_64(t) % 64 for t in ("echo", ",", "delta", "echo")]
+        assert second == first[2:]
 
     def test_shared_memo_gives_every_thread_the_right_buckets(self):
         import sys
@@ -167,7 +158,7 @@ class TestHashEncoder:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=6) as pool:
-                got = list(pool.map(lambda text: enc.token_ids(tokenize(text)).tolist(),
+                got = list(pool.map(lambda text: enc.token_ids(tokenize(text)),
                                     texts, timeout=60))
         finally:
             sys.setswitchinterval(interval)
@@ -183,30 +174,36 @@ class TestHashEncoder:
 
 
 class TestPoolMessage:
+    """A hash message's vector is the mean of its tokens' rows."""
+
+    ENC = HashEmbeddingEncoder(dim=8, buckets=64, seed=5)
+
+    def pooled(self, text):
+        return compute_message_vectors([RawMessage("u", "m0", 0, text)], self.ENC)["m0"]
+
+    def row(self, token):
+        return self.ENC.rows(self.ENC.token_ids([token]))[0]
+
     def test_single_vector_is_itself(self):
-        v = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(pool_message(v), v[0])
+        assert self.pooled("alpha").tobytes() == self.row("alpha").tobytes()
 
     def test_two_unit_vectors(self):
-        np.testing.assert_array_equal(
-            pool_message(np.array([[1.0, 0.0], [0.0, 1.0]])), [0.5, 0.5])
+        want = (self.row("alpha") + self.row("beta")) / 2
+        assert self.pooled("alpha beta").tobytes() == want.tobytes()
 
     def test_mean_of_copies(self):
-        v = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(pool_message(np.tile(v, (7, 1))), v)
+        np.testing.assert_allclose(self.pooled("echo " * 7), self.row("echo"), rtol=1e-6)
 
-    @given(st.integers(2, 8), st.integers(0, 10**6))
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "!"]), min_size=2, max_size=8),
+           st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
-    def test_permutation_invariance(self, n, seed):
-        rng = np.random.default_rng(seed)
-        vectors = rng.uniform(-1, 1, (n, 5))
-        perm = rng.permutation(n)
-        np.testing.assert_allclose(pool_message(vectors), pool_message(vectors[perm]),
-                                   rtol=1e-12)
+    def test_permutation_invariance(self, words, seed):
+        shuffled = np.random.default_rng(seed).permutation(words).tolist()
+        np.testing.assert_allclose(self.pooled(" ".join(words)),
+                                   self.pooled(" ".join(shuffled)), rtol=1e-5, atol=1e-7)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pool_message(np.zeros((0, 4)))
+    def test_empty_text_pools_the_sentinel_row(self):
+        assert self.pooled("  ").tobytes() == self.row(EMPTY_TOKEN).tobytes()
 
 
 class TestVectorFile:
@@ -215,10 +212,11 @@ class TestVectorFile:
         rng = np.random.default_rng(0)
         items = [(f"m{i}", rng.uniform(-1, 1, 6).astype(np.float32)) for i in range(3)]
         write_vector_file(path, 6, items)
-        store = load_precomputed(path)
-        assert len(store) == 3
+        frozen = load_precomputed(path)
+        assert isinstance(frozen, FrozenWordLevel) and frozen.dim == 6
+        assert len(frozen.vectors) == 3
         for mid, vec in items:
-            np.testing.assert_array_equal(store.get(mid), vec)
+            assert frozen.vectors[mid].tobytes() == vec.tobytes()
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "vecs.tsv"
@@ -254,26 +252,27 @@ class TestVectorFile:
     def test_missing_id_detectable(self, tmp_path):
         path = tmp_path / "vecs.tsv"
         write_vector_file(path, 2, [("m0", np.zeros(2, dtype=np.float32))])
-        store = load_precomputed(path)
-        assert "m0" in store and "m1" not in store
+        frozen = load_precomputed(path)
+        assert "m0" in frozen.vectors and "m1" not in frozen.vectors
         with pytest.raises(KeyError, match="m1"):
-            store.get("m1")
+            frozen.batch_vectors([RawMessage("u", "m1", 0, "a")])
 
 
 def test_missing_vector_names_the_id():
-    store = PrecomputedVectorStore(2, {"m0": np.zeros(2, dtype=np.float32)})
+    frozen = FrozenWordLevel(2, {"m0": np.zeros(2, dtype=np.float32)})
     msgs = [RawMessage("u", "m0", 0, "a"), RawMessage("u", "m7", 1, "b")]
     with pytest.raises(ValueError, match="'m7'"):
-        compute_message_vectors(msgs, store)
+        compute_message_vectors(msgs, frozen)
 
 
 def test_label_and_input_share_one_code_path():
-    # the pooled vector used as a reconstruction label is the same object the
-    # model input is built from
+    # the pooled vector used as a reconstruction label is the one the model
+    # input is built from
     enc = HashEmbeddingEncoder(dim=8, buckets=64, seed=5)
     msg = RawMessage("u", "m0", 0, "two words")
     vectors = compute_message_vectors([msg], enc)
-    np.testing.assert_array_equal(vectors["m0"], message_vector(enc, msg.text))
+    assert FrozenWordLevel(8, vectors).batch_vectors([msg]).data[0].tobytes() == \
+        vectors["m0"].tobytes()
 
 
 class TestTrainableWordLevels:
@@ -288,11 +287,14 @@ class TestTrainableWordLevels:
         assert touched.sum() == 2  # alpha and beta buckets
 
     def test_hash_rows_match_frozen_path(self):
-        enc = HashEmbeddingEncoder(dim=4, buckets=32, seed=0)
-        wl = TrainableHashWordLevel(enc)
-        msgs = [RawMessage("u", "m0", 0, "alpha beta gamma")]
-        np.testing.assert_allclose(wl.batch_vectors(msgs).data[0],
-                                   message_vector(enc, "alpha beta gamma"), rtol=1e-6)
+        enc = HashEmbeddingEncoder(dim=16, buckets=256, seed=0)
+        rng = np.random.default_rng(4)
+        msgs = [RawMessage("u", f"m{i}", i, " ".join(f"w{w}" for w in rng.integers(0, 300, n)))
+                for i, n in enumerate([0, 1, 2, 3, 7, 30, 50, 59])]
+        want = compute_message_vectors(msgs, enc)
+        for wl in (TrainableHashWordLevel(enc), TrainableHashWordLevel(enc, msgs)):
+            got = wl.batch_vectors(msgs).data
+            assert got.tobytes() == np.stack([want[m.message_id] for m in msgs]).tobytes()
 
     MESSAGES = [RawMessage("u", "m0", 0, "alpha beta alpha"), RawMessage("u", "m1", 1, ""),
                 RawMessage("u", "m2", 2, "gamma"), RawMessage("u", "m3", 3, "beta gamma!")]
@@ -300,12 +302,12 @@ class TestTrainableWordLevels:
     def test_built_from_messages_holds_only_their_buckets(self):
         enc = HashEmbeddingEncoder(dim=4, buckets=512, seed=0)
         wl = TrainableHashWordLevel(enc, self.MESSAGES)
-        want = sorted({int(b) for m in self.MESSAGES for b in enc.token_ids(tokenize(m.text))})
+        want = sorted({b for m in self.MESSAGES for b in enc.token_ids(tokenize(m.text))})
         assert wl.buckets.tolist() == want
         assert len(wl.table.data) == len(want)
-        assert wl.table.data.tobytes() == enc.rows(np.array(want)).tobytes()
+        assert wl.table.data.tobytes() == enc.rows(want).tobytes()
         assert TrainableHashWordLevel(enc).table.data.tobytes() == \
-            enc.rows(np.arange(512)).tobytes()
+            enc.rows(list(range(512))).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_and_gradients_are_those_of_the_whole_table(self, dtype):
@@ -347,8 +349,8 @@ class TestTrainableWordLevels:
             wl.batch_vectors([self.MESSAGES[0], RawMessage("u", "m9", 9, "delta")])
 
     def test_adapter_starts_as_identity(self):
-        store = PrecomputedVectorStore(3, {"m0": np.array([1.0, 2.0, 3.0], dtype=np.float32)})
-        wl = TrainableAdapterWordLevel(store)
+        frozen = FrozenWordLevel(3, {"m0": np.array([1.0, 2.0, 3.0], dtype=np.float32)})
+        wl = TrainableAdapterWordLevel(frozen)
         msgs = [RawMessage("u", "m0", 0, "ignored")]
         np.testing.assert_array_equal(wl.batch_vectors(msgs).data[0], [1.0, 2.0, 3.0])
 
