@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -238,40 +239,53 @@ def echo_config(cfg: dict, out_dir: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _make_word_source(cfg: dict):
+def _vector_file(cfg: dict) -> Optional[str]:
+    """The path ``--word-encoder precomputed:<path>`` names; None for the hash table."""
     choice = cfg["word_encoder"]
     if choice == "hash":
-        return HashEmbeddingEncoder(dim=cfg["d_model"], buckets=cfg["word_buckets"],
-                                    seed=cfg["word_seed"])
+        return None
     if choice.startswith("precomputed:"):
-        frozen = load_precomputed(choice.split(":", 1)[1])
-        if frozen.dim != cfg["d_model"]:
-            raise CliError(f"precomputed vectors are {frozen.dim}-d but --d-model "
-                           f"is {cfg['d_model']}")
-        return frozen
+        return choice.split(":", 1)[1]
     raise CliError(f"--word-encoder must be 'hash' or 'precomputed:<path>', got '{choice}'")
 
 
+def _make_word_source(cfg: dict):
+    path = _vector_file(cfg)
+    if path is None:
+        return HashEmbeddingEncoder(dim=cfg["d_model"], buckets=cfg["word_buckets"],
+                                    seed=cfg["word_seed"])
+    frozen = load_precomputed(path)
+    if frozen.dim != cfg["d_model"]:
+        raise CliError(f"precomputed vectors are {frozen.dim}-d but --d-model "
+                       f"is {cfg['d_model']}")
+    return frozen
+
+
 def _word_meta(cfg: dict) -> dict:
-    choice = cfg["word_encoder"]
-    if choice == "hash":
+    """The word encoder a checkpoint records; a vector file by the sha256 of its bytes."""
+    path = _vector_file(cfg)
+    if path is None:
         return {"kind": "hash", "dim": cfg["d_model"], "buckets": cfg["word_buckets"],
                 "seed": cfg["word_seed"], "row_scheme": wordenc.ROW_SCHEME}
-    return {"kind": "precomputed", "dim": cfg["d_model"], "path": choice.split(":", 1)[1]}
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return {"kind": "precomputed", "dim": cfg["d_model"], "sha256": digest.hexdigest()}
 
 
-def _check_word_encoder(recorded: Optional[dict], cfg: dict) -> None:
+def _check_word_encoder(recorded: Optional[dict], wanted: dict) -> None:
     """Reject word settings that differ from those the checkpoint was pre-trained with.
 
-    The width is taken from the checkpoint already, and a vector file's path
-    is not compared, since the file may have moved. A hash checkpoint
-    written before rows were drawn per bucket records no row scheme, and
-    its table differs from every table drawn now.
+    The width is taken from the checkpoint already. A vector file is
+    compared by its digest, so it may move but not change, and a
+    vector-file checkpoint that records no digest matches no file. A hash
+    checkpoint written before rows were drawn per bucket records no row
+    scheme, and its table differs from every table drawn now.
     """
     if recorded is None:
         return
-    wanted = _word_meta(cfg)
-    for key in ("kind", "buckets", "seed", "row_scheme"):
+    for key in ("kind", "buckets", "seed", "row_scheme", "sha256"):
         if recorded.get(key) != wanted.get(key):
             raise CliError(f"checkpoint was pre-trained with word encoder "
                            f"{key.replace('_', ' ')} "
@@ -438,6 +452,8 @@ ARCH_SPLITS = {"mfc": ("train", "test"), "word": corpus_mod.SPLITS,
                "word-hist": corpus_mod.SPLITS, "melt": ("train", "dev")}
 
 Run = Tuple[str, List[StanceExample], List[StanceExample], List[StanceExample]]
+# the model config and parameters every per-target run starts from
+Template = Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]]
 
 
 def _plan_runs(examples: Sequence[StanceExample], targets: Sequence[str], arch: str,
@@ -491,16 +507,17 @@ def _finetune_cfg(cfg: dict) -> FinetuneConfig:
                           patience=cfg["patience"], seed=cfg["seed"])
 
 
-def _model_template(cfg: Config) -> Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]]:
-    """Config and parameters every per-target run starts from.
+def _model_template(cfg: Config) -> Tuple[Template, dict]:
+    """Config and parameters every per-target run starts from, and the word meta.
 
     With ``--rand-init`` there are no parameters: each run draws its own from
     the seed. Otherwise the checkpoint's model config is written into
     ``cfg``: a model option set to another value is rejected, and the word
-    encoder must match.
+    encoder must match. The word meta is what every snapshot records, so a
+    vector file is hashed once per command.
     """
     if cfg["rand_init"]:
-        return _melt_config(cfg), None
+        return (_melt_config(cfg), None), _word_meta(cfg)
     if not cfg["checkpoint"]:
         raise CliError("provide --checkpoint or pass --rand-init")
     model, header = load_checkpoint(cfg["checkpoint"])
@@ -511,8 +528,9 @@ def _model_template(cfg: Config) -> Tuple[MeltConfig, Optional[Dict[str, np.ndar
             raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the checkpoint's "
                            f"model has {value!r}")
     cfg.update(recorded)
-    _check_word_encoder(header.get("word_encoder"), cfg)
-    return mc, {name: p.data for name, p in model.named_parameters()}
+    word_meta = _word_meta(cfg)
+    _check_word_encoder(header.get("word_encoder"), word_meta)
+    return (mc, {name: p.data for name, p in model.named_parameters()}), word_meta
 
 
 def _word_level_for(cfg: dict, source, messages):
@@ -530,8 +548,8 @@ def _word_level_for(cfg: dict, source, messages):
     return wordenc.TrainableAdapterWordLevel(source)
 
 
-def _run_one_target(template: Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]],
-                    cfg: dict, source, history_len: Optional[int], run: Run):
+def _run_one_target(template: Template, cfg: dict, source, history_len: Optional[int],
+                    run: Run):
     """Independent fine-tuning run; builds its own model so runs can parallelize.
 
     Returns only what the caller saves: (tag, model, best dev loss, best
@@ -552,7 +570,8 @@ def _run_one_target(template: Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]]
     return tag, model, result.best_dev_loss, result.best_epoch, preds
 
 
-def _melt_predictions(cfg: dict, template, history_lens: Sequence[Optional[int]],
+def _melt_predictions(cfg: dict, template: Template, word_meta: dict,
+                      history_lens: Sequence[Optional[int]],
                       examples: Sequence[StanceExample],
                       runs: Sequence[Run]) -> List[stance_mod.Prediction]:
     """Fine-tune every run at each history length; the last length's predictions.
@@ -585,7 +604,7 @@ def _melt_predictions(cfg: dict, template, history_lens: Sequence[Optional[int]]
                 if not sweep:
                     save_checkpoint(os.path.join(cfg["out"], f"snapshot_{tag}.melt"), model,
                                     dev_mse=best_dev_loss, epoch=best_epoch, seed=cfg["seed"],
-                                    extra={"word_encoder": _word_meta(cfg), "stance_tag": tag})
+                                    extra={"word_encoder": word_meta, "stance_tag": tag})
             if sweep:
                 table = metrics_mod.per_target_report(
                     [(p.stance_target, p.gold, p.label) for p in preds], pooled=cfg["pooled"])
@@ -626,7 +645,7 @@ def cmd_finetune(cfg: Config) -> int:
             if used:
                 raise CliError(f"{option} applies only to --arch melt, not '{cfg['arch']}'")
     history_lens = _parse_history(cfg)
-    template = _model_template(cfg) if cfg["arch"] == "melt" else None
+    template, word_meta = _model_template(cfg) if cfg["arch"] == "melt" else (None, None)
     echo_config(cfg, cfg["out"])
     examples = ingest_stance_jsonl(cfg["stance"])
     runs = _plan_runs(examples, _resolve_targets(cfg, examples), cfg["arch"], cfg["pooled"])
@@ -643,7 +662,7 @@ def cmd_finetune(cfg: Config) -> int:
                      train, dev, test, vectors, fcfg, with_history=cfg["arch"] == "word-hist",
                      hidden1=cfg["head_hidden1"], hidden2=cfg["head_hidden2"])]
     else:
-        preds = _melt_predictions(cfg, template, history_lens, examples, runs)
+        preds = _melt_predictions(cfg, template, word_meta, history_lens, examples, runs)
     _write_csv(os.path.join(cfg["out"], "predictions.csv"), PREDICTION_HEADER,
                _prediction_rows(preds))
     print(f"wrote {len(preds)} {cfg['arch']} predictions")

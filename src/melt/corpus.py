@@ -146,13 +146,6 @@ def build_chunks(history: Sequence[RawMessage], seq_len: int = SEQ_LEN) -> List[
     return chunks
 
 
-def batch_chunks(chunks: Sequence, batch_size: int = 100) -> List[List]:
-    """Order-stable batches; the final batch may be short."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    return [list(chunks[i:i + batch_size]) for i in range(0, len(chunks), batch_size)]
-
-
 # ---------------------------------------------------------------------------
 # masking
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Masked-document pre-training: loop, dev evaluation, checkpointing.
+"""Masked-document pre-training, the training loop every trainer shares, checkpoints.
 
-Each epoch re-rolls the mask plans from a seed derived per epoch; the dev
-plans are rolled once and reused so the dev MSE is comparable across
-epochs. The checkpoint written at the end is the parameter snapshot of the
-epoch with the lowest dev MSE (earliest epoch on ties).
+``run_epochs`` is the one epoch loop and ``descend`` the one update step of
+pre-training, stance fine-tuning and the word baselines. Pre-training re-rolls
+the mask plans each epoch from a seed derived per epoch; the dev plans are
+rolled once and reused so the dev MSE is comparable across epochs. The
+checkpoint written at the end is the parameter snapshot of the epoch with the
+lowest dev MSE (earliest epoch on ties).
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .corpus import Action, MaskPlan, SequenceChunk, apply_masking, batch_chunks
+from .corpus import Action, MaskPlan, SequenceChunk, apply_masking
 from .model import MeltConfig, MeltModel, copy_param, embed_batch
 from .optim import AdamW, warmup_lr
 from .tensor import Tensor, backward, mse_loss, no_grad
@@ -59,6 +61,9 @@ class StepRecord:
 class EpochRecord:
     epoch: int
     dev_mse: float
+
+
+EpochLog = List[Tuple[int, float, float]]  # (epoch, mean train loss, dev score)
 
 
 @dataclass
@@ -160,6 +165,10 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
           config: PretrainConfig) -> PretrainResult:
     """Run the masked-reconstruction loop and track the best-dev epoch.
 
+    Every epoch trains on ``train_chunks`` in order, drawing masks and
+    dropout from a generator seeded ``seed ^ epoch``, and none stops the run
+    early. The model keeps the last epoch's values, ``best_params`` the best's.
+
     The word level is frozen by construction: only message-transformer
     parameters are registered with the optimizer, and the pooled vectors are
     plain arrays that gradients cannot enter.
@@ -172,44 +181,42 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
     opt = AdamW(model.named_parameters(), base_lr=config.base_lr,
                 weight_decay=config.weight_decay)
     dev_plans = make_dev_plans(dev_chunks, vectors, seed=config.seed ^ DEV_SEED_SALT)
-    result = PretrainResult(model=model, best_epoch=-1, best_dev_mse=float("inf"),
-                            best_params={})
-    global_step = 0
-    for epoch in range(1, config.epochs + 1):
-        rng = np.random.default_rng(config.seed ^ epoch)
-        for batch in batch_chunks(train_chunks, config.batch_size):
-            pool = [m.message_id for c in batch for m in c.real_messages()]
-            plans = [apply_masking(c, rng, vectors, pool) for c in batch]
-            lr = warmup_lr(global_step, config.base_lr, config.warmup_steps)
-            loss_val = _train_step(model, opt, batch, plans, vectors, rng, lr,
-                                   config.grad_clip, global_step)
-            result.steps.append(StepRecord(global_step, lr, loss_val))
-            global_step += 1
-        dev_mse = evaluate_dev(model, dev_chunks, dev_plans, vectors,
-                               batch_size=config.batch_size)
-        if not np.isfinite(dev_mse):
-            raise TrainingDivergedError(global_step, what=f"dev MSE after epoch {epoch}")
-        result.epochs.append(EpochRecord(epoch, dev_mse))
-        if dev_mse < result.best_dev_mse:
-            result.best_dev_mse = dev_mse
-            result.best_epoch = epoch
-            result.best_params = {name: p.data.copy() for name, p in model.named_parameters()}
-    return result
+    steps: List[StepRecord] = []
+
+    def train_batch(batch, rng, step):
+        pool = [m.message_id for c in batch for m in c.real_messages()]
+        plans = [apply_masking(c, rng, vectors, pool) for c in batch]
+        lr = warmup_lr(step, config.base_lr, config.warmup_steps)
+        preds, targets = _forward_masked(model, batch, plans, vectors, train=True, rng=rng)
+        loss_val = 0.0 if preds is None else \
+            descend(opt, masked_loss(preds, targets), step, lr, config.grad_clip)
+        steps.append(StepRecord(step, lr, loss_val))
+        return loss_val
+
+    def dev_mse():
+        return evaluate_dev(model, dev_chunks, dev_plans, vectors,
+                            batch_size=config.batch_size)
+
+    history, best_epoch, best_dev_mse, best_params, _ = run_epochs(
+        model.named_parameters(), config.epochs, patience=config.epochs,
+        batch_size=config.batch_size,
+        epoch_order=lambda epoch: (train_chunks, np.random.default_rng(config.seed ^ epoch)),
+        train_batch=train_batch, dev_score=dev_mse, dev_name="dev MSE")
+    return PretrainResult(model, best_epoch, best_dev_mse, best_params, steps,
+                          [EpochRecord(epoch, dev) for epoch, _, dev in history])
 
 
-def _train_step(model: MeltModel, opt: AdamW, batch: Sequence[SequenceChunk],
-                plans: Sequence[MaskPlan], vectors: Mapping[str, np.ndarray],
-                rng: np.random.Generator, lr: float, grad_clip: Optional[float],
-                step: int) -> float:
-    """One forward/backward/update; returns the loss (0.0 when nothing is selected).
+def descend(opt: AdamW, loss: Tensor, step: int, lr: Optional[float] = None,
+            grad_clip: Optional[float] = None) -> float:
+    """Backward from a training loss and one update; returns the loss.
 
-    Only the float leaves this frame, so the step's graph and its
-    intermediate gradients are freed before the caller runs dev evaluation.
+    Gradients are clipped to a global norm of ``grad_clip`` when it is set,
+    and ``lr`` of None steps at the optimizer's base rate. Only the float is
+    returned, so the step's graph and its intermediate gradients are freed
+    with the caller's step frame, before dev evaluation.
+
+    Raises TrainingDivergedError when the loss is not finite.
     """
-    preds, targets = _forward_masked(model, batch, plans, vectors, train=True, rng=rng)
-    if preds is None:
-        return 0.0
-    loss = masked_loss(preds, targets)
     loss_val = float(loss.data)
     if not np.isfinite(loss_val):
         raise TrainingDivergedError(step)
@@ -218,6 +225,55 @@ def _train_step(model: MeltModel, opt: AdamW, batch: Sequence[SequenceChunk],
         _clip_grads(opt.params, grad_clip)
     opt.step(lr)
     return loss_val
+
+
+def run_epochs(params: Sequence[Tuple[str, Tensor]], epochs: int, patience: int,
+               batch_size: int,
+               epoch_order: Callable[[int], Tuple[Sequence, np.random.Generator]],
+               train_batch: Callable[[Sequence, np.random.Generator, int], float],
+               dev_score: Callable[[], float], dev_name: str
+               ) -> Tuple[EpochLog, int, float, Dict[str, np.ndarray], bool]:
+    """Train in epochs of batches, score dev after each, keep the best epoch's values.
+
+    ``epoch_order(epoch)`` gives the epoch's items in training order and the
+    generator its batches draw from. ``train_batch(batch, rng, step)`` updates
+    on a slice of at most ``batch_size`` items, ``step`` counting batches over
+    the run, and returns their mean loss. ``dev_score()`` runs after every
+    epoch. Only a strictly lower score improves, so ties keep the earlier
+    epoch; an improving epoch's values are copied into one snapshot buffer,
+    and the run stops after ``patience`` + 1 epochs in a row without one.
+
+    Returns the (epoch, mean train loss, dev score) history, the best epoch,
+    its score, the snapshot and whether the run stopped early. A non-finite
+    dev score raises TrainingDivergedError naming ``dev_name`` and the epoch.
+    """
+    history: EpochLog = []
+    best_epoch, best_score, snapshot = -1, float("inf"), None
+    since_best = step = 0
+    for epoch in range(1, epochs + 1):
+        items, rng = epoch_order(epoch)
+        epoch_loss = 0.0
+        for start in range(0, len(items), batch_size):
+            batch = items[start:start + batch_size]
+            epoch_loss += train_batch(batch, rng, step) * len(batch)
+            step += 1
+        score = dev_score()
+        if not np.isfinite(score):
+            raise TrainingDivergedError(step, what=f"{dev_name} after epoch {epoch}")
+        history.append((epoch, epoch_loss / len(items), score))
+        if score < best_score:
+            best_epoch, best_score = epoch, score
+            if snapshot is None:
+                snapshot = {name: p.data.copy() for name, p in params}
+            else:
+                for name, p in params:
+                    np.copyto(snapshot[name], p.data)
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best > patience:
+                break
+    return history, best_epoch, best_score, snapshot, since_best > patience
 
 
 def _clip_grads(params, max_norm: float) -> None:
@@ -250,19 +306,7 @@ def load_params_into(model: MeltModel, params: Mapping[str, np.ndarray]) -> None
 
 
 class CheckpointError(RuntimeError):
-    """Base class for unreadable checkpoints."""
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
-class CheckpointManifestError(CheckpointError):
-    pass
+    """A checkpoint that cannot be read."""
 
 
 def save_params(path, header: dict, named_params: Sequence[Tuple[str, np.ndarray]]) -> None:
@@ -295,32 +339,32 @@ def load_params(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.endswith(b"\n"):
-            raise CheckpointTruncatedError("checkpoint header line is incomplete")
+            raise CheckpointError("checkpoint header line is incomplete")
         try:
             header = json.loads(line)
         except json.JSONDecodeError:
-            raise CheckpointManifestError("checkpoint header is not valid JSON") from None
+            raise CheckpointError("checkpoint header is not valid JSON") from None
         if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointVersionError(
+            raise CheckpointError(
                 f"checkpoint version {header.get('version')!r}, "
                 f"this build reads version {CHECKPOINT_VERSION}")
         manifest = header.get("manifest")
         if not isinstance(manifest, list):
-            raise CheckpointManifestError("checkpoint header lacks a manifest")
+            raise CheckpointError("checkpoint header lacks a manifest")
         params: Dict[str, np.ndarray] = {}
         for i, entry in enumerate(manifest):
             if not _is_manifest_entry(entry):
-                raise CheckpointManifestError(
+                raise CheckpointError(
                     f"manifest entry {i} is not a [name, shape] pair: {json.dumps(entry)}")
             name, shape = entry[0], tuple(entry[1])
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 4)
             if len(raw) != count * 4:
-                raise CheckpointTruncatedError(
+                raise CheckpointError(
                     f"checkpoint ends mid-block for parameter '{name}'")
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
         if fh.read(1):
-            raise CheckpointManifestError("trailing bytes after the last manifest block")
+            raise CheckpointError("trailing bytes after the last manifest block")
     return header, params
 
 
@@ -348,12 +392,12 @@ def load_checkpoint(path) -> Tuple[MeltModel, dict]:
     """Rebuild a model whose forward outputs are bit-identical to the saved one."""
     header, params = load_params(path)
     if not isinstance(header.get("config"), dict):
-        raise CheckpointManifestError("checkpoint header lacks a 'config' object")
+        raise CheckpointError("checkpoint header lacks a 'config' object")
     try:
         config = MeltConfig(**header["config"])
     except TypeError as exc:
-        raise CheckpointManifestError(f"checkpoint 'config' does not fit: {exc}") from None
-    layout_error = CheckpointManifestError("manifest does not match this model layout")
+        raise CheckpointError(f"checkpoint 'config' does not fit: {exc}") from None
+    layout_error = CheckpointError("manifest does not match this model layout")
     try:
         model = MeltModel(config, seed=header.get("seed", 0), params=params)
     except KeyError:

@@ -3,14 +3,16 @@
 The classifier reads the top-layer contextual vector at the target
 message's slot, applies dropout, and feeds a small feed-forward head
 (dense 768, sigmoid, dense 384, linear 3-way). All message-transformer
-layers stay trainable; the word level trains only when unfrozen. Early
-stopping watches dev loss and the best-dev snapshot is restored.
+layers stay trainable; the word level trains only when unfrozen.
+Fine-tuning and the word baselines' heads train on ``pretrain.run_epochs``,
+shuffling the training examples each epoch, stopping early on dev loss and
+ending at the best dev epoch's parameter values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,9 +21,10 @@ from .model import MeltModel
 # fine-tuning's own name for the shared embedding, which perfbench's tracer times apart
 from .model import embed_batch as embed_token_batch
 from .optim import AdamW
-from .pretrain import TrainingDivergedError
-from .tensor import (Tensor, backward, cross_entropy, dropout, linear, no_grad, sigmoid,
-                     softmax)
+from .pretrain import EpochLog, descend, run_epochs
+# perfbench/launch.py wraps stance.backward by name; only it reads this import
+from .tensor import backward  # noqa: F401
+from .tensor import Tensor, cross_entropy, dropout, linear, no_grad, sigmoid, softmax
 
 
 @dataclass
@@ -85,14 +88,8 @@ class Prediction:
     probs: np.ndarray  # (3,) in LABELS order, sums to 1
 
 
-EpochLog = List[Tuple[int, float, float]]  # (epoch, mean train loss, dev loss)
-
-
 @dataclass
 class FinetuneResult:
-    model: MeltModel
-    head: StanceHead
-    word_level: object
     history: EpochLog = field(default_factory=list)
     best_epoch: int = -1
     best_dev_loss: float = float("inf")
@@ -135,22 +132,6 @@ def _forward_examples(model: MeltModel, head: StanceHead, word_level,
     return head.forward(pooled, p_drop=p_drop, train=train, rng=rng)
 
 
-def _snapshot(params: Sequence[Tuple[str, Tensor]],
-              into: Optional[Dict[str, np.ndarray]] = None) -> Dict[str, np.ndarray]:
-    """Copies of the parameters' values, written into ``into``'s arrays if given."""
-    if into is None:
-        return {name: p.data.copy() for name, p in params}
-    for name, p in params:
-        np.copyto(into[name], p.data)
-    return into
-
-
-def _restore(params: Sequence[Tuple[str, Tensor]], snap: Mapping[str, np.ndarray]) -> None:
-    """Hand the snapshot's arrays to the parameters; ``snap`` is not used again."""
-    for name, p in params:
-        p.data = snap[name]
-
-
 def _mean_loss(model, head, word_level, examples, history_len, batch_size) -> float:
     total, n = 0.0, 0
     for start in range(0, len(examples), batch_size):
@@ -164,62 +145,21 @@ def _mean_loss(model, head, word_level, examples, history_len, batch_size) -> fl
     return total / n
 
 
-def _descend(opt: AdamW, logits: Tensor, labels, step: int) -> float:
-    """Cross-entropy backward and one update; returns the batch's mean loss.
+def _train_to_best(params: Sequence[Tuple[str, Tensor]], cfg: FinetuneConfig,
+                   n_train: int, train_batch: Callable[..., float],
+                   dev_loss: Callable[[], float]) -> Tuple[EpochLog, int, float, bool]:
+    """``run_epochs`` over one shuffle of the ``n_train`` examples per epoch.
 
-    Only the float is returned, so the step's graph and its intermediate
-    gradients are freed with the caller's step frame, before dev evaluation.
-    """
-    loss = cross_entropy(logits, labels)
-    loss_val = float(loss.data)
-    if not np.isfinite(loss_val):
-        raise TrainingDivergedError(step)
-    backward(loss)
-    opt.step()
-    return loss_val
-
-
-def _early_stopping(params: Sequence[Tuple[str, Tensor]], cfg: FinetuneConfig,
-                    n_train: int, train_batch: Callable[..., float],
-                    dev_loss: Callable[[], float]) -> Tuple[EpochLog, int, float, bool]:
-    """Train in epochs of shuffled batches, stop on dev loss, restore the best epoch.
-
-    ``train_batch(idx, rng, step)`` trains on the examples ``idx`` and
-    returns their mean loss, drawing its dropout masks from ``rng``, the
-    generator that also shuffles each epoch. ``dev_loss()`` runs after every
-    epoch. An epoch improves only on a strictly lower dev loss, and the run
-    stops after ``patience`` + 1 epochs in a row without one. Returns the
-    (epoch, mean train loss, dev loss) history, the best epoch, its dev
-    loss, and whether the run stopped early.
-
-    Raises TrainingDivergedError when a dev loss is not finite.
+    One generator seeded ``cfg.seed`` draws every epoch's order and the
+    dropout masks, and the parameters end holding the best dev epoch's values.
     """
     rng = np.random.default_rng(cfg.seed)
-    history: EpochLog = []
-    best_epoch, best_loss, best_snap = -1, float("inf"), None
-    since_best = 0
-    step = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(n_train)
-        epoch_loss = 0.0
-        for start in range(0, n_train, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            epoch_loss += train_batch(idx, rng, step) * len(idx)
-            step += 1
-        loss = dev_loss()
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(step, what=f"dev loss after epoch {epoch}")
-        history.append((epoch, epoch_loss / n_train, loss))
-        if loss < best_loss:
-            best_epoch, best_loss = epoch, loss
-            best_snap = _snapshot(params, into=best_snap)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best > cfg.patience:
-                break
-    _restore(params, best_snap)
-    return history, best_epoch, best_loss, since_best > cfg.patience
+    history, best_epoch, best_loss, snapshot, stopped_early = run_epochs(
+        params, cfg.max_epochs, cfg.patience, cfg.batch_size,
+        lambda epoch: (rng.permutation(n_train), rng), train_batch, dev_loss, "dev loss")
+    for name, p in params:
+        p.data = snapshot[name]
+    return history, best_epoch, best_loss, stopped_early
 
 
 def finetune(model: MeltModel, head: StanceHead, word_level,
@@ -243,14 +183,13 @@ def finetune(model: MeltModel, head: StanceHead, word_level,
         batch = [train_examples[i] for i in idx]
         logits = _forward_examples(model, head, word_level, batch, history_len,
                                    p_drop=cfg.dropout, train=True, rng=rng)
-        return _descend(opt, logits, [ex.label_index for ex in batch], step)
+        return descend(opt, cross_entropy(logits, [ex.label_index for ex in batch]), step)
 
     def dev_loss():
         return _mean_loss(model, head, word_level, dev_examples, history_len, cfg.batch_size)
 
-    return FinetuneResult(model, head, word_level,
-                          *_early_stopping(params, cfg, len(train_examples), train_batch,
-                                           dev_loss))
+    return FinetuneResult(*_train_to_best(params, cfg, len(train_examples), train_batch,
+                                          dev_loss))
 
 
 def predict(model: MeltModel, head: StanceHead, word_level,
@@ -334,12 +273,12 @@ def train_feature_head(features: np.ndarray, labels: Sequence[int],
 
     def train_batch(idx, rng, step):
         logits = head.forward(Tensor(features[idx]), p_drop=cfg.dropout, train=True, rng=rng)
-        return _descend(opt, logits, labels[idx], step)
+        return descend(opt, cross_entropy(logits, labels[idx]), step)
 
     def dev_loss():
         return float(cross_entropy(head.forward(Tensor(dev_features)), dev_labels).data)
 
-    _early_stopping(params, cfg, features.shape[0], train_batch, dev_loss)
+    _train_to_best(params, cfg, features.shape[0], train_batch, dev_loss)
     return head
 
 

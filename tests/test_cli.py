@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,20 @@ class TestPretrain:
         _, header = load_checkpoint(out_dir / "checkpoint.melt")
         assert header["word_encoder"]["kind"] == "hash"
         assert header["word_encoder"]["dim"] == 16
+
+    def test_vector_file_recorded_by_content_not_path(self, tmp_path, corpus_file):
+        from melt.corpus import ingest_jsonl
+        messages = [m for msgs in ingest_jsonl(corpus_file).values() for m in msgs]
+        vectors = compute_message_vectors(messages, HashEmbeddingEncoder(16, 256, 3))
+        paths = [tmp_path / "a.tsv", tmp_path / "elsewhere" / "b.tsv"]
+        paths[1].parent.mkdir()
+        for path in paths:
+            write_vector_file(path, 16, vectors.items())
+        ckpts = [run_pretrain(tmp_path, corpus_file, out=f"pre{i}",
+                              extra=["--word-encoder", f"precomputed:{path}"])
+                 / "checkpoint.melt" for i, path in enumerate(paths)]
+        assert hashlib.sha256(ckpts[0].read_bytes()).hexdigest() == \
+            hashlib.sha256(ckpts[1].read_bytes()).hexdigest()
 
     def test_numeric_failure_exits_with_distinct_code(self, tmp_path, corpus_file):
         prep_dir = run_prep(tmp_path, corpus_file, out="nan_prep")
@@ -368,6 +383,57 @@ class TestFinetune:
                                   "--checkpoint", str(pre / "checkpoint.melt")))
         assert code == 2
         assert "seed" in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
+
+    def test_vector_file_unlike_the_checkpoints_rejected(self, tmp_path, corpus_file,
+                                                         stance_file, capsys):
+        from melt.corpus import all_messages, ingest_jsonl, ingest_stance_jsonl
+        from melt.pretrain import load_params, save_params
+        messages = [m for msgs in ingest_jsonl(corpus_file).values() for m in msgs]
+        messages += all_messages(ingest_stance_jsonl(stance_file))
+        digests = []
+        for name, seed in (("a.tsv", 3), ("b.tsv", 4)):  # same ids and width
+            vectors = compute_message_vectors(messages, HashEmbeddingEncoder(16, 256, seed))
+            write_vector_file(tmp_path / name, 16, vectors.items())
+            digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+        pre = run_pretrain(tmp_path, corpus_file,
+                           extra=["--word-encoder", f"precomputed:{tmp_path / 'a.tsv'}"])
+        ckpt = pre / "checkpoint.melt"
+        assert main(finetune_args(stance_file, tmp_path / "ft_a", "--checkpoint", str(ckpt),
+                                  "--word-encoder", f"precomputed:{tmp_path / 'a.tsv'}")) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "ft_b"
+        code = main(finetune_args(stance_file, out_dir, "--checkpoint", str(ckpt),
+                                  "--word-encoder", f"precomputed:{tmp_path / 'b.tsv'}"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert digests[0] in err and digests[1] in err
+        assert not (out_dir / "predictions.csv").exists()
+        # a checkpoint that names its vector file by path alone matches no file
+        header, params = load_params(ckpt)
+        header.pop("manifest")
+        header["word_encoder"] = {"kind": "precomputed", "dim": 16,
+                                  "path": str(tmp_path / "a.tsv")}
+        save_params(ckpt, header, list(params.items()))
+        out_dir = tmp_path / "ft_path"
+        code = main(finetune_args(stance_file, out_dir, "--checkpoint", str(ckpt),
+                                  "--word-encoder", f"precomputed:{tmp_path / 'a.tsv'}"))
+        assert code == 2
+        assert digests[0] in capsys.readouterr().err
+        assert not (out_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("start", ["--checkpoint", "--rand-init"])
+    def test_unknown_word_encoder_is_input_error(self, tmp_path, stance_file, capsys, start):
+        ckpt = tmp_path / "c.melt"
+        save_checkpoint(ckpt, MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32,
+                                                   n_heads=2), seed=0),
+                        dev_mse=0.0, epoch=1, seed=0,
+                        extra={"word_encoder": {"kind": "hash", "dim": 16}})
+        out_dir = tmp_path / "ft"
+        start_args = [start, str(ckpt)] if start == "--checkpoint" else [start]
+        assert main(finetune_args(stance_file, out_dir, *start_args,
+                                  "--word-encoder", "bogus")) == 2
+        assert "--word-encoder" in capsys.readouterr().err
         assert not (out_dir / "predictions.csv").exists()
 
     def test_requires_checkpoint_or_rand_init(self, tmp_path, stance_file):

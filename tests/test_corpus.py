@@ -2,11 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from melt.corpus import (Action, CorpusFormatError, RawMessage, SequenceChunk,
-                         apply_masking, batch_chunks, build_chunks,
+                         apply_masking, build_chunks,
                          build_finetune_sequence, ingest_jsonl,
                          ingest_stance_jsonl)
 
@@ -126,21 +124,6 @@ class TestBuildChunks:
                 # PAD only as a trailing block
                 reals = [s is not None for s in c.slots]
                 assert reals == sorted(reals, reverse=True)
-
-
-class TestBatchChunks:
-    def test_sizes(self):
-        batches = batch_chunks(list(range(250)), 100)
-        assert [len(b) for b in batches] == [100, 100, 50]
-
-    def test_single(self):
-        assert batch_chunks([42], 100) == [[42]]
-
-    @given(st.integers(0, 57), st.integers(1, 13))
-    @settings(max_examples=30, deadline=None)
-    def test_concatenation_restores_order(self, n, size):
-        items = list(range(n))
-        assert [x for b in batch_chunks(items, size) for x in b] == items
 
 
 class TestApplyMasking:

@@ -4,8 +4,7 @@ import pytest
 from melt import pretrain as pretrain_mod
 from melt.corpus import Action, MaskPlan, build_chunks
 from melt.model import MeltConfig, MeltModel, embed_batch
-from melt.pretrain import (CheckpointManifestError, CheckpointTruncatedError,
-                           CheckpointVersionError, PretrainConfig,
+from melt.pretrain import (CheckpointError, PretrainConfig,
                            TrainingDivergedError, _forward_masked, _input_rows,
                            evaluate_dev, load_checkpoint, load_params_into, make_dev_plans,
                            masked_loss, save_checkpoint, train)
@@ -133,6 +132,53 @@ class TestTrain:
         assert res.best_dev_mse == min(e.dev_mse for e in res.epochs)
         first_best = min(res.epochs, key=lambda e: (e.dev_mse, e.epoch))
         assert res.best_epoch == first_best.epoch
+
+    def test_runs_every_epoch_and_keeps_the_best_not_the_last(self, monkeypatch):
+        # a high rate on 4 training chunks: the dev MSE is lowest after epoch 1
+        # and higher in each of the 3 epochs after it
+        _, vectors, chunks = small_setup()
+        at_dev_eval = []
+        evaluate = pretrain_mod.evaluate_dev
+
+        def recording_evaluate_dev(model, *args, **kwargs):
+            at_dev_eval.append({n: p.data.tobytes() for n, p in model.named_parameters()})
+            return evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(pretrain_mod, "evaluate_dev", recording_evaluate_dev)
+        model = small_model()
+        res = train(model, chunks[2:6], chunks[:2], vectors,
+                    PretrainConfig(base_lr=3e-2, warmup_steps=0, epochs=4, batch_size=4,
+                                   seed=3))
+        assert len(res.epochs) == 4 and len(at_dev_eval) == 4
+        assert res.best_epoch < 4
+        assert all(e.dev_mse > res.best_dev_mse for e in res.epochs[res.best_epoch:])
+        best = {n: a.tobytes() for n, a in res.best_params.items()}
+        assert best == at_dev_eval[res.best_epoch - 1]
+        assert best != at_dev_eval[-1]
+        # the model itself keeps the last epoch's values
+        assert {n: p.data.tobytes() for n, p in model.named_parameters()} == at_dev_eval[-1]
+
+    def test_grad_clip_reaches_every_update(self, monkeypatch):
+        _, vectors, chunks = small_setup()
+        clip = pretrain_mod._clip_grads
+        calls = []
+
+        def counting_clip(params, max_norm):
+            calls.append(max_norm)
+            clip(params, max_norm)
+
+        monkeypatch.setattr(pretrain_mod, "_clip_grads", counting_clip)
+        losses = {}
+        for grad_clip in (None, 1e-3):
+            calls.clear()
+            res = train(small_model(), chunks[2:], chunks[:2], vectors,
+                        PretrainConfig(warmup_steps=0, epochs=2, batch_size=4, seed=4,
+                                       grad_clip=grad_clip))
+            assert all(s.loss > 0 for s in res.steps)  # every step selected slots
+            assert calls == ([] if grad_clip is None else [grad_clip] * len(res.steps))
+            losses[grad_clip] = [s.loss for s in res.steps]
+        assert losses[None][0] == losses[1e-3][0]
+        assert all(a != b for a, b in zip(losses[None][1:], losses[1e-3][1:]))
 
     def test_empty_train_rejected(self):
         _, vectors, chunks = small_setup()
@@ -262,7 +308,7 @@ class TestCheckpoint:
         path = self.roundtrip(tmp_path, small_model(), dev_mse=0.0, epoch=1, seed=0)
         blob = path.read_bytes()
         path.write_bytes(blob[:-10])
-        with pytest.raises(CheckpointTruncatedError):
+        with pytest.raises(CheckpointError, match="ends mid-block"):
             load_checkpoint(path)
 
     def test_version_mismatch_detected(self, tmp_path):
@@ -270,13 +316,13 @@ class TestCheckpoint:
         blob = path.read_bytes()
         head, rest = blob.split(b"\n", 1)
         path.write_bytes(head.replace(b'"version": 1', b'"version": 99') + b"\n" + rest)
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError, match="checkpoint version 99"):
             load_checkpoint(path)
 
     def test_trailing_garbage_detected(self, tmp_path):
         path = self.roundtrip(tmp_path, small_model(), dev_mse=0.0, epoch=1, seed=0)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
-        with pytest.raises(CheckpointManifestError):
+        with pytest.raises(CheckpointError, match="trailing bytes"):
             load_checkpoint(path)
 
     def test_header_dev_mse_matches_reevaluation(self, tmp_path):
@@ -444,7 +490,7 @@ class TestLoadWithoutInit:
         renamed = [("renamed" if n == "head.b" else n, a) for n, a in params.items()]
         header.pop("manifest")
         save_params(path, header, renamed)
-        with pytest.raises(CheckpointManifestError):
+        with pytest.raises(CheckpointError, match="does not match this model layout"):
             load_checkpoint(path)
 
 

@@ -184,7 +184,7 @@ class TestFreezing:
             swept.append((len(tape(loss)), pinned_tensors(loss)))
             backward(loss)
 
-        monkeypatch.setattr(stance, "backward", checked_backward)
+        monkeypatch.setattr("melt.pretrain.backward", checked_backward)
         examples, enc, _ = setup_world(30)
         train, dev, _ = split_examples(examples)
         model = MeltModel(MeltConfig(n_layers=2, d_model=D, ff_dim=32, n_heads=2, dropout=0.1,
