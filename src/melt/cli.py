@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -261,17 +260,15 @@ def _make_word_source(cfg: dict):
     return frozen
 
 
-def _word_meta(cfg: dict) -> dict:
-    """The word encoder a checkpoint records; a vector file by the sha256 of its bytes."""
-    path = _vector_file(cfg)
-    if path is None:
-        return {"kind": "hash", "dim": cfg["d_model"], "buckets": cfg["word_buckets"],
-                "seed": cfg["word_seed"], "row_scheme": wordenc.ROW_SCHEME}
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return {"kind": "precomputed", "dim": cfg["d_model"], "sha256": digest.hexdigest()}
+def _word_meta(cfg: dict, source) -> dict:
+    """The word encoder a checkpoint records of ``source``, as ``_make_word_source`` built it.
+
+    A vector file is recorded by the sha256 of the bytes its loader parsed.
+    """
+    if isinstance(source, wordenc.FrozenWordLevel):
+        return {"kind": "precomputed", "dim": cfg["d_model"], "sha256": source.sha256}
+    return {"kind": "hash", "dim": cfg["d_model"], "buckets": cfg["word_buckets"],
+            "seed": cfg["word_seed"], "row_scheme": wordenc.ROW_SCHEME}
 
 
 def _check_word_encoder(recorded: Optional[dict], wanted: dict) -> None:
@@ -382,6 +379,19 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage],
 # ---------------------------------------------------------------------------
 
 
+def _pool_vectors(cfg: dict, messages) -> Tuple[Dict[str, np.ndarray], dict]:
+    """The pooled vector of each of ``messages``, and the word meta: pre-training's worker.
+
+    It imports scipy first, since the import holds the GIL: done before the
+    pooling, it leaves the main thread's weight draws free to run beside
+    it. Training reads only the pooled vectors, so the word source, with
+    any rows drawn, is freed on return.
+    """
+    import scipy.special  # noqa: F401  MeltModel's import, which then waits for this one
+    source = _make_word_source(cfg)
+    return compute_message_vectors(messages, source), _word_meta(cfg, source)
+
+
 def cmd_pretrain(cfg: dict) -> int:
     echo_config(cfg, cfg["out"])
     groups = ingest_jsonl(cfg["corpus"])
@@ -401,12 +411,13 @@ def cmd_pretrain(cfg: dict) -> int:
     dev_chunks = [c for i, c in enumerate(chunks) if i % stride == 0]
     train_chunks = [c for i, c in enumerate(chunks) if i % stride != 0]
 
-    source = _make_word_source(cfg)
-    needed = [m for c in chunks for m in c.real_messages()]
-    vectors = compute_message_vectors({m.message_id: m for m in needed}.values(), source)
-    del source  # training reads only the pooled vectors; free the drawn rows
-
-    model = MeltModel(_melt_config(cfg), seed=cfg["seed"])
+    needed = {m.message_id: m for c in chunks for m in c.real_messages()}
+    # Pooling holds the GIL and the weight draws release it, so the worker
+    # pools while this thread draws; both are done before training starts.
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        word_side = worker.submit(_pool_vectors, cfg, needed.values())
+        model = MeltModel(_melt_config(cfg), seed=cfg["seed"])
+        vectors, word_meta = word_side.result()
     pconfig = PretrainConfig(base_lr=cfg["lr"], weight_decay=cfg["weight_decay"],
                              warmup_steps=cfg["warmup_steps"], epochs=cfg["epochs"],
                              batch_size=cfg["batch_size"], seed=cfg["seed"],
@@ -420,7 +431,7 @@ def cmd_pretrain(cfg: dict) -> int:
     ckpt_path = os.path.join(cfg["out"], "checkpoint.melt")
     save_checkpoint(ckpt_path, model, dev_mse=result.best_dev_mse,
                     epoch=result.best_epoch, seed=cfg["seed"],
-                    params=result.best_params, extra={"word_encoder": _word_meta(cfg)})
+                    params=result.best_params, extra={"word_encoder": word_meta})
     print(f"best epoch {result.best_epoch} dev_mse {result.best_dev_mse:.6f} "
           f"-> {ckpt_path}")
     return EXIT_OK
@@ -453,7 +464,7 @@ ARCH_SPLITS = {"mfc": ("train", "test"), "word": corpus_mod.SPLITS,
 
 Run = Tuple[str, List[StanceExample], List[StanceExample], List[StanceExample]]
 # the model config and parameters every per-target run starts from
-Template = Tuple[MeltConfig, Optional[Dict[str, np.ndarray]]]
+Template = Tuple[MeltConfig, Dict[str, np.ndarray]]
 
 
 def _plan_runs(examples: Sequence[StanceExample], targets: Sequence[str], arch: str,
@@ -507,30 +518,35 @@ def _finetune_cfg(cfg: dict) -> FinetuneConfig:
                           patience=cfg["patience"], seed=cfg["seed"])
 
 
-def _model_template(cfg: Config) -> Tuple[Template, dict]:
-    """Config and parameters every per-target run starts from, and the word meta.
+def _model_template(cfg: Config) -> Tuple[Template, object, dict]:
+    """What every per-target run starts from: model config and parameters, word source and meta.
 
-    With ``--rand-init`` there are no parameters: each run draws its own from
-    the seed. Otherwise the checkpoint's model config is written into
-    ``cfg``: a model option set to another value is rejected, and the word
-    encoder must match. The word meta is what every snapshot records, so a
-    vector file is hashed once per command.
+    With ``--rand-init`` the parameters are drawn once from the seed.
+    Otherwise the checkpoint's model config is written into ``cfg``: a
+    model option set to another value is rejected, and the word encoder
+    must match. The word source is built once per command, so a vector
+    file is read once, before the stance file; the word meta is what every
+    snapshot records.
     """
+    header: dict = {}
     if cfg["rand_init"]:
-        return (_melt_config(cfg), None), _word_meta(cfg)
-    if not cfg["checkpoint"]:
+        model = MeltModel(_melt_config(cfg), seed=cfg["seed"])
+    elif not cfg["checkpoint"]:
         raise CliError("provide --checkpoint or pass --rand-init")
-    model, header = load_checkpoint(cfg["checkpoint"])
-    mc = model.config
-    recorded = {option: getattr(mc, field) for option, field in MODEL_FIELDS.items()}
-    for key, value in recorded.items():
-        if key in cfg.given and cfg[key] != value:
-            raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the checkpoint's "
-                           f"model has {value!r}")
-    cfg.update(recorded)
-    word_meta = _word_meta(cfg)
+    else:
+        model, header = load_checkpoint(cfg["checkpoint"])
+        recorded = {option: getattr(model.config, field)
+                    for option, field in MODEL_FIELDS.items()}
+        for key, value in recorded.items():
+            if key in cfg.given and cfg[key] != value:
+                raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the "
+                               f"checkpoint's model has {value!r}")
+        cfg.update(recorded)
+    source = _make_word_source(cfg)
+    word_meta = _word_meta(cfg, source)
     _check_word_encoder(header.get("word_encoder"), word_meta)
-    return (mc, {name: p.data for name, p in model.named_parameters()}), word_meta
+    params = {name: p.data for name, p in model.named_parameters()}
+    return (model.config, params), source, word_meta
 
 
 def _word_level_for(cfg: dict, source, messages):
@@ -558,7 +574,7 @@ def _run_one_target(template: Template, cfg: dict, source, history_len: Optional
     """
     tag, train, dev, test = run
     model_cfg, params = template
-    model = MeltModel(model_cfg, seed=cfg["seed"], params=params)
+    model = MeltModel(model_cfg, params=params)
     head = StanceHead(model.config.d_model, hidden1=cfg["head_hidden1"],
                       hidden2=cfg["head_hidden2"], seed=cfg["seed"])
     word_level = _word_level_for(cfg, source, corpus_mod.all_messages([*train, *dev, *test]))
@@ -570,11 +586,12 @@ def _run_one_target(template: Template, cfg: dict, source, history_len: Optional
     return tag, model, result.best_dev_loss, result.best_epoch, preds
 
 
-def _melt_predictions(cfg: dict, template: Template, word_meta: dict,
+def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
                       history_lens: Sequence[Optional[int]],
-                      examples: Sequence[StanceExample],
                       runs: Sequence[Run]) -> List[stance_mod.Prediction]:
     """Fine-tune every run at each history length; the last length's predictions.
+
+    ``source`` is what ``_word_level_for`` builds each run's word level from.
 
     A single length saves each run's snapshot; a sweep writes the weighted
     F1 of each length to history_sweep.csv instead. Runs go through
@@ -585,12 +602,6 @@ def _melt_predictions(cfg: dict, template: Template, word_meta: dict,
         if hist is not None and hist > template[0].max_seq:
             raise CliError(f"--history-len: '{hist}' exceeds the model's max_seq "
                            f"{template[0].max_seq}")
-    source = _make_word_source(cfg)
-    if not (cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder)):
-        # A trainable hash table pools its own rows and never reads these
-        # vectors; for a vector file this also checks every id up front.
-        source = wordenc.FrozenWordLevel(
-            cfg["d_model"], compute_message_vectors(corpus_mod.all_messages(examples), source))
     sweep = len(history_lens) > 1
     sweep_rows = []
     with (ThreadPoolExecutor(max_workers=cfg["jobs"]) if cfg["jobs"] > 1
@@ -645,7 +656,8 @@ def cmd_finetune(cfg: Config) -> int:
             if used:
                 raise CliError(f"{option} applies only to --arch melt, not '{cfg['arch']}'")
     history_lens = _parse_history(cfg)
-    template, word_meta = _model_template(cfg) if cfg["arch"] == "melt" else (None, None)
+    template, source, word_meta = (_model_template(cfg) if cfg["arch"] == "melt"
+                                   else (None, None, None))
     echo_config(cfg, cfg["out"])
     examples = ingest_stance_jsonl(cfg["stance"])
     runs = _plan_runs(examples, _resolve_targets(cfg, examples), cfg["arch"], cfg["pooled"])
@@ -662,7 +674,13 @@ def cmd_finetune(cfg: Config) -> int:
                      train, dev, test, vectors, fcfg, with_history=cfg["arch"] == "word-hist",
                      hidden1=cfg["head_hidden1"], hidden2=cfg["head_hidden2"])]
     else:
-        preds = _melt_predictions(cfg, template, word_meta, history_lens, examples, runs)
+        if not (cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder)):
+            # A trainable hash table pools its own rows and never reads these
+            # vectors; for a vector file this also checks every id up front.
+            # Rebinding frees the source, and any rows drawn, before training.
+            source = wordenc.FrozenWordLevel(cfg["d_model"], compute_message_vectors(
+                corpus_mod.all_messages(examples), source))
+        preds = _melt_predictions(cfg, template, source, word_meta, history_lens, runs)
     _write_csv(os.path.join(cfg["out"], "predictions.csv"), PREDICTION_HEADER,
                _prediction_rows(preds))
     print(f"wrote {len(preds)} {cfg['arch']} predictions")

@@ -70,8 +70,27 @@ class MeltConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
+_DRAW_BLOCK = 65536  # float64 values per draw: 512 KB
+
+
 def _gaussian(rng: np.random.Generator, shape, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * INIT_STD).astype(dtype)
+    """N(0, INIT_STD^2) values of ``shape``, drawn into the ``dtype`` array in blocks.
+
+    A generator's stream does not depend on how the draws are split, and
+    scaling a float64 block in place then storing it as ``dtype`` rounds
+    as ``(rng.standard_normal(shape) * INIT_STD).astype(dtype)`` does, so
+    the bytes are those of the one-call form without its two full-size
+    float64 temporaries.
+    """
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    block = np.empty(min(_DRAW_BLOCK, flat.size))
+    for start in range(0, flat.size, _DRAW_BLOCK):
+        part = block[:min(_DRAW_BLOCK, flat.size - start)]
+        rng.standard_normal(out=part)
+        part *= INIT_STD
+        flat[start:start + len(part)] = part
+    return out
 
 
 def copy_param(name: str, src, shape: tuple, dtype) -> np.ndarray:
@@ -91,8 +110,9 @@ def _param_maker(seed: int, params: Optional[Mapping[str, np.ndarray]],
 
     With ``params`` it copies ``params[name]``. Otherwise it draws
     N(0, INIT_STD^2) from a generator seeded with ``seed`` when ``fill`` is
-    None, or fills the constant; constants draw nothing, so the draw order
-    is the order of the Gaussian parameters alone.
+    None, in blocks straight into the parameter (``_gaussian``), or fills
+    the constant; constants draw nothing, so the draw order is the order of
+    the Gaussian parameters alone.
     """
     rng = np.random.default_rng(seed) if params is None else None
 

@@ -15,10 +15,11 @@ hash table itself, or into a d x d adapter over a frozen level's vectors.
 
 from __future__ import annotations
 
+import hashlib
 import re
 import string
 import threading
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -152,14 +153,24 @@ def write_vector_file(path, dim: int, items: Iterable[tuple]) -> None:
             fh.write(f"{message_id}\t{data.tobytes().hex()}\n")
 
 
-def load_precomputed(path) -> FrozenWordLevel:
-    """The frozen word level a vector file holds.
+def _hashed_lines(fh, digest) -> Iterator[str]:
+    """Each line of the binary file ``fh`` as text, its bytes added to ``digest`` first."""
+    for raw in fh:
+        digest.update(raw)
+        yield raw.decode("utf-8").rstrip("\r\n")
 
-    Bad rows raise with their 1-based line number.
+
+def load_precomputed(path) -> FrozenWordLevel:
+    """The frozen word level a vector file holds, with the sha256 of the bytes parsed.
+
+    The file is read once: each line's bytes are hashed as the line is
+    parsed. Bad rows raise with their 1-based line number.
     """
     vectors: Dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        lines = _hashed_lines(fh, digest)
+        header = next(lines, "")
         if not header.startswith("#dim="):
             raise VectorFileError("line 1: expected '#dim=<d>' header")
         try:
@@ -168,8 +179,7 @@ def load_precomputed(path) -> FrozenWordLevel:
             raise VectorFileError(f"line 1: bad dimension in header {header!r}") from None
         if dim < 1:
             raise VectorFileError(f"line 1: dimension must be positive, got {dim}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
+        for lineno, line in enumerate(lines, start=2):
             if not line:
                 continue
             parts = line.split("\t")
@@ -190,7 +200,7 @@ def load_precomputed(path) -> FrozenWordLevel:
             if message_id in vectors:
                 raise VectorFileError(f"line {lineno}: duplicate message id '{message_id}'")
             vectors[message_id] = vec.astype(np.float32)
-    return FrozenWordLevel(dim, vectors)
+    return FrozenWordLevel(dim, vectors, sha256=digest.hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +233,17 @@ def compute_message_vectors(messages: Iterable, source) -> Dict[str, np.ndarray]
 
 
 class FrozenWordLevel:
-    """Constant message vectors; no trainable word-side parameters."""
+    """Constant message vectors; no trainable word-side parameters.
 
-    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray]):
+    ``sha256`` is the digest of the vector file the level was loaded from,
+    None for vectors pooled in this process.
+    """
+
+    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray],
+                 sha256: Optional[str] = None):
         self.dim = dim
         self.vectors = vectors
+        self.sha256 = sha256
 
     def trainable_params(self) -> list:
         return []

@@ -8,6 +8,7 @@ or a changed signature in ``melt`` fails here rather than in a traced
 benchmark run.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -78,3 +79,42 @@ def test_full_hooks_record_the_word_level_built_from_messages():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["wordenc.batch_vectors"]
+
+
+PRETRAIN_SCRIPT = """
+import json, os, sys, tempfile
+sys.path.insert(0, "perfbench")
+sys.path.insert(0, "tests")
+import launch
+from synthdata import marker_corpus, write_corpus_jsonl
+rec = launch.Recorder()
+launch.full_hooks(rec)
+from melt import cli
+work = tempfile.mkdtemp()
+corpus = os.path.join(work, "corpus.jsonl")
+write_corpus_jsonl(corpus, marker_corpus(n_users=4, n_msgs=45, seed=4))
+assert cli.main(["prep", "--corpus", corpus, "--out", os.path.join(work, "prep")]) == 0
+first = len(rec.spans)
+code = cli.main(["pretrain", "--corpus", corpus,
+                 "--manifest", os.path.join(work, "prep", "manifest.jsonl"),
+                 "--out", os.path.join(work, "pre"), "--layers", "1", "--d-model", "16",
+                 "--ff-dim", "32", "--heads", "2", "--word-buckets", "256",
+                 "--epochs", "1", "--batch-size", "4"])
+print(json.dumps({"exit": code, "spans": [s[:3] for s in rec.spans[first:]]}))
+"""
+
+
+def test_full_hooks_record_the_pretraining_worker():
+    # pre-training pools on a worker thread; its span must be recorded and closed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", PRETRAIN_SCRIPT], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["exit"] == 0
+    for name in ("wordenc.compute_message_vectors", "model.MeltModel.init"):
+        spans = [span for span in record["spans"] if span[0] == name]
+        assert len(spans) == 1, name
+        assert spans[0][2] is not None and spans[0][2] >= spans[0][1], name

@@ -291,6 +291,99 @@ class TestPretrain:
         assert not (out_dir / "checkpoint.melt").exists()
 
 
+def write_corpus_vectors(tmp_path, corpus_file, name="vecs.tsv", seed=3, drop=0):
+    """A 16-d vector file of the corpus' messages but the first ``drop``; its sha256."""
+    from melt.corpus import ingest_jsonl
+    messages = [m for msgs in ingest_jsonl(corpus_file).values() for m in msgs]
+    vectors = compute_message_vectors(messages[drop:], HashEmbeddingEncoder(16, 256, seed))
+    path = tmp_path / name
+    write_vector_file(path, 16, vectors.items())
+    return path, hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def opens_of(path, monkeypatch):
+    """A list that gains one entry each time ``path`` is opened from now on."""
+    import builtins
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == os.fspath(path):
+            opened.append(args[0] if args else kwargs.get("mode", "r"))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
+
+
+class TestPretrainSetup:
+    """The word side pools on one worker thread while the main thread draws the weights."""
+
+    def test_pooling_and_model_build_run_on_different_threads(self, tmp_path, corpus_file,
+                                                              monkeypatch):
+        import threading
+
+        import melt.cli as cli
+        seen = {}
+        pool, init = cli.compute_message_vectors, MeltModel.__init__
+
+        def recorded_pool(*args, **kwargs):
+            seen["pool"] = threading.get_ident()
+            return pool(*args, **kwargs)
+
+        def recorded_init(self, *args, **kwargs):
+            seen["init"] = threading.get_ident()
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_message_vectors", recorded_pool)
+        monkeypatch.setattr(MeltModel, "__init__", recorded_init)
+        run_pretrain(tmp_path, corpus_file)
+        assert seen["init"] == threading.get_ident()
+        assert seen["pool"] != seen["init"]
+
+    def test_no_worker_outlives_a_run(self, tmp_path, corpus_file, capsys):
+        import threading
+        before = set(threading.enumerate())
+        run_pretrain(tmp_path, corpus_file)
+        assert set(threading.enumerate()) == before
+        # the worker raises: the vector file lacks the first message
+        vec_path, _ = write_corpus_vectors(tmp_path, corpus_file, drop=1)
+        prep_dir = run_prep(tmp_path, corpus_file, out="prep_missing")
+        code = main(["pretrain", "--corpus", str(corpus_file),
+                     "--manifest", str(prep_dir / "manifest.jsonl"),
+                     "--out", str(tmp_path / "missing"), *MODEL_FLAGS,
+                     "--word-encoder", f"precomputed:{vec_path}"])
+        assert code == 2
+        assert "no precomputed vector" in capsys.readouterr().err
+        assert set(threading.enumerate()) == before
+
+    def test_vector_file_read_once(self, tmp_path, corpus_file, monkeypatch):
+        vec_path, digest = write_corpus_vectors(tmp_path, corpus_file)
+        opened = opens_of(vec_path, monkeypatch)
+        out_dir = run_pretrain(tmp_path, corpus_file,
+                               extra=["--word-encoder", f"precomputed:{vec_path}"])
+        assert len(opened) == 1
+        _, header = load_checkpoint(out_dir / "checkpoint.melt")
+        assert header["word_encoder"]["sha256"] == digest
+
+    def test_vector_file_rewritten_during_training_records_the_file_read(
+            self, tmp_path, corpus_file, monkeypatch):
+        import melt.pretrain as pretrain_mod
+        vec_path, digest = write_corpus_vectors(tmp_path, corpus_file)
+        other, _ = write_corpus_vectors(tmp_path, corpus_file, name="other.tsv", seed=4)
+        train = pretrain_mod.train
+
+        def train_then_rewrite(*args, **kwargs):
+            vec_path.write_bytes(other.read_bytes())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pretrain_mod, "train", train_then_rewrite)
+        out_dir = run_pretrain(tmp_path, corpus_file,
+                               extra=["--word-encoder", f"precomputed:{vec_path}"])
+        assert hashlib.sha256(vec_path.read_bytes()).hexdigest() != digest
+        _, header = load_checkpoint(out_dir / "checkpoint.melt")
+        assert header["word_encoder"]["sha256"] == digest
+
+
 @pytest.fixture
 def stance_file(tmp_path):
     path = tmp_path / "stance.jsonl"
@@ -485,6 +578,48 @@ class TestFinetune:
             assert code == 2
             assert f"'{dropped}'" in capsys.readouterr().err
             assert not (out_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("start", ["--checkpoint", "--rand-init"])
+    def test_vector_file_read_once(self, tmp_path, corpus_file, stance_file, monkeypatch,
+                                   start):
+        from melt.corpus import all_messages, ingest_jsonl, ingest_stance_jsonl
+        messages = [m for msgs in ingest_jsonl(corpus_file).values() for m in msgs]
+        messages += all_messages(ingest_stance_jsonl(stance_file))
+        vec_path = tmp_path / "vecs.tsv"
+        write_vector_file(vec_path, 16, compute_message_vectors(
+            messages, HashEmbeddingEncoder(16, 256, 3)).items())
+        word = ["--word-encoder", f"precomputed:{vec_path}"]
+        start_args = [start]
+        if start == "--checkpoint":
+            pre = run_pretrain(tmp_path, corpus_file, extra=word)
+            start_args.append(str(pre / "checkpoint.melt"))
+        opened = opens_of(vec_path, monkeypatch)
+        out_dir = tmp_path / "ft"
+        assert main(finetune_args(stance_file, out_dir, *start_args, *word)) == 0
+        assert len(opened) == 1
+        _, header = load_checkpoint(out_dir / "snapshot_climate.melt")
+        assert header["word_encoder"]["sha256"] == \
+            hashlib.sha256(vec_path.read_bytes()).hexdigest()
+
+    def test_vector_file_unlike_the_checkpoints_rejected_before_the_stance_file(
+            self, tmp_path, corpus_file, stance_file, monkeypatch, capsys):
+        import melt.cli as cli
+        vec_path, digest = write_corpus_vectors(tmp_path, corpus_file)
+        other, other_digest = write_corpus_vectors(tmp_path, corpus_file, name="b.tsv",
+                                                   seed=4)
+        pre = run_pretrain(tmp_path, corpus_file,
+                           extra=["--word-encoder", f"precomputed:{vec_path}"])
+
+        def refuse(*args):
+            raise AssertionError("stance file read before the vector file was checked")
+
+        monkeypatch.setattr(cli, "ingest_stance_jsonl", refuse)
+        code = main(finetune_args(stance_file, tmp_path / "ft", "--checkpoint",
+                                  str(pre / "checkpoint.melt"),
+                                  "--word-encoder", f"precomputed:{other}"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert digest in err and other_digest in err
 
     def test_unfrozen_hash_table_reads_no_message_vectors(self, tmp_path, stance_file,
                                                           monkeypatch):
@@ -760,6 +895,31 @@ class TestJobs:
 
 
 class TestPerTargetRuns:
+    def test_rand_init_draws_the_encoder_once_per_command(self, tmp_path, monkeypatch):
+        stance_path = tmp_path / "three.jsonl"
+        write_stance_jsonl(stance_path, stance_corpus(
+            180, n_history=6, seed=33, split_fracs=(0.6, 0.2),
+            targets=("abortion", "climate", "feminism")))
+        init = MeltModel.__init__
+        outputs = []
+        for jobs in ("1", "2"):
+            drawn, copied = [], []
+
+            def counted_init(self, *args, params=None, **kwargs):
+                (drawn if params is None else copied).append(1)
+                init(self, *args, params=params, **kwargs)
+
+            monkeypatch.setattr(MeltModel, "__init__", counted_init)
+            out_dir = tmp_path / f"jobs{jobs}"
+            assert main(finetune_args(stance_path, out_dir, "--rand-init",
+                                      "--jobs", jobs)) == 0
+            assert (len(drawn), len(copied)) == (1, 3)
+            outputs.append({name: (out_dir / name).read_bytes()
+                            for name in sorted(os.listdir(out_dir)) if name != "config.json"})
+        assert len(outputs[0]) == 4  # predictions and one snapshot per target
+        assert outputs[0] == outputs[1]
+
+
     def test_each_runs_word_level_is_freed_before_the_next_starts(self, tmp_path,
                                                                    monkeypatch):
         # with --unfreeze-word a word level holds a copy of the whole hash table

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from melt import model as model_mod
 from melt.corpus import Action, MaskPlan, RawMessage, SequenceChunk
 from melt.model import MeltConfig, MeltModel, embed_batch
 from melt.pretrain import _input_rows
@@ -308,6 +309,33 @@ class TestParameterCount:
         names_b = [n for n, _ in MeltModel(tiny_config, seed=1).named_parameters()]
         assert names_a == names_b
         assert names_a[0] == "pos_embedding" and names_a[-1] == "head.b"
+
+
+class TestBlockDraws:
+    """``_gaussian`` draws in blocks; its bytes and the generator's state are the one-call form's."""
+
+    @staticmethod
+    def assert_as_one_call(shape, dtype=np.float32):
+        drawn, reference = np.random.default_rng(11), np.random.default_rng(11)
+        got = model_mod._gaussian(drawn, shape, dtype)
+        want = (reference.standard_normal(shape) * model_mod.INIT_STD).astype(dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(768,), (40, 768), (768, 2048), (2048, 768), (3, 5),
+                                       (85, 1000)],
+                             ids=["vector", "positions", "w1", "w2", "tiny", "partial-block"])
+    def test_matches_one_call(self, shape):
+        if shape == (85, 1000):  # 85,000 values: one whole block, then part of one
+            assert 0 < np.prod(shape) % model_mod._DRAW_BLOCK < np.prod(shape)
+        self.assert_as_one_call(shape)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (7,), (2, 3, 4)])
+    def test_matches_one_call_over_many_small_blocks(self, shape, monkeypatch):
+        monkeypatch.setattr(model_mod, "_DRAW_BLOCK", 4)
+        self.assert_as_one_call(shape)
+        self.assert_as_one_call(shape, np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import string
 
 import numpy as np
@@ -217,6 +218,17 @@ class TestVectorFile:
         assert len(frozen.vectors) == 3
         for mid, vec in items:
             assert frozen.vectors[mid].tobytes() == vec.tobytes()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_records_the_sha256_of_the_bytes_parsed(self, tmp_path, newline):
+        path = tmp_path / "vecs.tsv"
+        rows = ["#dim=2", "m0\t" + np.ones(2, dtype="<f4").tobytes().hex(), "",
+                "m1\t" + np.zeros(2, dtype="<f4").tobytes().hex()]
+        path.write_bytes(newline.join(rows).encode() + newline.encode())
+        frozen = load_precomputed(path)
+        assert frozen.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert sorted(frozen.vectors) == ["m0", "m1"]
+        assert frozen.vectors["m0"].tolist() == [1.0, 1.0]
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "vecs.tsv"
