@@ -382,12 +382,9 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage],
 def _pool_vectors(cfg: dict, messages) -> Tuple[Dict[str, np.ndarray], dict]:
     """The pooled vector of each of ``messages``, and the word meta: pre-training's worker.
 
-    It imports scipy first, since the import holds the GIL: done before the
-    pooling, it leaves the main thread's weight draws free to run beside
-    it. Training reads only the pooled vectors, so the word source, with
-    any rows drawn, is freed on return.
+    Training reads only the pooled vectors, so the word source, with any
+    rows drawn, is freed on return.
     """
-    import scipy.special  # noqa: F401  MeltModel's import, which then waits for this one
     source = _make_word_source(cfg)
     return compute_message_vectors(messages, source), _word_meta(cfg, source)
 

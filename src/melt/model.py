@@ -237,7 +237,6 @@ class MeltModel:
         ``params`` maps every name of ``named_parameters`` to an array; a
         model built from it draws no random numbers.
         """
-        import scipy.special  # noqa: F401  gelu's erf, loaded here so set-up pays for it
         self.config = config
         self.dtype = dtype
         d = config.d_model

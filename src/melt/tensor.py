@@ -632,19 +632,89 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erf(x) = 1 - exp(-x^2) P(x) / Q(x) for 1 < x < 8. U and Q lead with an
+# implied 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERF_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+          4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+          9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERF_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+          9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+          1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERF_BLOCK = 1 << 14  # float64 values per block: four block buffers fit in L2
+
+
+def _horner(x: np.ndarray, coefs: Sequence[float], out: np.ndarray, monic: bool) -> np.ndarray:
+    """cephes ``polevl`` (or ``p1evl`` when ``monic``) at every x, in its operation order."""
+    if monic:
+        np.add(x, coefs[0], out=out)
+    else:
+        np.multiply(x, coefs[0], out=out)
+        out += coefs[1]
+    for c in coefs[2 - monic:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """scipy's ``erf`` of a C-contiguous float array, bit for bit, into ``out`` (which may be ``x``).
+
+    It evaluates cephes' formulas in float64 and rounds once to the dtype,
+    as scipy does. The |x| <= 1 formula runs over every value in blocks,
+    with x clipped to [-1, 1]. The values with 1 < |x| are gathered as the
+    blocks are read and finished in one pass: ±1 from |x| >= 8 on (where
+    cephes' 1 - erfc(|x|) rounds to 1), else the tail formula with libm's
+    ``exp`` through ``math.exp``, the function cephes calls (numpy's own
+    ``exp`` rounds some values differently). NaN stays NaN.
+    """
+    if not out.flags.c_contiguous or out.shape != x.shape:
+        raise ValueError("_erf writes into a C-contiguous out of x's shape")
+    if not x.size:
+        return out
+    flat, flat_out = x.reshape(-1), out.reshape(-1)
+    size = min(flat.size, _ERF_BLOCK)
+    xs, z, num, den = (np.empty(size) for _ in range(4))
+    tail_at, tail_x = [], []
+    for start in range(0, flat.size, _ERF_BLOCK):
+        block = flat[start:start + _ERF_BLOCK]
+        n = block.size
+        far = np.flatnonzero(np.abs(block) > 1.0)
+        tail_at.append(far + start)
+        tail_x.append(block[far].astype(np.float64))
+        b_x = np.clip(block, -1.0, 1.0, out=xs[:n])
+        b_z = np.multiply(b_x, b_x, out=z[:n])
+        b_num = _horner(b_z, _ERF_T, num[:n], monic=False)
+        b_num *= b_x
+        b_num /= _horner(b_z, _ERF_U, den[:n], monic=True)
+        flat_out[start:start + n] = b_num
+    at, v = np.concatenate(tail_at), np.concatenate(tail_x)
+    a = np.abs(v)
+    mid = a < 8.0
+    am = a[mid]
+    y = np.fromiter(map(math.exp, (-am * am).tolist()), np.float64, am.size)
+    y *= _horner(am, _ERF_P, np.empty_like(am), monic=False)
+    y /= _horner(am, _ERF_Q, np.empty_like(am), monic=True)
+    result = np.ones_like(a)
+    result[mid] = 1.0 - y
+    flat_out[at] = np.copysign(result, v)
+    return out
+
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-error-linear unit, 0.5 * x * (1 + erf(x / sqrt(2))).
 
     Forward and backward each reuse one buffer; the in-place steps keep the
     operation order of the formula, so the results are bit-identical to it.
-    scipy is imported here, not with this module, so commands that build no
-    model never load it.
+    ``erf`` is ``_erf``, bit-identical to scipy's.
     """
-    from scipy.special import erf
     x_data = x.data
     cdf = x_data * _INV_SQRT2
-    erf(cdf, out=cdf)
+    _erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
 

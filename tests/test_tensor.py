@@ -1,3 +1,5 @@
+import hashlib
+import math
 import threading
 import tracemalloc
 import zlib
@@ -466,7 +468,7 @@ def test_forward_ops_stay_finite_on_finite_inputs():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gelu_is_bit_identical_to_its_formula(dtype):
-    from scipy.special import erf
+    erf = pytest.importorskip("scipy.special").erf
     rng = np.random.default_rng(13)
     x = (rng.standard_normal((6, 50)) * 3).astype(dtype)
     g = rng.standard_normal((6, 50)).astype(dtype)
@@ -477,6 +479,54 @@ def test_gelu_is_bit_identical_to_its_formula(dtype):
     backward(T.mul(out, Tensor(g)).sum())
     assert out.data.tobytes() == (x * cdf).tobytes()
     assert t.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
+
+
+def _erf_edges(dtype):
+    """±0, ±inf, NaN, the smallest subnormal, and the neighbours of ±1, ±8 and ±sqrt(709.78)."""
+    vals = [0.0, np.inf, np.finfo(dtype).smallest_subnormal]
+    for kind in {np.float32, dtype}:
+        for v in (1.0, 8.0, math.sqrt(709.78)):
+            c = kind(v)
+            vals += [np.nextafter(c, kind(0)), c, np.nextafter(c, kind(np.inf))]
+    vals = np.array(vals, dtype=dtype)
+    return np.concatenate([vals, -vals, np.array([np.nan], dtype=dtype)])
+
+
+def _same_bits(a, b):
+    """Equal bytes, sign of zero included, with NaN wherever the other has NaN."""
+    nan = np.isnan(a)
+    return (a.dtype == b.dtype and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+class TestErf:
+    """``T._erf`` ports the cephes formulas scipy evaluates, so it must match scipy bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_values_match_scipy(self, dtype):
+        erf = pytest.importorskip("scipy.special").erf
+        x = _erf_edges(dtype)
+        assert _same_bits(T._erf(x, np.empty_like(x)), erf(x))
+        assert T._erf(x[:0], x[:0]).size == 0
+
+    @pytest.mark.parametrize("dtype,n", [(np.float32, 1_000_000), (np.float64, 100_000)])
+    def test_seeded_samples_match_scipy(self, dtype, n):
+        erf = pytest.importorskip("scipy.special").erf
+        x = (np.random.default_rng(29).standard_normal(n) * 3).astype(dtype)
+        assert _same_bits(T._erf(x, np.empty_like(x)), erf(x))
+
+    def test_digest_is_pinned_without_scipy(self):
+        # sha256 of scipy.special.erf (1.17.1) over the same sample
+        x = (np.random.default_rng(2718).standard_normal(1 << 18) * 3).astype(np.float32)
+        assert hashlib.sha256(T._erf(x, np.empty_like(x)).tobytes()).hexdigest() == \
+            "354f028fb3c1c26ae0ee697dac9ed6b88c089249ca8c6498457df813ee256b7f"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_equals_a_separate_out(self, dtype):
+        x = (np.random.default_rng(3).standard_normal((300, 70)) * 3).astype(dtype)
+        x[0, :3] = [np.inf, -9.0, np.nan]
+        expected = T._erf(x, np.empty_like(x))
+        assert _same_bits(T._erf(x, x), expected)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
