@@ -133,6 +133,18 @@ COMMAND_OPTS = {
     "evaluate": EVALUATE_OPTS,
 }
 
+# (least, greatest) value of each option that has one; None is unbounded.
+# The classes these options configure check them too, but by their own
+# field names, which are not always the option's.
+BOUNDS = {
+    "seed": (0, None), "word_seed": (0, None), "seq_len": (1, None), "layers": (1, None),
+    "d_model": (1, None), "ff_dim": (1, None), "heads": (1, None), "word_buckets": (1, None),
+    "lr": (0, None), "weight_decay": (0, None), "warmup_steps": (0, None),
+    "epochs": (1, None), "batch_size": (1, None), "patience": (0, None),
+    "head_dropout": (0.0, 0.05), "head_hidden1": (1, None), "head_hidden2": (1, None),
+    "jobs": (1, None),
+}
+
 REQUIRED = {
     "prep": ("corpus", "out"),
     "pretrain": ("corpus", "manifest", "out"),
@@ -220,6 +232,11 @@ def resolve_config(command: str, args: argparse.Namespace) -> Config:
     for name in REQUIRED[command]:
         if resolved.get(name) is None:
             raise CliError(f"'{command}' requires --{name.replace('_', '-')}")
+    for name, (low, high) in BOUNDS.items():
+        value = resolved.get(name)
+        if name in known and (value < low or (high is not None and value > high)):
+            bound = f"at least {low}" if high is None else f"within [{low}, {high}]"
+            raise CliError(f"--{name.replace('_', '-')} must be {bound}, got {value}")
     resolved["command"] = command
     return resolved
 
@@ -238,37 +255,26 @@ def echo_config(cfg: dict, out_dir: Optional[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _vector_file(cfg: dict) -> Optional[str]:
-    """The path ``--word-encoder precomputed:<path>`` names; None for the hash table."""
+def _make_word_source(cfg: dict) -> Tuple[object, dict]:
+    """The word source ``--word-encoder`` names, and the word meta a checkpoint records of it.
+
+    The source is the hash encoder, or the FrozenWordLevel a vector file
+    loads into; a vector file is recorded by the sha256 of the bytes its
+    loader parsed.
+    """
     choice = cfg["word_encoder"]
     if choice == "hash":
-        return None
-    if choice.startswith("precomputed:"):
-        return choice.split(":", 1)[1]
-    raise CliError(f"--word-encoder must be 'hash' or 'precomputed:<path>', got '{choice}'")
-
-
-def _make_word_source(cfg: dict):
-    path = _vector_file(cfg)
-    if path is None:
-        return HashEmbeddingEncoder(dim=cfg["d_model"], buckets=cfg["word_buckets"],
-                                    seed=cfg["word_seed"])
-    frozen = load_precomputed(path)
+        return (HashEmbeddingEncoder(dim=cfg["d_model"], buckets=cfg["word_buckets"],
+                                     seed=cfg["word_seed"]),
+                {"kind": "hash", "dim": cfg["d_model"], "buckets": cfg["word_buckets"],
+                 "seed": cfg["word_seed"], "row_scheme": wordenc.ROW_SCHEME})
+    if not choice.startswith("precomputed:"):
+        raise CliError(f"--word-encoder must be 'hash' or 'precomputed:<path>', got '{choice}'")
+    frozen = load_precomputed(choice.split(":", 1)[1])
     if frozen.dim != cfg["d_model"]:
         raise CliError(f"precomputed vectors are {frozen.dim}-d but --d-model "
                        f"is {cfg['d_model']}")
-    return frozen
-
-
-def _word_meta(cfg: dict, source) -> dict:
-    """The word encoder a checkpoint records of ``source``, as ``_make_word_source`` built it.
-
-    A vector file is recorded by the sha256 of the bytes its loader parsed.
-    """
-    if isinstance(source, wordenc.FrozenWordLevel):
-        return {"kind": "precomputed", "dim": cfg["d_model"], "sha256": source.sha256}
-    return {"kind": "hash", "dim": cfg["d_model"], "buckets": cfg["word_buckets"],
-            "seed": cfg["word_seed"], "row_scheme": wordenc.ROW_SCHEME}
+    return frozen, {"kind": "precomputed", "dim": cfg["d_model"], "sha256": frozen.sha256}
 
 
 def _check_word_encoder(recorded: Optional[dict], wanted: dict) -> None:
@@ -318,8 +324,6 @@ def _fmt(value: float) -> str:
 
 
 def cmd_prep(cfg: dict) -> int:
-    if cfg["seq_len"] < 1:
-        raise CliError(f"--seq-len must be at least 1, got {cfg['seq_len']}")
     echo_config(cfg, cfg["out"])
     groups = ingest_jsonl(cfg["corpus"])
     n_messages = 0
@@ -385,8 +389,8 @@ def _pool_vectors(cfg: dict, messages) -> Tuple[Dict[str, np.ndarray], dict]:
     Training reads only the pooled vectors, so the word source, with any
     rows drawn, is freed on return.
     """
-    source = _make_word_source(cfg)
-    return compute_message_vectors(messages, source), _word_meta(cfg, source)
+    source, word_meta = _make_word_source(cfg)
+    return compute_message_vectors(messages, source), word_meta
 
 
 def cmd_pretrain(cfg: dict) -> int:
@@ -402,8 +406,6 @@ def cmd_pretrain(cfg: dict) -> int:
     if cfg["grad_clip"] is not None and cfg["grad_clip"] <= 0:
         # a clip at or below 0 would zero or reverse every update
         raise CliError(f"--grad-clip must be above 0, got {cfg['grad_clip']}")
-    if cfg["warmup_steps"] < 0:
-        raise CliError(f"--warmup-steps must be at least 0, got {cfg['warmup_steps']}")
     stride = round(1.0 / cfg["dev_fraction"])
     dev_chunks = [c for i, c in enumerate(chunks) if i % stride == 0]
     train_chunks = [c for i, c in enumerate(chunks) if i % stride != 0]
@@ -539,8 +541,7 @@ def _model_template(cfg: Config) -> Tuple[Template, object, dict]:
                 raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the "
                                f"checkpoint's model has {value!r}")
         cfg.update(recorded)
-    source = _make_word_source(cfg)
-    word_meta = _word_meta(cfg, source)
+    source, word_meta = _make_word_source(cfg)
     _check_word_encoder(header.get("word_encoder"), word_meta)
     params = {name: p.data for name, p in model.named_parameters()}
     return (model.config, params), source, word_meta
@@ -635,11 +636,6 @@ PREDICTION_HEADER = ["example_id", "target", "gold", "pred",
 
 
 def cmd_finetune(cfg: Config) -> int:
-    if cfg["jobs"] < 1:
-        raise CliError(f"--jobs must be at least 1, got {cfg['jobs']}")
-    for key in ("head_hidden1", "head_hidden2"):
-        if cfg[key] < 1:
-            raise CliError(f"--{key.replace('_', '-')} must be at least 1, got {cfg[key]}")
     if cfg["arch"] not in ARCH_SPLITS:
         raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
     if cfg["arch"] != "melt":
@@ -664,7 +660,7 @@ def cmd_finetune(cfg: Config) -> int:
                  for p in stance_mod.mfc_predict([e.label for e in train], test)]
     elif cfg["arch"] in ("word", "word-hist"):
         vectors = compute_message_vectors(corpus_mod.all_messages(examples),
-                                          _make_word_source(cfg))
+                                          _make_word_source(cfg)[0])
         fcfg = _finetune_cfg(cfg)
         preds = [p for _tag, train, dev, test in runs
                  for p in stance_mod.word_baseline(

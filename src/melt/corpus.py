@@ -52,9 +52,6 @@ class SequenceChunk:
     def real_messages(self) -> List[RawMessage]:
         return [s for s in self.slots if s is not None]
 
-    def __len__(self) -> int:
-        return len(self.slots)
-
 
 def _require(cond: bool, lineno: int, msg: str) -> None:
     if not cond:

@@ -61,8 +61,9 @@ class MeltConfig:
     use_positions: bool = True
 
     def __post_init__(self):
-        if min(self.n_layers, self.d_model, self.ff_dim, self.n_heads, self.max_seq) < 1:
-            raise ValueError("all extents must be >= 1")
+        for name in ("n_layers", "d_model", "ff_dim", "n_heads", "max_seq"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})")
@@ -104,16 +105,19 @@ def copy_param(name: str, src, shape: tuple, dtype) -> np.ndarray:
 ParamMaker = Callable[..., Tensor]
 
 
-def _param_maker(seed: int, params: Optional[Mapping[str, np.ndarray]],
-                 dtype) -> ParamMaker:
-    """``make(name, shape, fill=None)`` builds one parameter.
+def _param_maker(seed: int, params: Optional[Mapping[str, np.ndarray]], dtype,
+                 made: List[Tuple[str, Tensor]]) -> ParamMaker:
+    """``make(name, shape, fill=None)`` builds one parameter and appends it to ``made``.
 
     With ``params`` it copies ``params[name]``. Otherwise it draws
     N(0, INIT_STD^2) from a generator seeded with ``seed`` when ``fill`` is
     None, in blocks straight into the parameter (``_gaussian``), or fills
     the constant; constants draw nothing, so the draw order is the order of
-    the Gaussian parameters alone.
+    the Gaussian parameters alone. ``made`` lists every parameter once, in
+    the order made: the owner's ``named_parameters``.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed) if params is None else None
 
     def make(name: str, shape: tuple, fill: Optional[float] = None) -> Tensor:
@@ -123,7 +127,9 @@ def _param_maker(seed: int, params: Optional[Mapping[str, np.ndarray]],
             data = _gaussian(rng, shape, dtype)
         else:
             data = np.full(shape, fill, dtype=dtype)
-        return Tensor(data, requires_grad=True)
+        param = Tensor(data, requires_grad=True)
+        made.append((name, param))
+        return param
 
     return make
 
@@ -165,11 +171,6 @@ class EncoderLayer:
         self.ln1_b = make(f"{prefix}.ln1_b", (d,), 0.0)
         self.ln2_g = make(f"{prefix}.ln2_g", (d,), 1.0)
         self.ln2_b = make(f"{prefix}.ln2_b", (d,), 0.0)
-
-    def named_parameters(self, prefix: str) -> List[Tuple[str, Tensor]]:
-        names = ["wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                 "w1", "b1", "w2", "b2", "ln1_g", "ln1_b", "ln2_g", "ln2_b"]
-        return [(f"{prefix}.{n}", getattr(self, n)) for n in names]
 
     def forward(self, x: Tensor, attn_bias: Tensor, slots: Tuple[np.ndarray, np.ndarray],
                 out: _Cells, n_heads: int, p_drop: float, train: bool,
@@ -240,7 +241,8 @@ class MeltModel:
         self.config = config
         self.dtype = dtype
         d = config.d_model
-        make = _param_maker(seed, params, dtype)
+        self._params: List[Tuple[str, Tensor]] = []
+        make = _param_maker(seed, params, dtype, self._params)
         self.pos_embedding = make("pos_embedding", (config.max_seq, d))
         self.mask_vector = make("mask_vector", (d,))
         self.pad_vector = make("pad_vector", (d,))
@@ -250,16 +252,8 @@ class MeltModel:
         self.head_b = make("head.b", (d,), 0.0)
 
     def named_parameters(self) -> List[Tuple[str, Tensor]]:
-        params: List[Tuple[str, Tensor]] = [
-            ("pos_embedding", self.pos_embedding),
-            ("mask_vector", self.mask_vector),
-            ("pad_vector", self.pad_vector),
-        ]
-        for i, layer in enumerate(self.layers):
-            params.extend(layer.named_parameters(f"layers.{i}"))
-        params.append(("head.w", self.head_w))
-        params.append(("head.b", self.head_b))
-        return params
+        """Every parameter, named, in the order ``__init__`` made them."""
+        return list(self._params)
 
     def parameter_count(self) -> int:
         return sum(p.size for _, p in self.named_parameters())

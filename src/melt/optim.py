@@ -97,19 +97,13 @@ class AdamW:
     """
 
     def __init__(self, params: Sequence[Tuple[str, Tensor]], base_lr: float = 4e-3,
-                 betas: Tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.1):
         self.params = list(params)
         self.base_lr = base_lr
         self.states = {
-            name: AdamWState(
-                m=np.zeros(p.data.shape, dtype=p.data.dtype),
-                v=np.zeros(p.data.shape, dtype=p.data.dtype),
-                beta1=betas[0],
-                beta2=betas[1],
-                eps=eps,
-                weight_decay=weight_decay,
-            )
+            name: AdamWState(m=np.zeros(p.data.shape, dtype=p.data.dtype),
+                             v=np.zeros(p.data.shape, dtype=p.data.dtype),
+                             weight_decay=weight_decay)
             for name, p in self.params
         }
 

@@ -38,10 +38,9 @@ class PretrainConfig:
     grad_clip: Optional[float] = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if min(self.base_lr, self.weight_decay) < 0 or self.batch_size < 1:
-            raise ValueError("config values must be positive")
+        for name, low in (("base_lr", 0), ("weight_decay", 0), ("epochs", 1), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
 class TrainingDivergedError(RuntimeError):

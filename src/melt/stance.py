@@ -17,7 +17,7 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import LABELS, SequenceChunk, StanceExample, build_finetune_sequence
-from .model import MeltModel
+from .model import MeltModel, _param_maker
 # fine-tuning's own name for the shared embedding, which perfbench's tracer times apart
 from .model import embed_batch as embed_token_batch
 from .optim import AdamW
@@ -45,31 +45,31 @@ class FinetuneConfig:
             raise ValueError(f"weight_decay must be within [1e-4, 1], got {self.weight_decay}")
         if not 0.0 <= self.dropout <= 0.05:
             raise ValueError(f"dropout must be within [0, 0.05], got {self.dropout}")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 0:
-            raise ValueError("batch_size/max_epochs must be >= 1 and patience >= 0")
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
 
 class StanceHead:
-    """dense(input -> h1) + sigmoid + dense(h1 -> h2) + linear(h2 -> 3 logits)."""
+    """dense(input -> h1) + sigmoid + dense(h1 -> h2) + linear(h2 -> 3 logits).
+
+    Weights are drawn from ``seed`` as the model's are, biases start at 0.
+    """
 
     def __init__(self, input_dim: int, hidden1: int = 768, hidden2: int = 384,
-                 n_classes: int = 3, seed: int = 0, dtype=np.float32):
-        rng = np.random.default_rng(seed)
+                 seed: int = 0, dtype=np.float32):
+        self._params: List[Tuple[str, Tensor]] = []
+        make = _param_maker(seed, None, dtype, self._params)
+        self.w1 = make("cls.w1", (input_dim, hidden1))
+        self.b1 = make("cls.b1", (hidden1,), 0.0)
+        self.w2 = make("cls.w2", (hidden1, hidden2))
+        self.b2 = make("cls.b2", (hidden2,), 0.0)
+        self.w3 = make("cls.w3", (hidden2, len(LABELS)))
+        self.b3 = make("cls.b3", (len(LABELS),), 0.0)
 
-        def dense(d_in, d_out):
-            w = Tensor((rng.standard_normal((d_in, d_out)) * 0.02).astype(dtype),
-                       requires_grad=True)
-            b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
-            return w, b
-
-        self.input_dim = input_dim
-        self.w1, self.b1 = dense(input_dim, hidden1)
-        self.w2, self.b2 = dense(hidden1, hidden2)
-        self.w3, self.b3 = dense(hidden2, n_classes)
-
-    def named_parameters(self, prefix: str = "cls") -> List[Tuple[str, Tensor]]:
-        return [(f"{prefix}.{n}", getattr(self, n))
-                for n in ("w1", "b1", "w2", "b2", "w3", "b3")]
+    def named_parameters(self) -> List[Tuple[str, Tensor]]:
+        """Every parameter, named, in the order ``__init__`` made them."""
+        return list(self._params)
 
     def forward(self, x: Tensor, p_drop: float = 0.0, train: bool = False,
                 rng: Optional[np.random.Generator] = None) -> Tensor:

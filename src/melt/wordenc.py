@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import re
 import string
-import threading
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -77,28 +76,25 @@ class HashEmbeddingEncoder:
 
     Each bucket's row is ``draw_row(seed, bucket, dim)``: never updated, so
     encoding is a pure function of the tokens. A row is drawn the first time
-    a token hashes to its bucket and kept in a store of the rows reached so
-    far, found through a bucket -> slot map, so encoding a message is one
-    gather from that store; the whole (buckets, dim) table is never built.
-    Encoders may be shared across threads.
+    a token hashes to its bucket and kept in a bucket -> row memo, so the
+    whole (buckets, dim) table is never built. Encoders may be shared across
+    threads without a lock: threads that race on a bucket draw the same
+    bytes, and ``setdefault`` keeps one of them.
     """
 
     def __init__(self, dim: int = 768, buckets: int = 65536, seed: int = 1337):
-        if dim < 1 or buckets < 1:
-            raise ValueError("dim and buckets must be positive")
+        for name, value in (("dim", dim), ("buckets", buckets)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self.dim = dim
         self.buckets = buckets
         self.seed = seed
-        # token -> bucket. Threads may race to fill an entry, but they all
-        # write the same value.
+        # token -> bucket and bucket -> row; threads that race to fill an
+        # entry of either write equal values
         self._bucket_of: Dict[str, int] = {}
-        # bucket -> slot of its row in _store. Both change only under _lock,
-        # since the store is reallocated as it grows.
-        self._slot_of: Dict[int, int] = {}
-        self._store = np.empty((0, dim), dtype=np.float32)
-        self._lock = threading.Lock()
+        self._row_of: Dict[int, np.ndarray] = {}
 
     def token_ids(self, tokens: List[str]) -> List[int]:
         """Bucket of each token; each distinct token is hashed once per encoder."""
@@ -113,24 +109,14 @@ class HashEmbeddingEncoder:
 
     def rows(self, buckets: List[int]) -> np.ndarray:
         """The rows of ``buckets``, in order, drawing those not yet reached."""
-        with self._lock:
-            slot_of = self._slot_of
-            slots = [slot_of.get(bucket) for bucket in buckets]
-            if None in slots:
-                self._draw(sorted({b for b, slot in zip(buckets, slots) if slot is None}))
-                slots = [slot_of[bucket] for bucket in buckets]
-            return self._store[slots]
-
-    def _draw(self, new: List[int]) -> None:
-        start = len(self._slot_of)
-        if start + len(new) > len(self._store):
-            grown = np.empty((max(start + len(new), 2 * len(self._store)), self.dim),
-                             dtype=np.float32)
-            grown[:start] = self._store[:start]
-            self._store = grown
-        for slot, bucket in enumerate(new, start=start):
-            self._store[slot] = draw_row(self.seed, bucket, self.dim)
-            self._slot_of[bucket] = slot
+        memo = self._row_of
+        try:
+            return np.array([memo[bucket] for bucket in buckets])
+        except KeyError:
+            for bucket in buckets:
+                if bucket not in memo:
+                    memo.setdefault(bucket, draw_row(self.seed, bucket, self.dim))
+            return np.array([memo[bucket] for bucket in buckets])
 
 
 # ---------------------------------------------------------------------------

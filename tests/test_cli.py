@@ -148,9 +148,9 @@ class TestPretrain:
         make_source, train = cli._make_word_source, pretrain_mod.train
 
         def tracked_source(cfg):
-            source = make_source(cfg)
+            source, word_meta = make_source(cfg)
             encoders.append(weakref.ref(source))
-            return source
+            return source, word_meta
 
         def checked_train(*args, **kwargs):
             alive_at_train.append([ref() is not None for ref in encoders])
@@ -838,6 +838,20 @@ class TestHashRows:
                                   "--word-buckets", "65536", *extra)) == 0
         assert sorted(drawn) == self.reached(all_messages(ingest_stance_jsonl(stance_file)))
 
+    def test_unfrozen_runs_over_two_targets_draw_each_row_once(self, tmp_path, drawn):
+        from collections import Counter
+        stance_path = tmp_path / "two.jsonl"
+        write_stance_jsonl(stance_path, stance_corpus(
+            120, n_history=6, seed=33, split_fracs=(0.6, 0.2),
+            targets=("abortion", "climate")))
+        out_dir = tmp_path / "ft"
+        assert main(finetune_args(stance_path, out_dir, "--rand-init", "--unfreeze-word",
+                                  "--word-buckets", "65536")) == 0
+        assert sorted(os.listdir(out_dir)) == ["config.json", "predictions.csv",
+                                               "snapshot_abortion.melt",
+                                               "snapshot_climate.melt"]
+        assert drawn and set(Counter(drawn).values()) == {1}
+
     def test_checkpoint_from_the_whole_table_scheme_rejected(self, tmp_path, stance_file,
                                                             capsys):
         # the word_encoder header as written before rows were drawn per bucket
@@ -1063,6 +1077,37 @@ class TestEvaluate:
         with open(tmp_path / "ev2" / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[0]["weighted_f1"]) == pytest.approx(expected, abs=1e-12)
+
+
+class TestOptionBounds:
+    """An option out of its range exits 2 with a message naming the option and the value."""
+
+    @pytest.mark.parametrize("option,value", [
+        ("--batch-size", "0"), ("--lr", "-1"), ("--weight-decay", "-0.5"), ("--layers", "0"),
+        ("--heads", "0"), ("--ff-dim", "0"), ("--word-buckets", "0"), ("--seed", "-1"),
+    ])
+    def test_pretrain(self, tmp_path, corpus_file, capsys, option, value):
+        prep_dir = run_prep(tmp_path, corpus_file)
+        out_dir = tmp_path / "pre"
+        code = main(["pretrain", "--corpus", str(corpus_file),
+                     "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
+                     *MODEL_FLAGS, "--epochs", "1", option, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{option} must be" in err and f"got {value}" in err
+        assert not (out_dir / "checkpoint.melt").exists()
+
+    @pytest.mark.parametrize("option,value", [
+        ("--patience", "-1"), ("--batch-size", "0"), ("--epochs", "0"),
+        ("--head-dropout", "0.2"),
+    ])
+    def test_finetune(self, tmp_path, stance_file, capsys, option, value):
+        out_dir = tmp_path / "ft"
+        code = main(finetune_args(stance_file, out_dir, "--rand-init", option, value))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{option} must be" in err and f"got {value}" in err
+        assert not (out_dir / "predictions.csv").exists()
 
 
 class TestConfigResolution:

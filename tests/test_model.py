@@ -719,6 +719,25 @@ class TestInit:
                 fill = 1.0 if name.endswith("_g") else 0.0
                 assert p.data.dtype == np.float32 and (p.data == fill).all(), name
 
+    @staticmethod
+    def held(obj):
+        """Every requires_grad tensor ``obj`` holds, in the order set, its layers' within."""
+        found = []
+        for value in vars(obj).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, Tensor) and item.requires_grad:
+                    found.append(item)
+                elif isinstance(item, model_mod.EncoderLayer):
+                    found.extend(TestInit.held(item))
+        return found
+
+    def test_named_parameters_list_each_held_parameter_once_in_draw_order(self, small_config):
+        from melt.stance import StanceHead
+        for owner in (MeltModel(small_config, seed=3), StanceHead(8, hidden1=6, hidden2=4)):
+            named = owner.named_parameters()
+            assert len({name for name, _ in named}) == len(named)
+            assert [id(p) for _, p in named] == [id(p) for p in self.held(owner)]
+
     def test_from_params_copies_them_and_draws_nothing(self, small_config, monkeypatch):
         import melt.model as model_mod
         source = {n: p.data for n, p in MeltModel(small_config, seed=5).named_parameters()}

@@ -53,6 +53,19 @@ class TestStanceHead:
         probs = softmax(logits, axis=-1).data
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
+    def test_weights_drawn_in_order_from_the_seed(self):
+        head = StanceHead(5, hidden1=4, hidden2=3, seed=8)
+        rng = np.random.default_rng(8)
+        want = {name: (rng.standard_normal(shape) * 0.02).astype(np.float32)
+                for name, shape in (("cls.w1", (5, 4)), ("cls.w2", (4, 3)), ("cls.w3", (3, 3)))}
+        assert [name for name, _ in head.named_parameters()] == [
+            "cls.w1", "cls.b1", "cls.w2", "cls.b2", "cls.w3", "cls.b3"]
+        for name, p in head.named_parameters():
+            if name in want:
+                assert p.data.tobytes() == want[name].tobytes(), name
+            else:
+                assert p.data.dtype == np.float32 and not p.data.any(), name
+
     def test_sigmoid_sits_between_first_two_layers(self):
         head = StanceHead(2, hidden1=2, hidden2=2, seed=0)
         head.w1.data = np.eye(2, dtype=np.float32) * 50.0  # saturate the sigmoid

@@ -129,7 +129,7 @@ class TestHashEncoder:
         finally:
             sys.setswitchinterval(interval)
         reached = np.unique(np.concatenate(batches))
-        assert len(enc._slot_of) == len(reached)
+        assert len(enc._row_of) == len(reached)
         for ids, rows in zip(batches, got):
             want = np.stack([draw_row(9, b, 16) for b in ids])
             assert rows.tobytes() == want.tobytes()
