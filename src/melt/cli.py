@@ -18,6 +18,7 @@ import csv
 import functools
 import json
 import os
+import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -61,12 +62,13 @@ class Config(dict):
 # ---------------------------------------------------------------------------
 
 # (name, type, default, help); type "flag" is a boolean three-state
-COMMON = [
-    ("out", str, None, "output directory"),
-    ("seed", int, 1337, "base random seed"),
-]
+OUT_OPT = ("out", str, None, "output directory")
 
-PREP_OPTS = COMMON + [
+COMMON = [OUT_OPT, ("seed", int, 1337, "base random seed")]
+
+# prep draws nothing, so it takes no seed
+PREP_OPTS = [
+    OUT_OPT,
     ("corpus", str, None, "corpus JSONL file"),
     ("seq_len", int, 40, "messages per sequence window"),
 ]
@@ -562,26 +564,36 @@ def _word_level_for(cfg: dict, source, messages):
     return wordenc.TrainableAdapterWordLevel(source)
 
 
-def _run_one_target(template: Template, cfg: dict, source, history_len: Optional[int],
-                    run: Run):
-    """Independent fine-tuning run; builds its own model so runs can parallelize.
+# a fine-tuning worker's model and best-epoch snapshot buffers, refilled by every run it executes
+Worker = Tuple[MeltModel, Dict[str, np.ndarray]]
 
-    Returns only what the caller saves: (tag, model, best dev loss, best
-    epoch, predictions). The head and an unfrozen word level are freed when
-    the run ends.
+
+def _run_one_target(template: Template, cfg: dict, source, word_meta: dict,
+                    history_len: Optional[int], save: bool, worker: Worker,
+                    run: Run) -> List[stance_mod.Prediction]:
+    """One target's fine-tuning run, in the memory of ``worker``; returns its predictions.
+
+    The template's parameters are copied into the worker model's own
+    arrays, and ``stance.finetune`` trains in them and in the worker's
+    snapshot buffers. With ``save`` the run writes snapshot_<tag>.melt
+    itself, so no finished run's model outlives it. The head and an
+    unfrozen word level are freed when the run ends.
     """
     tag, train, dev, test = run
-    model_cfg, params = template
-    model = MeltModel(model_cfg, params=params)
+    model, snapshot = worker
+    pretrain_mod.load_params_into(model, template[1])
     head = StanceHead(model.config.d_model, hidden1=cfg["head_hidden1"],
                       hidden2=cfg["head_hidden2"], seed=cfg["seed"])
     word_level = _word_level_for(cfg, source, corpus_mod.all_messages([*train, *dev, *test]))
-    fcfg = _finetune_cfg(cfg)
-    result = stance_mod.finetune(model, head, word_level, train, dev, fcfg,
-                                 history_len=history_len)
+    result = stance_mod.finetune(model, head, word_level, train, dev, _finetune_cfg(cfg),
+                                 history_len=history_len, snapshot=snapshot)
     preds = stance_mod.predict(model, head, word_level, test, history_len=history_len) \
         if test else []
-    return tag, model, result.best_dev_loss, result.best_epoch, preds
+    if save:
+        save_checkpoint(os.path.join(cfg["out"], f"snapshot_{tag}.melt"), model,
+                        dev_mse=result.best_dev_loss, epoch=result.best_epoch,
+                        seed=cfg["seed"], extra={"word_encoder": word_meta, "stance_tag": tag})
+    return preds
 
 
 def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
@@ -591,10 +603,13 @@ def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
 
     ``source`` is what ``_word_level_for`` builds each run's word level from.
 
-    A single length saves each run's snapshot; a sweep writes the weighted
-    F1 of each length to history_sweep.csv instead. Runs go through
-    ``pool.map`` under ``--jobs`` above 1 and the builtin ``map`` otherwise,
-    so one job runs them in order on this thread.
+    A single length has each run save its snapshot; a sweep writes the
+    weighted F1 of each length to history_sweep.csv instead. Each of at
+    most ``--jobs`` workers holds one model and one snapshot, made once per
+    command; a run takes a free worker's from a queue and puts them back
+    when it ends. Runs go through ``pool.map`` under ``--jobs`` above 1 and
+    the builtin ``map`` otherwise, so one job runs them in order on this
+    thread with one worker.
     """
     for hist in history_lens:
         if hist is not None and hist > template[0].max_seq:
@@ -602,18 +617,24 @@ def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
                            f"{template[0].max_seq}")
     sweep = len(history_lens) > 1
     sweep_rows = []
+    workers = queue.SimpleQueue()
+    for _ in range(min(cfg["jobs"], len(runs))):
+        workers.put((MeltModel(template[0], params=template[1]), {}))
+
+    def on_a_worker(hist: Optional[int], run: Run) -> List[stance_mod.Prediction]:
+        worker = workers.get()
+        try:
+            return _run_one_target(template, cfg, source, word_meta, hist, not sweep,
+                                   worker, run)
+        finally:
+            workers.put(worker)
+
     with (ThreadPoolExecutor(max_workers=cfg["jobs"]) if cfg["jobs"] > 1
           else contextlib.nullcontext()) as pool:
         run_map = map if pool is None else pool.map
         for hist in history_lens:
-            preds: List[stance_mod.Prediction] = []
-            for tag, model, best_dev_loss, best_epoch, run_preds in run_map(
-                    functools.partial(_run_one_target, template, cfg, source, hist), runs):
-                preds.extend(run_preds)
-                if not sweep:
-                    save_checkpoint(os.path.join(cfg["out"], f"snapshot_{tag}.melt"), model,
-                                    dev_mse=best_dev_loss, epoch=best_epoch, seed=cfg["seed"],
-                                    extra={"word_encoder": word_meta, "stance_tag": tag})
+            preds = [p for run_preds in run_map(functools.partial(on_a_worker, hist), runs)
+                     for p in run_preds]
             if sweep:
                 table = metrics_mod.per_target_report(
                     [(p.stance_target, p.gold, p.label) for p in preds], pooled=cfg["pooled"])

@@ -94,12 +94,13 @@ def _gaussian(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return out
 
 
-def copy_param(name: str, src, shape: tuple, dtype) -> np.ndarray:
-    """One copy of ``src`` as a parameter of ``shape`` and ``dtype``."""
+def copy_param(name: str, src, out: np.ndarray) -> np.ndarray:
+    """Copy ``src`` into the parameter array ``out``, whose shape it must have; returns ``out``."""
     src = np.asarray(src)
-    if src.shape != shape:
-        raise ValueError(f"parameter '{name}' shape {src.shape} != {shape}")
-    return np.array(src, dtype=dtype)
+    if src.shape != out.shape:
+        raise ValueError(f"parameter '{name}' shape {src.shape} != {out.shape}")
+    np.copyto(out, src)
+    return out
 
 
 ParamMaker = Callable[..., Tensor]
@@ -122,7 +123,7 @@ def _param_maker(seed: int, params: Optional[Mapping[str, np.ndarray]], dtype,
 
     def make(name: str, shape: tuple, fill: Optional[float] = None) -> Tensor:
         if params is not None:
-            data = copy_param(name, params[name], shape, dtype)
+            data = copy_param(name, params[name], np.empty(shape, dtype=dtype))
         elif fill is None:
             data = _gaussian(rng, shape, dtype)
         else:

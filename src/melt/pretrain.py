@@ -230,7 +230,8 @@ def run_epochs(params: Sequence[Tuple[str, Tensor]], epochs: int, patience: int,
                batch_size: int,
                epoch_order: Callable[[int], Tuple[Sequence, np.random.Generator]],
                train_batch: Callable[[Sequence, np.random.Generator, int], float],
-               dev_score: Callable[[], float], dev_name: str
+               dev_score: Callable[[], float], dev_name: str,
+               snapshot: Optional[Dict[str, np.ndarray]] = None
                ) -> Tuple[EpochLog, int, float, Dict[str, np.ndarray], bool]:
     """Train in epochs of batches, score dev after each, keep the best epoch's values.
 
@@ -239,15 +240,19 @@ def run_epochs(params: Sequence[Tuple[str, Tensor]], epochs: int, patience: int,
     on a slice of at most ``batch_size`` items, ``step`` counting batches over
     the run, and returns their mean loss. ``dev_score()`` runs after every
     epoch. Only a strictly lower score improves, so ties keep the earlier
-    epoch; an improving epoch's values are copied into one snapshot buffer,
-    and the run stops after ``patience`` + 1 epochs in a row without one.
+    epoch; an improving epoch's values are copied into the ``snapshot``
+    buffers, and the run stops after ``patience`` + 1 epochs in a row
+    without one. A name's buffer is allocated only when ``snapshot`` (a new
+    dict when None) has none of its shape and dtype, so a caller that passes
+    the dict an earlier run filled trains in no new snapshot memory.
 
     Returns the (epoch, mean train loss, dev score) history, the best epoch,
     its score, the snapshot and whether the run stopped early. A non-finite
     dev score raises TrainingDivergedError naming ``dev_name`` and the epoch.
     """
     history: EpochLog = []
-    best_epoch, best_score, snapshot = -1, float("inf"), None
+    best_epoch, best_score = -1, float("inf")
+    snapshot = {} if snapshot is None else snapshot
     since_best = step = 0
     for epoch in range(1, epochs + 1):
         items, rng = epoch_order(epoch)
@@ -262,11 +267,12 @@ def run_epochs(params: Sequence[Tuple[str, Tensor]], epochs: int, patience: int,
         history.append((epoch, epoch_loss / len(items), score))
         if score < best_score:
             best_epoch, best_score = epoch, score
-            if snapshot is None:
-                snapshot = {name: p.data.copy() for name, p in params}
-            else:
-                for name, p in params:
-                    np.copyto(snapshot[name], p.data)
+            for name, p in params:
+                kept = snapshot.get(name)
+                if kept is None or kept.shape != p.data.shape or kept.dtype != p.data.dtype:
+                    snapshot[name] = p.data.copy()
+                else:
+                    np.copyto(kept, p.data)
             since_best = 0
         else:
             since_best += 1
@@ -290,9 +296,9 @@ def _clip_grads(params, max_norm: float) -> None:
 
 
 def load_params_into(model: MeltModel, params: Mapping[str, np.ndarray]) -> None:
-    """Replace every parameter of ``model`` by one copy of ``params[name]``."""
+    """Copy ``params[name]`` into each parameter's own array; no array is allocated."""
     for name, p in model.named_parameters():
-        p.data = copy_param(name, params[name], p.data.shape, model.dtype)
+        copy_param(name, params[name], p.data)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ ending at the best dev epoch's parameter values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,26 +147,35 @@ def _mean_loss(model, head, word_level, examples, history_len, batch_size) -> fl
 
 def _train_to_best(params: Sequence[Tuple[str, Tensor]], cfg: FinetuneConfig,
                    n_train: int, train_batch: Callable[..., float],
-                   dev_loss: Callable[[], float]) -> Tuple[EpochLog, int, float, bool]:
+                   dev_loss: Callable[[], float],
+                   snapshot: Optional[Dict[str, np.ndarray]] = None
+                   ) -> Tuple[EpochLog, int, float, bool]:
     """``run_epochs`` over one shuffle of the ``n_train`` examples per epoch.
 
     One generator seeded ``cfg.seed`` draws every epoch's order and the
-    dropout masks, and the parameters end holding the best dev epoch's values.
+    dropout masks. The parameters end holding the best dev epoch's values
+    by swapping arrays with ``snapshot``: each takes its snapshot array, and
+    the array it trained in becomes that name's buffer for a next run.
     """
     rng = np.random.default_rng(cfg.seed)
     history, best_epoch, best_loss, snapshot, stopped_early = run_epochs(
         params, cfg.max_epochs, cfg.patience, cfg.batch_size,
-        lambda epoch: (rng.permutation(n_train), rng), train_batch, dev_loss, "dev loss")
+        lambda epoch: (rng.permutation(n_train), rng), train_batch, dev_loss, "dev loss",
+        snapshot)
     for name, p in params:
-        p.data = snapshot[name]
+        p.data, snapshot[name] = snapshot[name], p.data
     return history, best_epoch, best_loss, stopped_early
 
 
 def finetune(model: MeltModel, head: StanceHead, word_level,
              train_examples: Sequence[StanceExample],
              dev_examples: Sequence[StanceExample], cfg: FinetuneConfig,
-             history_len: Optional[int] = None) -> FinetuneResult:
+             history_len: Optional[int] = None,
+             snapshot: Optional[Dict[str, np.ndarray]] = None) -> FinetuneResult:
     """Cross-entropy fine-tuning with early stopping on dev loss.
+
+    ``snapshot`` holds the best-epoch buffers that ``_train_to_best`` swaps
+    with the parameters at the end; a next run passed the same dict refills them.
 
     Raises TrainingDivergedError when a training or dev loss is not finite.
     """
@@ -189,7 +198,7 @@ def finetune(model: MeltModel, head: StanceHead, word_level,
         return _mean_loss(model, head, word_level, dev_examples, history_len, cfg.batch_size)
 
     return FinetuneResult(*_train_to_best(params, cfg, len(train_examples), train_batch,
-                                          dev_loss))
+                                          dev_loss, snapshot))
 
 
 def predict(model: MeltModel, head: StanceHead, word_level,

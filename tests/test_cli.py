@@ -80,7 +80,27 @@ class TestPrep:
         echoed = json.loads((out_dir / "config.json").read_text())
         assert echoed["command"] == "prep"
         assert echoed["seq_len"] == 40
+        assert "seed" not in echoed  # prep draws nothing, so it records no seed
         assert "config.json" in os.listdir(out_dir)
+
+    def test_seed_flag_rejected(self, tmp_path, corpus_file, capsys):
+        out_dir = tmp_path / "prep"
+        with pytest.raises(SystemExit) as exc:
+            main(["prep", "--corpus", str(corpus_file), "--out", str(out_dir),
+                  "--seed", "3"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_seed_in_config_file_is_an_unknown_key(self, tmp_path, corpus_file, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 3}))
+        out_dir = tmp_path / "prep"
+        code = main(["prep", "--config", str(cfg_path), "--corpus", str(corpus_file),
+                     "--out", str(out_dir)])
+        assert code == 2
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestPretrain:
@@ -927,12 +947,95 @@ class TestPerTargetRuns:
             out_dir = tmp_path / f"jobs{jobs}"
             assert main(finetune_args(stance_path, out_dir, "--rand-init",
                                       "--jobs", jobs)) == 0
-            assert (len(drawn), len(copied)) == (1, 3)
+            assert (len(drawn), len(copied)) == (1, int(jobs))  # the template, one per worker
             outputs.append({name: (out_dir / name).read_bytes()
                             for name in sorted(os.listdir(out_dir)) if name != "config.json"})
         assert len(outputs[0]) == 4  # predictions and one snapshot per target
         assert outputs[0] == outputs[1]
 
+
+    @pytest.fixture
+    def three_targets(self, tmp_path):
+        path = tmp_path / "three.jsonl"
+        write_stance_jsonl(path, stance_corpus(
+            180, n_history=6, seed=33, split_fracs=(0.6, 0.2),
+            targets=("abortion", "climate", "feminism")))
+        return path
+
+    def test_checkpoint_runs_make_one_model_per_worker(self, tmp_path, monkeypatch,
+                                                      three_targets):
+        model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2), seed=5)
+        ckpt = tmp_path / "m.melt"
+        save_checkpoint(ckpt, model, dev_mse=0.0, epoch=1, seed=5)
+        init = MeltModel.__init__
+        outputs = []
+        for jobs in ("1", "2"):
+            drawn, copied = [], []
+
+            def counted_init(self, *args, params=None, **kwargs):
+                (drawn if params is None else copied).append(1)
+                init(self, *args, params=params, **kwargs)
+
+            monkeypatch.setattr(MeltModel, "__init__", counted_init)
+            out_dir = tmp_path / f"jobs{jobs}"
+            assert main(finetune_args(three_targets, out_dir, "--checkpoint", str(ckpt),
+                                      "--unfreeze-word", "--jobs", jobs)) == 0
+            # one model for the checkpoint load, one per worker
+            assert (len(drawn), len(copied)) == (0, 1 + int(jobs))
+            outputs.append({name: (out_dir / name).read_bytes()
+                            for name in sorted(os.listdir(out_dir)) if name != "config.json"})
+        assert len(outputs[0]) == 4  # predictions and one snapshot per target
+        assert outputs[0] == outputs[1]
+
+    def test_no_finished_runs_model_lives_while_the_next_trains(self, tmp_path, monkeypatch,
+                                                                three_targets):
+        import weakref
+        import melt.stance as stance
+        made, alive_at_entry = [], []
+        init, finetune = MeltModel.__init__, stance.finetune
+
+        def tracked_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
+
+        def counting_finetune(*args, **kwargs):
+            # the first model made is the template's source
+            alive_at_entry.append(sum(1 for ref in made[1:] if ref() is not None
+                                      and ref().named_parameters()))
+            return finetune(*args, **kwargs)
+
+        monkeypatch.setattr(MeltModel, "__init__", tracked_init)
+        monkeypatch.setattr(stance, "finetune", counting_finetune)
+        assert main(finetune_args(three_targets, tmp_path / "ft", "--rand-init")) == 0
+        assert alive_at_entry == [1, 1, 1]
+
+    def test_second_run_trains_in_the_first_runs_memory(self, tmp_path, monkeypatch,
+                                                        three_targets):
+        import melt.stance as stance
+        runs = []
+        finetune = stance.finetune
+
+        def recording_finetune(model, head, *args, **kwargs):
+            names = [name for name, _ in model.named_parameters()]
+            entry = {name: p.data for name, p in model.named_parameters()}
+            result = finetune(model, head, *args, **kwargs)
+            held = {name: p.data for name, p in model.named_parameters()}
+            runs.append((names, entry, held, dict(kwargs.get("snapshot") or {})))
+            return result
+
+        monkeypatch.setattr(stance, "finetune", recording_finetune)
+        assert main(finetune_args(three_targets, tmp_path / "ft", "--rand-init")) == 0
+        assert len(runs) == 3
+        for first, second in zip(runs, runs[1:]):
+            names, entry, held, snapshot = second
+            first_arrays = {name: [first[1][name], first[2][name], first[3].get(name)]
+                            for name in names}
+            for name in names:
+                assert any(a is not None and np.shares_memory(entry[name], a)
+                           for a in first_arrays[name]), name
+                assert any(a is not None and np.shares_memory(snapshot[name], a)
+                           for a in first_arrays[name]), name
+                assert not np.shares_memory(held[name], snapshot[name]), name
 
     def test_each_runs_word_level_is_freed_before_the_next_starts(self, tmp_path,
                                                                    monkeypatch):

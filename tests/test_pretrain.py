@@ -186,6 +186,35 @@ class TestTrain:
             train(small_model(), [], chunks[:2], vectors, PretrainConfig())
 
 
+class TestRunEpochs:
+    @staticmethod
+    def run(snapshot=None):
+        """Two parameters stepped by +1 per batch; dev scores fall, rise, then fall again."""
+        params = [("w", Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)),
+                  ("b", Tensor(np.zeros(4, dtype=np.float32), requires_grad=True))]
+        scores = iter([3.0, 1.0, 2.0, 0.5, 0.75])
+
+        def train_batch(batch, rng, step):
+            for _, p in params:
+                p.data += np.float32(step + 1)
+            return 0.0
+
+        return pretrain_mod.run_epochs(
+            params, 5, patience=5, batch_size=2,
+            epoch_order=lambda epoch: ([0, 1, 2], None), train_batch=train_batch,
+            dev_score=lambda: next(scores), dev_name="dev", snapshot=snapshot)
+
+    def test_given_snapshot_is_refilled_in_place(self):
+        _, best_epoch, _, allocated, _ = self.run()
+        kept = np.full((2, 3), -1.0, dtype=np.float32)
+        given = {"w": kept, "b": np.zeros(5, dtype=np.float32)}  # b's entry has another shape
+        _, given_best_epoch, _, refilled, _ = self.run(given)
+        assert best_epoch == given_best_epoch == 4
+        assert refilled is given and refilled["w"] is kept
+        assert {n: a.tobytes() for n, a in refilled.items()} == \
+            {n: a.tobytes() for n, a in allocated.items()}
+
+
 class TestClipGrads:
     @staticmethod
     def params_with_grads(scale):
