@@ -13,12 +13,9 @@ Exit codes: 0 success, 2 bad input or configuration, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import functools
 import json
 import os
-import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -118,7 +115,8 @@ FINETUNE_OPTS = COMMON + MODEL_OPTS + WORD_OPTS + [
     ("pooled", "flag", False, "train one model over all targets instead of per-target"),
     ("head_hidden1", int, 768, "classifier first hidden width"),
     ("head_hidden2", int, 384, "classifier second hidden width"),
-    ("jobs", int, 1, "parallel per-target runs (at least 1)"),
+    ("jobs", int, 1, "per-target runs at a time; only 1 is accepted, as one run's "
+                     "BLAS calls already use every core"),
 ]
 
 EVALUATE_OPTS = [
@@ -144,7 +142,7 @@ BOUNDS = {
     "lr": (0, None), "weight_decay": (0, None), "warmup_steps": (0, None),
     "epochs": (1, None), "batch_size": (1, None), "patience": (0, None),
     "head_dropout": (0.0, 0.05), "head_hidden1": (1, None), "head_hidden2": (1, None),
-    "jobs": (1, None),
+    "jobs": (1, 1),
 }
 
 REQUIRED = {
@@ -237,7 +235,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> Config:
     for name, (low, high) in BOUNDS.items():
         value = resolved.get(name)
         if name in known and (value < low or (high is not None and value > high)):
-            bound = f"at least {low}" if high is None else f"within [{low}, {high}]"
+            bound = (f"at least {low}" if high is None else f"{low}" if low == high
+                     else f"within [{low}, {high}]")
             raise CliError(f"--{name.replace('_', '-')} must be {bound}, got {value}")
     resolved["command"] = command
     return resolved
@@ -463,6 +462,15 @@ def _resolve_targets(cfg: dict, examples: Sequence[StanceExample]) -> List[str]:
 ARCH_SPLITS = {"mfc": ("train", "test"), "word": corpus_mod.SPLITS,
                "word-hist": corpus_mod.SPLITS, "melt": ("train", "dev")}
 
+# the options each baseline never reads, so it rejects any value but the
+# default: the word baselines train no encoder, in one run per target over
+# a fixed history window, and mfc also draws nothing and reads no words
+_WORD_UNREAD = ("history_len", "checkpoint", "rand_init", "unfreeze_word", "pooled",
+                "layers", "ff_dim", "heads", "dropout", "seq_len", "positions")
+BASELINE_UNREAD = {"word": _WORD_UNREAD, "word-hist": _WORD_UNREAD,
+                   "mfc": (*_WORD_UNREAD, "seed", "d_model", "word_encoder", "word_buckets",
+                           "word_seed")}
+
 Run = Tuple[str, List[StanceExample], List[StanceExample], List[StanceExample]]
 # the model config and parameters every per-target run starts from
 Template = Tuple[MeltConfig, Dict[str, np.ndarray]]
@@ -564,24 +572,17 @@ def _word_level_for(cfg: dict, source, messages):
     return wordenc.TrainableAdapterWordLevel(source)
 
 
-# a fine-tuning worker's model and best-epoch snapshot buffers, refilled by every run it executes
-Worker = Tuple[MeltModel, Dict[str, np.ndarray]]
-
-
-def _run_one_target(template: Template, cfg: dict, source, word_meta: dict,
-                    history_len: Optional[int], save: bool, worker: Worker,
+def _run_one_target(model: MeltModel, snapshot: Dict[str, np.ndarray], cfg: dict, source,
+                    word_meta: dict, history_len: Optional[int], save: bool,
                     run: Run) -> List[stance_mod.Prediction]:
-    """One target's fine-tuning run, in the memory of ``worker``; returns its predictions.
+    """One target's fine-tuning run in ``model`` and ``snapshot``; returns its predictions.
 
-    The template's parameters are copied into the worker model's own
-    arrays, and ``stance.finetune`` trains in them and in the worker's
-    snapshot buffers. With ``save`` the run writes snapshot_<tag>.melt
-    itself, so no finished run's model outlives it. The head and an
-    unfrozen word level are freed when the run ends.
+    ``stance.finetune`` trains in the model's arrays and in the snapshot
+    buffers. With ``save`` the run writes snapshot_<tag>.melt itself, so
+    no finished run's model outlives it. The head and an unfrozen word
+    level are freed when the run ends.
     """
     tag, train, dev, test = run
-    model, snapshot = worker
-    pretrain_mod.load_params_into(model, template[1])
     head = StanceHead(model.config.d_model, hidden1=cfg["head_hidden1"],
                       hidden2=cfg["head_hidden2"], seed=cfg["seed"])
     word_level = _word_level_for(cfg, source, corpus_mod.all_messages([*train, *dev, *test]))
@@ -604,12 +605,10 @@ def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
     ``source`` is what ``_word_level_for`` builds each run's word level from.
 
     A single length has each run save its snapshot; a sweep writes the
-    weighted F1 of each length to history_sweep.csv instead. Each of at
-    most ``--jobs`` workers holds one model and one snapshot, made once per
-    command; a run takes a free worker's from a queue and puts them back
-    when it ends. Runs go through ``pool.map`` under ``--jobs`` above 1 and
-    the builtin ``map`` otherwise, so one job runs them in order on this
-    thread with one worker.
+    weighted F1 of each length to history_sweep.csv instead. The runs go
+    in order on this thread, in one model and one snapshot made once per
+    command. The model is built from the template, and every run after
+    the first copies the template back into it.
     """
     for hist in history_lens:
         if hist is not None and hist > template[0].max_seq:
@@ -617,29 +616,22 @@ def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
                            f"{template[0].max_seq}")
     sweep = len(history_lens) > 1
     sweep_rows = []
-    workers = queue.SimpleQueue()
-    for _ in range(min(cfg["jobs"], len(runs))):
-        workers.put((MeltModel(template[0], params=template[1]), {}))
-
-    def on_a_worker(hist: Optional[int], run: Run) -> List[stance_mod.Prediction]:
-        worker = workers.get()
-        try:
-            return _run_one_target(template, cfg, source, word_meta, hist, not sweep,
-                                   worker, run)
-        finally:
-            workers.put(worker)
-
-    with (ThreadPoolExecutor(max_workers=cfg["jobs"]) if cfg["jobs"] > 1
-          else contextlib.nullcontext()) as pool:
-        run_map = map if pool is None else pool.map
-        for hist in history_lens:
-            preds = [p for run_preds in run_map(functools.partial(on_a_worker, hist), runs)
-                     for p in run_preds]
-            if sweep:
-                table = metrics_mod.per_target_report(
-                    [(p.stance_target, p.gold, p.label) for p in preds], pooled=cfg["pooled"])
-                sweep_rows.append([hist, _fmt(table["aggregate_weighted_f1"])])
-                print(f"history_len {hist}: weighted F1 {table['aggregate_weighted_f1']:.4f}")
+    model: Optional[MeltModel] = None
+    snapshot: Dict[str, np.ndarray] = {}
+    for hist in history_lens:
+        preds = []
+        for run in runs:
+            if model is None:
+                model = MeltModel(template[0], params=template[1])
+            else:
+                pretrain_mod.load_params_into(model, template[1])
+            preds += _run_one_target(model, snapshot, cfg, source, word_meta, hist,
+                                     not sweep, run)
+        if sweep:
+            table = metrics_mod.per_target_report(
+                [(p.stance_target, p.gold, p.label) for p in preds], pooled=cfg["pooled"])
+            sweep_rows.append([hist, _fmt(table["aggregate_weighted_f1"])])
+            print(f"history_len {hist}: weighted F1 {table['aggregate_weighted_f1']:.4f}")
     if sweep:
         _write_csv(os.path.join(cfg["out"], "history_sweep.csv"),
                    ["history_len", "weighted_f1"], sweep_rows)
@@ -659,16 +651,11 @@ PREDICTION_HEADER = ["example_id", "target", "gold", "pred",
 def cmd_finetune(cfg: Config) -> int:
     if cfg["arch"] not in ARCH_SPLITS:
         raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
-    if cfg["arch"] != "melt":
-        # the baselines train no encoder, in one run per target over a fixed
-        # history window, so each of these would be ignored
-        for option, used in (("--history-len", cfg["history_len"] is not None),
-                             ("--checkpoint", cfg["checkpoint"] is not None),
-                             ("--rand-init", cfg["rand_init"]),
-                             ("--unfreeze-word", cfg["unfreeze_word"]),
-                             ("--pooled", cfg["pooled"]), ("--jobs above 1", cfg["jobs"] > 1)):
-            if used:
-                raise CliError(f"{option} applies only to --arch melt, not '{cfg['arch']}'")
+    defaults = {name: default for name, _typ, default, _help in FINETUNE_OPTS}
+    for name in BASELINE_UNREAD.get(cfg["arch"], ()):
+        if cfg[name] != defaults[name]:
+            flag = ("no-" if cfg[name] is False else "") + name.replace("_", "-")
+            raise CliError(f"--{flag} is not read by --arch '{cfg['arch']}'")
     history_lens = _parse_history(cfg)
     template, source, word_meta = (_model_template(cfg) if cfg["arch"] == "melt"
                                    else (None, None, None))

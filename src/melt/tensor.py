@@ -19,9 +19,7 @@ pass holds only the arrays it is still using.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -172,28 +170,28 @@ def _ensure(x: TensorLike, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype if dtype is not None else np.float32))
 
 
-class _GradMode(threading.local):
-    recording = True
+# whether op outputs record backward rules; ``no_grad`` clears it
+_recording = True
 
 
-_grad_mode = _GradMode()
-
-
-@contextlib.contextmanager
-def no_grad():
+class no_grad:
     """Record no backward rules inside the block; for evaluation.
 
     Op outputs get ``requires_grad=False`` and no record, so no rule
     keeps an array past the forward code's use of it. Values are the same
-    as with recording. The switch is per thread: a training loop in
-    another thread keeps recording.
+    as with recording. The switch is one flag for the whole process. That
+    is safe only while every op output is made on the main thread, as
+    every command makes them: an op run on another thread while the block
+    is open would record nothing either.
     """
-    previous = _grad_mode.recording
-    _grad_mode.recording = False
-    try:
-        yield
-    finally:
-        _grad_mode.recording = previous
+
+    def __enter__(self) -> None:
+        global _recording
+        self._previous, _recording = _recording, False
+
+    def __exit__(self, *exc_info) -> None:
+        global _recording
+        _recording = self._previous
 
 
 def _from_op(data: np.ndarray, parents: tuple, rule: Rule) -> Tensor:
@@ -204,7 +202,7 @@ def _from_op(data: np.ndarray, parents: tuple, rule: Rule) -> Tensor:
     """
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = _grad_mode.recording and any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out.grad = None
     out._node = None
     if out.requires_grad:

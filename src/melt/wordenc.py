@@ -77,9 +77,7 @@ class HashEmbeddingEncoder:
     Each bucket's row is ``draw_row(seed, bucket, dim)``: never updated, so
     encoding is a pure function of the tokens. A row is drawn the first time
     a token hashes to its bucket and kept in a bucket -> row memo, so the
-    whole (buckets, dim) table is never built. Encoders may be shared across
-    threads without a lock: threads that race on a bucket draw the same
-    bytes, and ``setdefault`` keeps one of them.
+    whole (buckets, dim) table is never built.
     """
 
     def __init__(self, dim: int = 768, buckets: int = 65536, seed: int = 1337):
@@ -91,8 +89,7 @@ class HashEmbeddingEncoder:
         self.dim = dim
         self.buckets = buckets
         self.seed = seed
-        # token -> bucket and bucket -> row; threads that race to fill an
-        # entry of either write equal values
+        # token -> bucket and bucket -> row
         self._bucket_of: Dict[str, int] = {}
         self._row_of: Dict[int, np.ndarray] = {}
 
@@ -115,7 +112,7 @@ class HashEmbeddingEncoder:
         except KeyError:
             for bucket in buckets:
                 if bucket not in memo:
-                    memo.setdefault(bucket, draw_row(self.seed, bucket, self.dim))
+                    memo[bucket] = draw_row(self.seed, bucket, self.dim)
             return np.array([memo[bucket] for bucket in buckets])
 
 

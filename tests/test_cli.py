@@ -17,8 +17,9 @@ from melt.wordenc import (HashEmbeddingEncoder, compute_message_vectors, fnv1a_6
 from synthdata import (marker_corpus, split_examples, stance_corpus,
                        write_corpus_jsonl, write_stance_jsonl)
 
-MODEL_FLAGS = ["--layers", "1", "--d-model", "16", "--ff-dim", "32", "--heads", "2",
-               "--word-buckets", "256", "--word-seed", "3"]
+# the word baselines read these; the message encoder reads them and the rest of MODEL_FLAGS
+WORD_FLAGS = ["--d-model", "16", "--word-buckets", "256", "--word-seed", "3"]
+MODEL_FLAGS = ["--layers", "1", "--ff-dim", "32", "--heads", "2", *WORD_FLAGS]
 
 
 @pytest.fixture
@@ -360,6 +361,22 @@ class TestPretrainSetup:
         assert seen["init"] == threading.get_ident()
         assert seen["pool"] != seen["init"]
 
+    def test_every_op_output_is_made_on_the_main_thread(self, tmp_path, corpus_file,
+                                                         monkeypatch):
+        # the condition under which tensor's one process-wide grad flag is safe
+        import threading
+
+        import melt.tensor as tensor
+        made_on, from_op = set(), tensor._from_op
+
+        def recorded_from_op(*args, **kwargs):
+            made_on.add(threading.get_ident())
+            return from_op(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "_from_op", recorded_from_op)
+        run_pretrain(tmp_path, corpus_file)
+        assert made_on == {threading.get_ident()}
+
     def test_no_worker_outlives_a_run(self, tmp_path, corpus_file, capsys):
         import threading
         before = set(threading.enumerate())
@@ -413,8 +430,10 @@ def stance_file(tmp_path):
 
 
 def finetune_args(stance_file, out_dir, *extra):
+    arch = extra[extra.index("--arch") + 1] if "--arch" in extra else "melt"
+    flags = {"melt": MODEL_FLAGS, "mfc": []}.get(arch, WORD_FLAGS)
     return ["finetune", "--stance", str(stance_file), "--out", str(out_dir),
-            *MODEL_FLAGS, "--head-hidden1", "16", "--head-hidden2", "8",
+            *flags, "--head-hidden1", "16", "--head-hidden2", "8",
             "--lr", "3e-3", "--epochs", "4", "--patience", "2", *extra]
 
 
@@ -801,11 +820,17 @@ class TestFinetune:
         assert not (out_dir / "predictions.csv").exists()
 
 
-    @pytest.mark.parametrize("arch", ["word", "word-hist", "mfc"])
-    @pytest.mark.parametrize("extra", [
-        ("--checkpoint", "/nonexistent.melt"), ("--rand-init",), ("--unfreeze-word",),
-        ("--pooled",), ("--jobs", "4"),
-    ], ids=["checkpoint", "rand-init", "unfreeze-word", "pooled", "jobs"])
+    @pytest.mark.parametrize("extra,arch", [
+        *((extra, arch) for extra in (
+            ("--checkpoint", "/nonexistent.melt"), ("--rand-init",), ("--unfreeze-word",),
+            ("--pooled",), ("--layers", "3"), ("--ff-dim", "64"), ("--heads", "4"),
+            ("--dropout", "0.2"), ("--seq-len", "20"), ("--no-positions",))
+          for arch in ("word", "word-hist", "mfc")),
+        # the word baselines read the word source and the seed; mfc reads neither
+        *((extra, "mfc") for extra in (
+            ("--seed", "3"), ("--d-model", "16"), ("--word-encoder", "precomputed:v.tsv"),
+            ("--word-buckets", "256"), ("--word-seed", "3"))),
+    ], ids=lambda v: v[0].lstrip("-") if isinstance(v, tuple) else v)
     def test_options_a_baseline_ignores_rejected(self, tmp_path, stance_file, capsys,
                                                  arch, extra):
         out_dir = tmp_path / arch
@@ -815,9 +840,7 @@ class TestFinetune:
         assert extra[0] in err and f"'{arch}'" in err
         assert not (out_dir / "predictions.csv").exists()
 
-    def test_baseline_takes_those_options_at_their_defaults(self, tmp_path, stance_file,
-                                                            monkeypatch):
-        monkeypatch.setenv("MELT_JOBS", "1")
+    def test_baseline_takes_those_options_at_their_defaults(self, tmp_path, stance_file):
         out_dir = tmp_path / "mfc"
         assert main(["finetune", "--stance", str(stance_file), "--out", str(out_dir),
                      "--arch", "mfc", "--no-rand-init", "--no-unfreeze-word",
@@ -888,71 +911,32 @@ class TestHashRows:
 
 
 class TestJobs:
-    def test_unfrozen_parallel_runs_match_serial(self, tmp_path):
-        stance_path = tmp_path / "multi.jsonl"
-        write_stance_jsonl(stance_path, stance_corpus(
-            180, n_history=6, seed=33, split_fracs=(0.6, 0.2),
-            targets=("abortion", "climate", "feminism")))
-        outputs = []
-        for jobs, tag in (("1", "serial"), ("3", "parallel")):
-            out_dir = tmp_path / tag
-            code = main(finetune_args(stance_path, out_dir, "--rand-init", "--unfreeze-word",
-                                      "--jobs", jobs))
-            assert code == 0
-            outputs.append({name: (out_dir / name).read_bytes()
-                            for name in sorted(os.listdir(out_dir))
-                            if name != "config.json"})
-        assert len(outputs[0]) == 4  # predictions and one snapshot per target
-        assert outputs[0] == outputs[1]
+    """--jobs still parses, for old config files and scripts, but takes only 1."""
 
-    @pytest.mark.parametrize("jobs", ["0", "-1", "-4"])
-    def test_jobs_below_one_is_input_error(self, tmp_path, stance_file, capsys, jobs):
+    @pytest.mark.parametrize("given,jobs", [
+        ("flag", "0"), ("flag", "-1"), ("flag", "-4"), ("flag", "2"), ("flag", "4"),
+        ("env", "2"), ("config", "2"),
+    ], ids=["0", "-1", "-4", "2", "4", "env-2", "config-2"])
+    def test_jobs_other_than_one_is_input_error(self, tmp_path, stance_file, capsys,
+                                                monkeypatch, given, jobs):
         out_dir = tmp_path / "ft"
-        code = main(finetune_args(stance_file, out_dir, "--rand-init", "--jobs", jobs))
+        extra = ["--rand-init"]
+        if given == "flag":
+            extra += ["--jobs", jobs]
+        elif given == "env":
+            monkeypatch.setenv("MELT_JOBS", jobs)
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"jobs": int(jobs)}))
+            extra += ["--config", str(cfg_path)]
+        code = main(finetune_args(stance_file, out_dir, *extra))
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
         assert not (out_dir / "predictions.csv").exists()
 
-    def test_parallel_runs_match_serial(self, tmp_path):
-        stance_path = tmp_path / "multi.jsonl"
-        write_stance_jsonl(stance_path, stance_corpus(
-            120, n_history=6, seed=33, split_fracs=(0.6, 0.2),
-            targets=("abortion", "climate")))
-        outputs = []
-        for jobs, tag in (("1", "serial"), ("3", "parallel")):
-            out_dir = tmp_path / tag
-            code = main(finetune_args(stance_path, out_dir, "--rand-init",
-                                      "--jobs", jobs))
-            assert code == 0
-            outputs.append((out_dir / "predictions.csv").read_bytes())
-        assert outputs[0] == outputs[1]
-
 
 class TestPerTargetRuns:
-    def test_rand_init_draws_the_encoder_once_per_command(self, tmp_path, monkeypatch):
-        stance_path = tmp_path / "three.jsonl"
-        write_stance_jsonl(stance_path, stance_corpus(
-            180, n_history=6, seed=33, split_fracs=(0.6, 0.2),
-            targets=("abortion", "climate", "feminism")))
-        init = MeltModel.__init__
-        outputs = []
-        for jobs in ("1", "2"):
-            drawn, copied = [], []
-
-            def counted_init(self, *args, params=None, **kwargs):
-                (drawn if params is None else copied).append(1)
-                init(self, *args, params=params, **kwargs)
-
-            monkeypatch.setattr(MeltModel, "__init__", counted_init)
-            out_dir = tmp_path / f"jobs{jobs}"
-            assert main(finetune_args(stance_path, out_dir, "--rand-init",
-                                      "--jobs", jobs)) == 0
-            assert (len(drawn), len(copied)) == (1, int(jobs))  # the template, one per worker
-            outputs.append({name: (out_dir / name).read_bytes()
-                            for name in sorted(os.listdir(out_dir)) if name != "config.json"})
-        assert len(outputs[0]) == 4  # predictions and one snapshot per target
-        assert outputs[0] == outputs[1]
-
+    """Every run goes in sorted target order on one worker model, made once per command."""
 
     @pytest.fixture
     def three_targets(self, tmp_path):
@@ -962,30 +946,59 @@ class TestPerTargetRuns:
             targets=("abortion", "climate", "feminism")))
         return path
 
+    def test_rand_init_draws_the_encoder_once_per_command(self, tmp_path, monkeypatch,
+                                                          three_targets):
+        init = MeltModel.__init__
+        drawn, copied = [], []
+
+        def counted_init(self, *args, params=None, **kwargs):
+            (drawn if params is None else copied).append(1)
+            init(self, *args, params=params, **kwargs)
+
+        monkeypatch.setattr(MeltModel, "__init__", counted_init)
+        out_dir = tmp_path / "ft"
+        assert main(finetune_args(three_targets, out_dir, "--rand-init", "--jobs", "1")) == 0
+        assert (len(drawn), len(copied)) == (1, 1)  # the template, the worker
+        assert sorted(os.listdir(out_dir)) == [
+            "config.json", "predictions.csv", "snapshot_abortion.melt",
+            "snapshot_climate.melt", "snapshot_feminism.melt"]
+        assert json.loads((out_dir / "config.json").read_text())["jobs"] == 1
+
     def test_checkpoint_runs_make_one_model_per_worker(self, tmp_path, monkeypatch,
                                                       three_targets):
         model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2), seed=5)
         ckpt = tmp_path / "m.melt"
         save_checkpoint(ckpt, model, dev_mse=0.0, epoch=1, seed=5)
         init = MeltModel.__init__
-        outputs = []
-        for jobs in ("1", "2"):
-            drawn, copied = [], []
+        drawn, copied = [], []
 
-            def counted_init(self, *args, params=None, **kwargs):
-                (drawn if params is None else copied).append(1)
-                init(self, *args, params=params, **kwargs)
+        def counted_init(self, *args, params=None, **kwargs):
+            (drawn if params is None else copied).append(1)
+            init(self, *args, params=params, **kwargs)
 
-            monkeypatch.setattr(MeltModel, "__init__", counted_init)
-            out_dir = tmp_path / f"jobs{jobs}"
-            assert main(finetune_args(three_targets, out_dir, "--checkpoint", str(ckpt),
-                                      "--unfreeze-word", "--jobs", jobs)) == 0
-            # one model for the checkpoint load, one per worker
-            assert (len(drawn), len(copied)) == (0, 1 + int(jobs))
-            outputs.append({name: (out_dir / name).read_bytes()
-                            for name in sorted(os.listdir(out_dir)) if name != "config.json"})
-        assert len(outputs[0]) == 4  # predictions and one snapshot per target
-        assert outputs[0] == outputs[1]
+        monkeypatch.setattr(MeltModel, "__init__", counted_init)
+        out_dir = tmp_path / "ft"
+        assert main(finetune_args(three_targets, out_dir, "--checkpoint", str(ckpt),
+                                  "--unfreeze-word", "--jobs", "1")) == 0
+        # one model for the checkpoint load, one for the worker
+        assert (len(drawn), len(copied)) == (0, 2)
+        assert len(os.listdir(out_dir)) == 5  # config, predictions, a snapshot per target
+
+    @pytest.mark.parametrize("extra,refills", [((), 2), (("--history-len", "2,4"), 5)],
+                             ids=["one-length", "sweep"])
+    def test_only_later_runs_refill_the_worker_model(self, tmp_path, monkeypatch,
+                                                     three_targets, extra, refills):
+        # the worker model is built from the template, so the first run trains as built
+        import melt.pretrain as pretrain_mod
+        loads, load = [], pretrain_mod.load_params_into
+
+        def counting_load(model, params):
+            loads.append(1)
+            load(model, params)
+
+        monkeypatch.setattr(pretrain_mod, "load_params_into", counting_load)
+        assert main(finetune_args(three_targets, tmp_path / "ft", "--rand-init", *extra)) == 0
+        assert len(loads) == refills
 
     def test_no_finished_runs_model_lives_while_the_next_trains(self, tmp_path, monkeypatch,
                                                                 three_targets):

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import threading
 import tracemalloc
 import zlib
 
@@ -672,14 +671,3 @@ class TestNoGrad:
                 raise RuntimeError("inside")
         backward(self.forward(w, g, b, x).sum())
         assert w.grad is not None and np.abs(np.asarray(w.grad)).sum() > 0
-
-    def test_switch_is_per_thread(self):
-        w, g, b, x = self.params(np.random.default_rng(2))
-        seen = []
-        with no_grad():
-            worker = threading.Thread(
-                target=lambda: seen.append(self.forward(w, g, b, x).requires_grad))
-            worker.start()
-            worker.join()
-            seen.append(self.forward(w, g, b, x).requires_grad)
-        assert seen == [True, False]

@@ -10,7 +10,7 @@ from melt.corpus import RawMessage
 from melt.tensor import Tensor, backward
 from melt.wordenc import (EMPTY_TOKEN, FrozenWordLevel, HashEmbeddingEncoder,
                           TrainableAdapterWordLevel, TrainableHashWordLevel, VectorFileError,
-                          compute_message_vectors, draw_row, fnv1a_64, load_precomputed,
+                          compute_message_vectors, fnv1a_64, load_precomputed,
                           tokenize, write_vector_file)
 
 
@@ -116,24 +116,6 @@ class TestHashEncoder:
         with pytest.raises(ValueError, match="seed"):
             HashEmbeddingEncoder(dim=4, buckets=8, seed=-1)
 
-    def test_rows_drawn_from_many_threads_are_each_buckets_own(self):
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-        enc = HashEmbeddingEncoder(dim=16, buckets=4096, seed=9)
-        batches = [np.random.default_rng(i).integers(0, 4096, 60).tolist() for i in range(48)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                got = list(pool.map(enc.rows, batches, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        reached = np.unique(np.concatenate(batches))
-        assert len(enc._row_of) == len(reached)
-        for ids, rows in zip(batches, got):
-            want = np.stack([draw_row(9, b, 16) for b in ids])
-            assert rows.tobytes() == want.tobytes()
-
     def test_token_ids_hash_each_distinct_token_once(self, monkeypatch):
         import melt.wordenc as wordenc
         enc = HashEmbeddingEncoder(dim=4, buckets=64, seed=0)
@@ -149,21 +131,6 @@ class TestHashEncoder:
         assert sorted(hashed) == [",", "delta", "echo"]
         assert first == [fnv1a_64(t) % 64 for t in ("echo", ",", "delta", "echo")]
         assert second == first[2:]
-
-    def test_shared_memo_gives_every_thread_the_right_buckets(self):
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-        enc = HashEmbeddingEncoder(dim=2, buckets=97, seed=0)
-        texts = [" ".join(f"t{(i * 7 + j) % 300}" for j in range(40)) for i in range(64)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                got = list(pool.map(lambda text: enc.token_ids(tokenize(text)),
-                                    texts, timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [[fnv1a_64(t) % 97 for t in text.split()] for text in texts]
 
     def test_frozen_purity_over_corpus(self):
         enc = HashEmbeddingEncoder(dim=8, buckets=64, seed=5)
