@@ -1,11 +1,14 @@
 """Command-line pipeline: prep, pretrain, finetune, evaluate.
 
 Configuration precedence is flag > MELT_* environment variable > config
-file (JSON) > built-in default. Every command echoes its fully-resolved
-configuration to stdout and to <out>/config.json, and rerunning with that
-file reproduces the outputs byte for byte. The echo comes after the values
-a command takes from its inputs: fine-tuning from a checkpoint records the
-checkpoint's model config, and a model option set to another value exits 2.
+file (JSON) > built-in default. Every command runs in three steps: set-up
+checks every option, reads and checks every input and builds what the run
+shares; then the command echoes its fully-resolved configuration to stdout
+and to <out>/config.json; then it runs and writes its outputs. So a command
+that set-up rejects exits 2 without making <out>, and rerunning with the
+echoed file reproduces the outputs byte for byte. Fine-tuning from a
+checkpoint records the checkpoint's model config, and a model option set to
+another value exits 2.
 
 Exit codes: 0 success, 2 bad input or configuration, 3 numeric failure.
 """
@@ -18,7 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -325,8 +328,8 @@ def _fmt(value: float) -> str:
 
 
 def cmd_prep(cfg: dict) -> int:
-    echo_config(cfg, cfg["out"])
     groups = ingest_jsonl(cfg["corpus"])
+    echo_config(cfg, cfg["out"])
     n_messages = 0
     n_chunks = 0
     n_pad = 0
@@ -338,8 +341,7 @@ def cmd_prep(cfg: dict) -> int:
                 n_chunks += 1
                 slots = [None if s is None else s.message_id for s in chunk.slots]
                 n_pad += sum(1 for s in slots if s is None)
-                fh.write(json.dumps({"user_id": user_id, "origin": chunk.origin,
-                                     "slots": slots}) + "\n")
+                fh.write(json.dumps({"user_id": user_id, "slots": slots}) + "\n")
     stats = {"users": len(groups), "messages": n_messages, "chunks": n_chunks,
              "pad_slots": n_pad, "seq_len": cfg["seq_len"]}
     with open(os.path.join(cfg["out"], "stats.json"), "w", encoding="utf-8") as fh:
@@ -350,7 +352,10 @@ def cmd_prep(cfg: dict) -> int:
 
 def load_manifest(path, messages_by_id: Dict[str, RawMessage],
                   seq_len: int) -> List[SequenceChunk]:
-    """The manifest's chunks; every row holds the first row's slot count, at most ``seq_len``."""
+    """The manifest's chunks; every row holds the first row's slot count, at most ``seq_len``.
+
+    Keys other than ``user_id`` and ``slots`` are ignored.
+    """
     chunks: List[SequenceChunk] = []
     for lineno, obj in corpus_mod.iter_jsonl(path):
         if not isinstance(obj.get("user_id"), str):
@@ -373,7 +378,7 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage],
                 raise CorpusFormatError(
                     f"line {lineno}: manifest references unknown message '{mid}'")
             slots.append(messages_by_id[mid])
-        chunks.append(SequenceChunk(obj["user_id"], tuple(slots), origin=obj.get("origin", 0)))
+        chunks.append(SequenceChunk(obj["user_id"], tuple(slots)))
     if not chunks:
         raise CorpusFormatError("manifest contains no chunks")
     return chunks
@@ -395,18 +400,22 @@ def _pool_vectors(cfg: dict, messages) -> Tuple[Dict[str, np.ndarray], dict]:
 
 
 def cmd_pretrain(cfg: dict) -> int:
-    echo_config(cfg, cfg["out"])
-    groups = ingest_jsonl(cfg["corpus"])
-    by_id = {m.message_id: m for msgs in groups.values() for m in msgs}
-    chunks = load_manifest(cfg["manifest"], by_id, cfg["seq_len"])
-    if len(chunks) < 2:
-        raise CliError("need at least 2 chunks to carve out a dev split")
+    mconfig = _melt_config(cfg)
+    pconfig = PretrainConfig(base_lr=cfg["lr"], weight_decay=cfg["weight_decay"],
+                             warmup_steps=cfg["warmup_steps"], epochs=cfg["epochs"],
+                             batch_size=cfg["batch_size"], seed=cfg["seed"],
+                             grad_clip=cfg["grad_clip"])
     if not 0.0 < cfg["dev_fraction"] <= 0.5:
         # dev is every round(1/f)-th chunk; above 0.5 that is still every 2nd
         raise CliError(f"--dev-fraction must be in (0, 0.5], got {cfg['dev_fraction']}")
     if cfg["grad_clip"] is not None and cfg["grad_clip"] <= 0:
         # a clip at or below 0 would zero or reverse every update
         raise CliError(f"--grad-clip must be above 0, got {cfg['grad_clip']}")
+    groups = ingest_jsonl(cfg["corpus"])
+    by_id = {m.message_id: m for msgs in groups.values() for m in msgs}
+    chunks = load_manifest(cfg["manifest"], by_id, cfg["seq_len"])
+    if len(chunks) < 2:
+        raise CliError("need at least 2 chunks to carve out a dev split")
     stride = round(1.0 / cfg["dev_fraction"])
     dev_chunks = [c for i, c in enumerate(chunks) if i % stride == 0]
     train_chunks = [c for i, c in enumerate(chunks) if i % stride != 0]
@@ -416,12 +425,9 @@ def cmd_pretrain(cfg: dict) -> int:
     # pools while this thread draws; both are done before training starts.
     with ThreadPoolExecutor(max_workers=1) as worker:
         word_side = worker.submit(_pool_vectors, cfg, needed.values())
-        model = MeltModel(_melt_config(cfg), seed=cfg["seed"])
+        model = MeltModel(mconfig, seed=cfg["seed"])
         vectors, word_meta = word_side.result()
-    pconfig = PretrainConfig(base_lr=cfg["lr"], weight_decay=cfg["weight_decay"],
-                             warmup_steps=cfg["warmup_steps"], epochs=cfg["epochs"],
-                             batch_size=cfg["batch_size"], seed=cfg["seed"],
-                             grad_clip=cfg["grad_clip"])
+    echo_config(cfg, cfg["out"])
     result = pretrain_mod.train(model, train_chunks, dev_chunks, vectors, pconfig)
 
     _write_csv(os.path.join(cfg["out"], "history.csv"), ["step", "lr", "loss"],
@@ -464,12 +470,14 @@ ARCH_SPLITS = {"mfc": ("train", "test"), "word": corpus_mod.SPLITS,
 
 # the options each baseline never reads, so it rejects any value but the
 # default: the word baselines train no encoder, in one run per target over
-# a fixed history window, and mfc also draws nothing and reads no words
+# a fixed history window, and mfc also draws nothing, reads no words and
+# trains no head
 _WORD_UNREAD = ("history_len", "checkpoint", "rand_init", "unfreeze_word", "pooled",
                 "layers", "ff_dim", "heads", "dropout", "seq_len", "positions")
 BASELINE_UNREAD = {"word": _WORD_UNREAD, "word-hist": _WORD_UNREAD,
                    "mfc": (*_WORD_UNREAD, "seed", "d_model", "word_encoder", "word_buckets",
-                           "word_seed")}
+                           "word_seed", "lr", "weight_decay", "head_dropout", "batch_size",
+                           "epochs", "patience", "head_hidden1", "head_hidden2")}
 
 Run = Tuple[str, List[StanceExample], List[StanceExample], List[StanceExample]]
 # the model config and parameters every per-target run starts from
@@ -499,7 +507,7 @@ def _plan_runs(examples: Sequence[StanceExample], targets: Sequence[str], arch: 
 
 
 def _parse_history(cfg: dict) -> List[Optional[int]]:
-    """The ``--history-len`` values, each an integer of at least 1."""
+    """The ``--history-len`` values, each an integer from 1 to the model's ``--seq-len``."""
     raw = cfg["history_len"]
     if raw is None:
         return [None]
@@ -514,32 +522,25 @@ def _parse_history(cfg: dict) -> List[Optional[int]]:
             raise CliError(f"--history-len: '{piece}' is not an integer") from None
         if value < 1:
             raise CliError(f"--history-len: '{piece}' is below 1")
+        if value > cfg["seq_len"]:
+            raise CliError(f"--history-len: '{piece}' exceeds the model's max_seq "
+                           f"{cfg['seq_len']}")
         values.append(value)
     if not values:
         raise CliError("--history-len given but empty")
     return values
 
 
-def _finetune_cfg(cfg: dict) -> FinetuneConfig:
-    return FinetuneConfig(lr=cfg["lr"], weight_decay=cfg["weight_decay"],
-                          dropout=cfg["head_dropout"], batch_size=cfg["batch_size"],
-                          unfreeze_word=cfg["unfreeze_word"], max_epochs=cfg["epochs"],
-                          patience=cfg["patience"], seed=cfg["seed"])
+def _model_template(cfg: Config) -> Tuple[Template, Optional[dict]]:
+    """What every per-target run starts from, and the word meta its checkpoint records.
 
-
-def _model_template(cfg: Config) -> Tuple[Template, object, dict]:
-    """What every per-target run starts from: model config and parameters, word source and meta.
-
-    With ``--rand-init`` the parameters are drawn once from the seed.
-    Otherwise the checkpoint's model config is written into ``cfg``: a
-    model option set to another value is rejected, and the word encoder
-    must match. The word source is built once per command, so a vector
-    file is read once, before the stance file; the word meta is what every
-    snapshot records.
+    With ``--rand-init`` the parameters are drawn once from the seed, and
+    there is no word meta to match. Otherwise the checkpoint's model config
+    is written into ``cfg``, and a model option set to another value is
+    rejected.
     """
-    header: dict = {}
     if cfg["rand_init"]:
-        model = MeltModel(_melt_config(cfg), seed=cfg["seed"])
+        model, header = MeltModel(_melt_config(cfg), seed=cfg["seed"]), {}
     elif not cfg["checkpoint"]:
         raise CliError("provide --checkpoint or pass --rand-init")
     else:
@@ -551,42 +552,26 @@ def _model_template(cfg: Config) -> Tuple[Template, object, dict]:
                 raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the "
                                f"checkpoint's model has {value!r}")
         cfg.update(recorded)
-    source, word_meta = _make_word_source(cfg)
-    _check_word_encoder(header.get("word_encoder"), word_meta)
     params = {name: p.data for name, p in model.named_parameters()}
-    return (model.config, params), source, word_meta
+    return (model.config, params), header.get("word_encoder")
 
 
-def _word_level_for(cfg: dict, source, messages):
-    """The word level of one run, whose messages are ``messages``.
-
-    ``source`` is the FrozenWordLevel every run shares, or the hash encoder
-    an unfrozen table trains over. An unfrozen hash table holds only the
-    rows ``messages`` reach; otherwise an unfrozen level is an adapter over
-    the frozen one.
-    """
-    if not cfg["unfreeze_word"]:
-        return source
-    if isinstance(source, HashEmbeddingEncoder):
-        return wordenc.TrainableHashWordLevel(source, messages)
-    return wordenc.TrainableAdapterWordLevel(source)
-
-
-def _run_one_target(model: MeltModel, snapshot: Dict[str, np.ndarray], cfg: dict, source,
+def _run_one_target(model: MeltModel, snapshot: Dict[str, np.ndarray], cfg: dict,
+                    fcfg: FinetuneConfig, word_level_of: Callable[[Run], object],
                     word_meta: dict, history_len: Optional[int], save: bool,
                     run: Run) -> List[stance_mod.Prediction]:
     """One target's fine-tuning run in ``model`` and ``snapshot``; returns its predictions.
 
     ``stance.finetune`` trains in the model's arrays and in the snapshot
     buffers. With ``save`` the run writes snapshot_<tag>.melt itself, so
-    no finished run's model outlives it. The head and an unfrozen word
-    level are freed when the run ends.
+    no finished run's model outlives it. The head and the run's word level,
+    which ``word_level_of`` makes, are freed when the run ends.
     """
     tag, train, dev, test = run
     head = StanceHead(model.config.d_model, hidden1=cfg["head_hidden1"],
                       hidden2=cfg["head_hidden2"], seed=cfg["seed"])
-    word_level = _word_level_for(cfg, source, corpus_mod.all_messages([*train, *dev, *test]))
-    result = stance_mod.finetune(model, head, word_level, train, dev, _finetune_cfg(cfg),
+    word_level = word_level_of(run)
+    result = stance_mod.finetune(model, head, word_level, train, dev, fcfg,
                                  history_len=history_len, snapshot=snapshot)
     preds = stance_mod.predict(model, head, word_level, test, history_len=history_len) \
         if test else []
@@ -597,12 +582,11 @@ def _run_one_target(model: MeltModel, snapshot: Dict[str, np.ndarray], cfg: dict
     return preds
 
 
-def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
+def _melt_predictions(cfg: dict, fcfg: FinetuneConfig, template: Template,
+                      word_level_of: Callable[[Run], object], word_meta: dict,
                       history_lens: Sequence[Optional[int]],
                       runs: Sequence[Run]) -> List[stance_mod.Prediction]:
     """Fine-tune every run at each history length; the last length's predictions.
-
-    ``source`` is what ``_word_level_for`` builds each run's word level from.
 
     A single length has each run save its snapshot; a sweep writes the
     weighted F1 of each length to history_sweep.csv instead. The runs go
@@ -610,10 +594,6 @@ def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
     command. The model is built from the template, and every run after
     the first copies the template back into it.
     """
-    for hist in history_lens:
-        if hist is not None and hist > template[0].max_seq:
-            raise CliError(f"--history-len: '{hist}' exceeds the model's max_seq "
-                           f"{template[0].max_seq}")
     sweep = len(history_lens) > 1
     sweep_rows = []
     model: Optional[MeltModel] = None
@@ -625,8 +605,8 @@ def _melt_predictions(cfg: dict, template: Template, source, word_meta: dict,
                 model = MeltModel(template[0], params=template[1])
             else:
                 pretrain_mod.load_params_into(model, template[1])
-            preds += _run_one_target(model, snapshot, cfg, source, word_meta, hist,
-                                     not sweep, run)
+            preds += _run_one_target(model, snapshot, cfg, fcfg, word_level_of, word_meta,
+                                     hist, not sweep, run)
         if sweep:
             table = metrics_mod.per_target_report(
                 [(p.stance_target, p.gold, p.label) for p in preds], pooled=cfg["pooled"])
@@ -649,42 +629,57 @@ PREDICTION_HEADER = ["example_id", "target", "gold", "pred",
 
 
 def cmd_finetune(cfg: Config) -> int:
-    if cfg["arch"] not in ARCH_SPLITS:
-        raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{cfg['arch']}'")
+    arch = cfg["arch"]
+    if arch not in ARCH_SPLITS:
+        raise CliError(f"--arch must be melt | word | word-hist | mfc, got '{arch}'")
     defaults = {name: default for name, _typ, default, _help in FINETUNE_OPTS}
-    for name in BASELINE_UNREAD.get(cfg["arch"], ()):
+    for name in BASELINE_UNREAD.get(arch, ()):
         if cfg[name] != defaults[name]:
             flag = ("no-" if cfg[name] is False else "") + name.replace("_", "-")
-            raise CliError(f"--{flag} is not read by --arch '{cfg['arch']}'")
+            raise CliError(f"--{flag} is not read by --arch '{arch}'")
+    fcfg = FinetuneConfig(lr=cfg["lr"], weight_decay=cfg["weight_decay"],
+                          dropout=cfg["head_dropout"], batch_size=cfg["batch_size"],
+                          unfreeze_word=cfg["unfreeze_word"], max_epochs=cfg["epochs"],
+                          patience=cfg["patience"], seed=cfg["seed"])
+    template, recorded_word = _model_template(cfg) if arch == "melt" else (None, None)
     history_lens = _parse_history(cfg)
-    template, source, word_meta = (_model_template(cfg) if cfg["arch"] == "melt"
-                                   else (None, None, None))
-    echo_config(cfg, cfg["out"])
+    # the word source is built once, so a vector file is read and checked
+    # against the checkpoint before the stance file is read
+    source, word_meta = _make_word_source(cfg) if arch != "mfc" else (None, None)
+    _check_word_encoder(recorded_word, word_meta)
     examples = ingest_stance_jsonl(cfg["stance"])
-    runs = _plan_runs(examples, _resolve_targets(cfg, examples), cfg["arch"], cfg["pooled"])
+    runs = _plan_runs(examples, _resolve_targets(cfg, examples), arch, cfg["pooled"])
+    if cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder):
+        # A trainable hash table pools its own rows, so none are pooled here,
+        # and each run's table holds only the rows its messages reach.
+        def word_level_of(run: Run):
+            return wordenc.TrainableHashWordLevel(
+                source, corpus_mod.all_messages([e for split in run[1:] for e in split]))
+    elif source is not None:
+        # Every other run reads one FrozenWordLevel; for a vector file this
+        # also checks every id up front. Rebinding frees the hash encoder,
+        # and any rows drawn, before training.
+        source = wordenc.FrozenWordLevel(cfg["d_model"], compute_message_vectors(
+            corpus_mod.all_messages(examples), source))
 
-    if cfg["arch"] == "mfc":
+        def word_level_of(run: Run):
+            return wordenc.TrainableAdapterWordLevel(source) if cfg["unfreeze_word"] else source
+    echo_config(cfg, cfg["out"])
+
+    if arch == "mfc":
         preds = [p for _tag, train, _dev, test in runs
                  for p in stance_mod.mfc_predict([e.label for e in train], test)]
-    elif cfg["arch"] in ("word", "word-hist"):
-        vectors = compute_message_vectors(corpus_mod.all_messages(examples),
-                                          _make_word_source(cfg)[0])
-        fcfg = _finetune_cfg(cfg)
+    elif arch in ("word", "word-hist"):
         preds = [p for _tag, train, dev, test in runs
                  for p in stance_mod.word_baseline(
-                     train, dev, test, vectors, fcfg, with_history=cfg["arch"] == "word-hist",
+                     train, dev, test, source.vectors, fcfg, with_history=arch == "word-hist",
                      hidden1=cfg["head_hidden1"], hidden2=cfg["head_hidden2"])]
     else:
-        if not (cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder)):
-            # A trainable hash table pools its own rows and never reads these
-            # vectors; for a vector file this also checks every id up front.
-            # Rebinding frees the source, and any rows drawn, before training.
-            source = wordenc.FrozenWordLevel(cfg["d_model"], compute_message_vectors(
-                corpus_mod.all_messages(examples), source))
-        preds = _melt_predictions(cfg, template, source, word_meta, history_lens, runs)
+        preds = _melt_predictions(cfg, fcfg, template, word_level_of, word_meta, history_lens,
+                                  runs)
     _write_csv(os.path.join(cfg["out"], "predictions.csv"), PREDICTION_HEADER,
                _prediction_rows(preds))
-    print(f"wrote {len(preds)} {cfg['arch']} predictions")
+    print(f"wrote {len(preds)} {arch} predictions")
     return EXIT_OK
 
 
@@ -699,7 +694,6 @@ def cmd_evaluate(cfg: dict) -> int:
     Every prediction id must be a gold id and appear once, and every gold
     test example of a target that has predictions must be predicted.
     """
-    echo_config(cfg, cfg["out"])
     gold_examples = ingest_stance_jsonl(cfg["gold"])
     gold_by_id = {e.example_id: e for e in gold_examples}
     rows = []
@@ -744,6 +738,7 @@ def cmd_evaluate(cfg: dict) -> int:
     pooled_rep = metrics_mod.report(
         metrics_mod.confusion([g for _, g, _ in rows], [p for _, _, p in rows]))
     text += "\n\npooled over all examples:\n" + metrics_mod.render_report(pooled_rep)
+    echo_config(cfg, cfg["out"])
     print(text)
     if cfg["out"]:
         with open(os.path.join(cfg["out"], "metrics.txt"), "w", encoding="utf-8") as fh:

@@ -43,7 +43,6 @@ class SequenceChunk:
 
     user_id: str
     slots: Tuple[Optional[RawMessage], ...]
-    origin: int = 0
 
     @property
     def n_real(self) -> int:
@@ -133,13 +132,12 @@ def build_chunks(history: Sequence[RawMessage], seq_len: int = SEQ_LEN) -> List[
     user_id = history[0].user_id
     if n < seq_len:
         slots = tuple(history) + (None,) * (seq_len - n)
-        return [SequenceChunk(user_id, slots, origin=0)]
+        return [SequenceChunk(user_id, slots)]
     n_chunks = -(-n // seq_len)
     chunks = []
     for i in range(n_chunks - 1):
-        chunks.append(SequenceChunk(user_id, tuple(history[i * seq_len:(i + 1) * seq_len]),
-                                    origin=i))
-    chunks.append(SequenceChunk(user_id, tuple(history[n - seq_len:n]), origin=n_chunks - 1))
+        chunks.append(SequenceChunk(user_id, tuple(history[i * seq_len:(i + 1) * seq_len])))
+    chunks.append(SequenceChunk(user_id, tuple(history[n - seq_len:n])))
     return chunks
 
 
@@ -288,7 +286,7 @@ def build_finetune_sequence(example: StanceExample,
     slots = list(history) + [example.target]
     target_index = len(history)
     slots.extend([None] * (seq_len - len(slots)))
-    return SequenceChunk(example.target.user_id, tuple(slots), origin=0), target_index
+    return SequenceChunk(example.target.user_id, tuple(slots)), target_index
 
 
 def all_messages(examples: Iterable[StanceExample]) -> List[RawMessage]:

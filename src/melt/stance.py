@@ -100,7 +100,7 @@ def _pad_to(chunk: SequenceChunk, length: int) -> SequenceChunk:
     if len(chunk.slots) == length:
         return chunk
     slots = chunk.slots + (None,) * (length - len(chunk.slots))
-    return SequenceChunk(chunk.user_id, slots, origin=chunk.origin)
+    return SequenceChunk(chunk.user_id, slots)
 
 
 def _forward_examples(model: MeltModel, head: StanceHead, word_level,

@@ -60,6 +60,8 @@ class TestPrep:
         a = run_prep(tmp_path, corpus_file, out="a") / "manifest.jsonl"
         b = run_prep(tmp_path, corpus_file, out="b") / "manifest.jsonl"
         assert a.read_bytes() == b.read_bytes()
+        assert all(list(json.loads(row)) == ["user_id", "slots"]
+                   for row in a.read_text().splitlines())
 
     def test_empty_corpus_is_input_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -120,6 +122,18 @@ class TestPretrain:
         b = run_pretrain(tmp_path, corpus_file, out="r2")
         assert (a / "checkpoint.melt").read_bytes() == (b / "checkpoint.melt").read_bytes()
         assert (a / "history.csv").read_bytes() == (b / "history.csv").read_bytes()
+        # a manifest whose rows still hold the window index they once recorded loads as before
+        rows = [json.loads(row) for row in
+                (tmp_path / "r1_prep" / "manifest.jsonl").read_text().splitlines()]
+        old = tmp_path / "with_origin.jsonl"
+        old.write_text("".join(json.dumps({"user_id": row["user_id"], "origin": i,
+                                           "slots": row["slots"]}) + "\n"
+                               for i, row in enumerate(rows)))
+        c = tmp_path / "r3"
+        assert main(["pretrain", "--corpus", str(corpus_file), "--manifest", str(old),
+                     "--out", str(c), *MODEL_FLAGS, "--epochs", "1", "--batch-size", "10",
+                     "--warmup-steps", "5"]) == 0
+        assert (a / "checkpoint.melt").read_bytes() == (c / "checkpoint.melt").read_bytes()
 
     def test_layer_flag_selects_depth(self, tmp_path, corpus_file):
         out_dir = run_pretrain(tmp_path, corpus_file, out="two",
@@ -159,6 +173,7 @@ class TestPretrain:
                          "--lr", "1e12"])
         assert code == 3
         assert not (out_dir / "checkpoint.melt").exists()
+        assert (out_dir / "config.json").exists()  # the run happened, so it is recorded
 
     def test_hash_table_freed_before_training(self, tmp_path, corpus_file, monkeypatch):
         import weakref
@@ -193,7 +208,7 @@ class TestPretrain:
                      *MODEL_FLAGS, "--dev-fraction", fraction])
         assert code == 2
         assert "--dev-fraction" in capsys.readouterr().err
-        assert not (out_dir / "checkpoint.melt").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("clip", ["0", "-1", "-0.5"])
     def test_grad_clip_at_or_below_zero_is_input_error(self, tmp_path, corpus_file, capsys,
@@ -206,7 +221,7 @@ class TestPretrain:
                      *MODEL_FLAGS, "--grad-clip", clip])
         assert code == 2
         assert "--grad-clip" in capsys.readouterr().err
-        assert not (out_dir / "checkpoint.melt").exists()
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("warmup", ["-1", "-5"])
     def test_negative_warmup_steps_is_input_error(self, tmp_path, corpus_file, capsys,
@@ -431,10 +446,13 @@ def stance_file(tmp_path):
 
 def finetune_args(stance_file, out_dir, *extra):
     arch = extra[extra.index("--arch") + 1] if "--arch" in extra else "melt"
-    flags = {"melt": MODEL_FLAGS, "mfc": []}.get(arch, WORD_FLAGS)
-    return ["finetune", "--stance", str(stance_file), "--out", str(out_dir),
-            *flags, "--head-hidden1", "16", "--head-hidden2", "8",
-            "--lr", "3e-3", "--epochs", "4", "--patience", "2", *extra]
+    if arch == "mfc":  # it reads no model, word, head or training option
+        flags = []
+    else:
+        flags = [*(MODEL_FLAGS if arch == "melt" else WORD_FLAGS),
+                 "--head-hidden1", "16", "--head-hidden2", "8",
+                 "--lr", "3e-3", "--epochs", "4", "--patience", "2"]
+    return ["finetune", "--stance", str(stance_file), "--out", str(out_dir), *flags, *extra]
 
 
 class TestFinetune:
@@ -566,7 +584,7 @@ class TestFinetune:
         assert main(finetune_args(stance_file, out_dir, *start_args,
                                   "--word-encoder", "bogus")) == 2
         assert "--word-encoder" in capsys.readouterr().err
-        assert not (out_dir / "predictions.csv").exists()
+        assert not out_dir.exists()
 
     def test_requires_checkpoint_or_rand_init(self, tmp_path, stance_file):
         assert main(finetune_args(stance_file, tmp_path / "x")) == 2
@@ -826,10 +844,14 @@ class TestFinetune:
             ("--pooled",), ("--layers", "3"), ("--ff-dim", "64"), ("--heads", "4"),
             ("--dropout", "0.2"), ("--seq-len", "20"), ("--no-positions",))
           for arch in ("word", "word-hist", "mfc")),
-        # the word baselines read the word source and the seed; mfc reads neither
+        # the word baselines read the word source, the seed, the head and the
+        # training options; mfc reads none of them
         *((extra, "mfc") for extra in (
             ("--seed", "3"), ("--d-model", "16"), ("--word-encoder", "precomputed:v.tsv"),
-            ("--word-buckets", "256"), ("--word-seed", "3"))),
+            ("--word-buckets", "256"), ("--word-seed", "3"), ("--lr", "3e-3"),
+            ("--weight-decay", "0.1"), ("--head-dropout", "0.01"), ("--batch-size", "3"),
+            ("--epochs", "4"), ("--patience", "2"), ("--head-hidden1", "16"),
+            ("--head-hidden2", "8"))),
     ], ids=lambda v: v[0].lstrip("-") if isinstance(v, tuple) else v)
     def test_options_a_baseline_ignores_rejected(self, tmp_path, stance_file, capsys,
                                                  arch, extra):
@@ -1054,21 +1076,20 @@ class TestPerTargetRuns:
                                                                    monkeypatch):
         # with --unfreeze-word a word level holds a copy of the whole hash table
         import weakref
-        import melt.cli as cli
+        import melt.wordenc as wordenc
         stance_path = tmp_path / "two.jsonl"
         write_stance_jsonl(stance_path, stance_corpus(
             120, n_history=6, seed=33, split_fracs=(0.6, 0.2),
             targets=("abortion", "climate")))
         made = []
-        real = cli._word_level_for
+        init = wordenc.TrainableHashWordLevel.__init__
 
-        def tracked(cfg, source, vectors):
+        def tracked(self, *args, **kwargs):
             assert all(ref() is None for ref in made), "an earlier run's word level lives"
-            level = real(cfg, source, vectors)
-            made.append(weakref.ref(level))
-            return level
+            init(self, *args, **kwargs)
+            made.append(weakref.ref(self))
 
-        monkeypatch.setattr(cli, "_word_level_for", tracked)
+        monkeypatch.setattr(wordenc.TrainableHashWordLevel, "__init__", tracked)
         out_dir = tmp_path / "ft"
         assert main(finetune_args(stance_path, out_dir, "--rand-init",
                                   "--unfreeze-word")) == 0
@@ -1224,6 +1245,66 @@ class TestOptionBounds:
         err = capsys.readouterr().err
         assert f"{option} must be" in err and f"got {value}" in err
         assert not (out_dir / "predictions.csv").exists()
+
+
+def with_bad_second_line(path, copy):
+    """``copy``, holding ``path``'s lines with a line that is not JSON as the second."""
+    first, *rest = path.read_text().splitlines()
+    copy.write_text("\n".join([first, "{not json", *rest]) + "\n")
+    return copy
+
+
+class TestSetUpThenWrite:
+    """A command checks its options and inputs before it writes config.json, so one that
+    exits 2 leaves no output directory."""
+
+    @pytest.mark.parametrize("command,extra,message", [
+        ("prep", "bad-corpus", "line 2: invalid JSON"),
+        ("pretrain", ("--dropout", "1.0"), "dropout must be in [0, 1), got 1.0"),
+        ("pretrain", ("--heads", "3"), "d_model (16) must be divisible by n_heads (3)"),
+        ("pretrain", ("--word-encoder", "bogus"),
+         "--word-encoder must be 'hash' or 'precomputed:<path>', got 'bogus'"),
+        ("finetune", ("--rand-init", "--lr", "0.01"),
+         "lr must be within [6e-6, 3e-3], got 0.01"),
+        ("finetune", ("--rand-init", "--weight-decay", "0"),
+         "weight_decay must be within [1e-4, 1], got 0.0"),
+        ("finetune", ("--rand-init", "--history-len", "50"),
+         "--history-len: '50' exceeds the model's max_seq 40"),
+        ("finetune", ("--rand-init", "--targets", "bogus"), "unknown stance targets: bogus"),
+        ("finetune", "bad-stance", "line 2: invalid JSON"),
+        ("finetune", ("--arch", "word", "--lr", "0.01"),
+         "lr must be within [6e-6, 3e-3], got 0.01"),
+        ("evaluate", "unknown-id",
+         "predictions reference ids absent from the gold file: ghost-id"),
+    ], ids=["prep-bad-line", "dropout-1", "heads-3", "pretrain-word-encoder", "lr",
+            "weight-decay", "history-len", "targets", "stance-bad-line", "word-lr",
+            "evaluate-unknown-id"])
+    def test_input_error_leaves_no_output_directory(self, tmp_path, corpus_file, stance_file,
+                                                    capsys, command, extra, message):
+        out_dir = tmp_path / "out"
+        if command == "prep":
+            argv = ["prep", "--corpus", str(with_bad_second_line(corpus_file,
+                                                                 tmp_path / "bad.jsonl")),
+                    "--out", str(out_dir)]
+        elif command == "pretrain":
+            prep_dir = run_prep(tmp_path, corpus_file)
+            argv = ["pretrain", "--corpus", str(corpus_file),
+                    "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
+                    *MODEL_FLAGS, "--epochs", "1", *extra]
+        elif command == "finetune" and extra == "bad-stance":
+            argv = finetune_args(with_bad_second_line(stance_file, tmp_path / "bad.jsonl"),
+                                 out_dir, "--rand-init")
+        elif command == "finetune":
+            argv = finetune_args(stance_file, out_dir, *extra)
+        else:
+            preds = tmp_path / "preds.csv"
+            preds.write_text("example_id,target,gold,pred,p_against,p_none,p_favor\n"
+                             "ghost-id,climate,favor,favor,0.0,0.0,1.0\n")
+            argv = ["evaluate", "--predictions", str(preds), "--gold", str(stance_file),
+                    "--out", str(out_dir)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestConfigResolution:
