@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -354,7 +355,8 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage],
                   seq_len: int) -> List[SequenceChunk]:
     """The manifest's chunks; every row holds the first row's slot count, at most ``seq_len``.
 
-    Keys other than ``user_id`` and ``slots`` are ignored.
+    Every row names at least one message. Keys other than ``user_id`` and
+    ``slots`` are ignored.
     """
     chunks: List[SequenceChunk] = []
     for lineno, obj in corpus_mod.iter_jsonl(path):
@@ -369,6 +371,8 @@ def load_manifest(path, messages_by_id: Dict[str, RawMessage],
         if chunks and n_slots != len(chunks[0].slots):
             raise CorpusFormatError(f"line {lineno}: manifest row has {n_slots} slots, "
                                     f"the first row {len(chunks[0].slots)}")
+        if all(mid is None for mid in obj["slots"]):
+            raise CorpusFormatError(f"line {lineno}: manifest row names no message")
         slots = []
         for mid in obj["slots"]:
             if mid is None:
@@ -427,8 +431,13 @@ def cmd_pretrain(cfg: dict) -> int:
         word_side = worker.submit(_pool_vectors, cfg, needed.values())
         model = MeltModel(mconfig, seed=cfg["seed"])
         vectors, word_meta = word_side.result()
+    dev_plans = pretrain_mod.make_dev_plans(dev_chunks, vectors,
+                                            seed=cfg["seed"] ^ pretrain_mod.DEV_SEED_SALT)
+    if not any(plan.selected_slots for plan in dev_plans):
+        raise CliError(f"the dev mask plans select no slot of the {len(dev_chunks)} dev "
+                       f"chunks; change --seed or --dev-fraction")
     echo_config(cfg, cfg["out"])
-    result = pretrain_mod.train(model, train_chunks, dev_chunks, vectors, pconfig)
+    result = pretrain_mod.train(model, train_chunks, dev_chunks, vectors, pconfig, dev_plans)
 
     _write_csv(os.path.join(cfg["out"], "history.csv"), ["step", "lr", "loss"],
                ([s.step, _fmt(s.lr), _fmt(s.loss)] for s in result.steps))
@@ -480,8 +489,9 @@ BASELINE_UNREAD = {"word": _WORD_UNREAD, "word-hist": _WORD_UNREAD,
                            "epochs", "patience", "head_hidden1", "head_hidden2")}
 
 Run = Tuple[str, List[StanceExample], List[StanceExample], List[StanceExample]]
-# the model config and parameters every per-target run starts from
-Template = Tuple[MeltConfig, Dict[str, np.ndarray]]
+# the worker model, at the weights every per-target run starts from, and the
+# refill that sets it back to them
+Template = Tuple[MeltModel, Callable[[], None]]
 
 
 def _plan_runs(examples: Sequence[StanceExample], targets: Sequence[str], arch: str,
@@ -531,29 +541,45 @@ def _parse_history(cfg: dict) -> List[Optional[int]]:
     return values
 
 
-def _model_template(cfg: Config) -> Tuple[Template, Optional[dict]]:
-    """What every per-target run starts from, and the word meta its checkpoint records.
+def _model_template(cfg: Config, hold: ExitStack) -> Tuple[Template, Optional[dict]]:
+    """The worker model and its refill, and the word meta its checkpoint records.
 
-    With ``--rand-init`` the parameters are drawn once from the seed, and
-    there is no word meta to match. Otherwise the checkpoint's model config
-    is written into ``cfg``, and a model option set to another value is
-    rejected.
+    With ``--rand-init`` the start weights are drawn once from the seed and
+    kept beside the worker, which the refill copies them back into; there
+    is no word meta to match. Otherwise the worker is the model the
+    checkpoint loads into, and its model config is written into ``cfg``; a
+    model option set to another value is rejected. The checkpoint stays
+    open in ``hold``, and the refill reads its blocks back into the worker,
+    after checking that the file's size and mtime are still those it had
+    when it was loaded.
     """
     if cfg["rand_init"]:
-        model, header = MeltModel(_melt_config(cfg), seed=cfg["seed"]), {}
-    elif not cfg["checkpoint"]:
+        drawn = MeltModel(_melt_config(cfg), seed=cfg["seed"])
+        params = {name: p.data for name, p in drawn.named_parameters()}
+        model = MeltModel(drawn.config, params=params)
+        return (model, lambda: pretrain_mod.load_params_into(model, params)), None
+    if not cfg["checkpoint"]:
         raise CliError("provide --checkpoint or pass --rand-init")
-    else:
-        model, header = load_checkpoint(cfg["checkpoint"])
-        recorded = {option: getattr(model.config, field)
-                    for option, field in MODEL_FIELDS.items()}
-        for key, value in recorded.items():
-            if key in cfg.given and cfg[key] != value:
-                raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the "
-                               f"checkpoint's model has {value!r}")
-        cfg.update(recorded)
-    params = {name: p.data for name, p in model.named_parameters()}
-    return (model.config, params), header.get("word_encoder")
+    fh = hold.enter_context(open(cfg["checkpoint"], "rb"))
+    loaded = os.fstat(fh.fileno())
+    model, header = load_checkpoint(fh)
+    recorded = {option: getattr(model.config, field) for option, field in MODEL_FIELDS.items()}
+    for key, value in recorded.items():
+        if key in cfg.given and cfg[key] != value:
+            raise CliError(f"--{key.replace('_', '-')} is {cfg[key]!r}, but the "
+                           f"checkpoint's model has {value!r}")
+    cfg.update(recorded)
+
+    def refill() -> None:
+        now = os.fstat(fh.fileno())
+        for what, before, after in (("size", loaded.st_size, now.st_size),
+                                    ("mtime", loaded.st_mtime_ns, now.st_mtime_ns)):
+            if before != after:
+                raise CliError(f"checkpoint {cfg['checkpoint']} changed after set-up "
+                               f"loaded it: {what} was {before}, is {after}")
+        pretrain_mod.read_params_into(fh, model)
+
+    return (model, refill), header.get("word_encoder")
 
 
 def _run_one_target(model: MeltModel, snapshot: Dict[str, np.ndarray], cfg: dict,
@@ -590,21 +616,22 @@ def _melt_predictions(cfg: dict, fcfg: FinetuneConfig, template: Template,
 
     A single length has each run save its snapshot; a sweep writes the
     weighted F1 of each length to history_sweep.csv instead. The runs go
-    in order on this thread, in one model and one snapshot made once per
-    command. The model is built from the template, and every run after
-    the first copies the template back into it.
+    in order on this thread, in the template's model and one snapshot made
+    once per command. The first run trains in the model as set-up made it,
+    and the template's refill resets it before every later run, at every
+    length.
     """
     sweep = len(history_lens) > 1
     sweep_rows = []
-    model: Optional[MeltModel] = None
+    model, refill = template
     snapshot: Dict[str, np.ndarray] = {}
+    fresh = True
     for hist in history_lens:
         preds = []
         for run in runs:
-            if model is None:
-                model = MeltModel(template[0], params=template[1])
-            else:
-                pretrain_mod.load_params_into(model, template[1])
+            if not fresh:
+                refill()
+            fresh = False
             preds += _run_one_target(model, snapshot, cfg, fcfg, word_level_of, word_meta,
                                      hist, not sweep, run)
         if sweep:
@@ -641,42 +668,44 @@ def cmd_finetune(cfg: Config) -> int:
                           dropout=cfg["head_dropout"], batch_size=cfg["batch_size"],
                           unfreeze_word=cfg["unfreeze_word"], max_epochs=cfg["epochs"],
                           patience=cfg["patience"], seed=cfg["seed"])
-    template, recorded_word = _model_template(cfg) if arch == "melt" else (None, None)
-    history_lens = _parse_history(cfg)
-    # the word source is built once, so a vector file is read and checked
-    # against the checkpoint before the stance file is read
-    source, word_meta = _make_word_source(cfg) if arch != "mfc" else (None, None)
-    _check_word_encoder(recorded_word, word_meta)
-    examples = ingest_stance_jsonl(cfg["stance"])
-    runs = _plan_runs(examples, _resolve_targets(cfg, examples), arch, cfg["pooled"])
-    if cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder):
-        # A trainable hash table pools its own rows, so none are pooled here,
-        # and each run's table holds only the rows its messages reach.
-        def word_level_of(run: Run):
-            return wordenc.TrainableHashWordLevel(
-                source, corpus_mod.all_messages([e for split in run[1:] for e in split]))
-    elif source is not None:
-        # Every other run reads one FrozenWordLevel; for a vector file this
-        # also checks every id up front. Rebinding frees the hash encoder,
-        # and any rows drawn, before training.
-        source = wordenc.FrozenWordLevel(cfg["d_model"], compute_message_vectors(
-            corpus_mod.all_messages(examples), source))
+    # the checkpoint stays open until every run has started from it
+    with ExitStack() as hold:
+        template, recorded_word = _model_template(cfg, hold) if arch == "melt" else (None, None)
+        history_lens = _parse_history(cfg)
+        # the word source is built once, so a vector file is read and checked
+        # against the checkpoint before the stance file is read
+        source, word_meta = _make_word_source(cfg) if arch != "mfc" else (None, None)
+        _check_word_encoder(recorded_word, word_meta)
+        examples = ingest_stance_jsonl(cfg["stance"])
+        runs = _plan_runs(examples, _resolve_targets(cfg, examples), arch, cfg["pooled"])
+        if cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder):
+            # A trainable hash table pools its own rows, so none are pooled here,
+            # and each run's table holds only the rows its messages reach.
+            def word_level_of(run: Run):
+                return wordenc.TrainableHashWordLevel(
+                    source, corpus_mod.all_messages([e for split in run[1:] for e in split]))
+        elif source is not None:
+            # Every other run reads one FrozenWordLevel; for a vector file this
+            # also checks every id up front. Rebinding frees the hash encoder,
+            # and any rows drawn, before training.
+            source = wordenc.FrozenWordLevel(cfg["d_model"], compute_message_vectors(
+                corpus_mod.all_messages(examples), source))
 
-        def word_level_of(run: Run):
-            return wordenc.TrainableAdapterWordLevel(source) if cfg["unfreeze_word"] else source
-    echo_config(cfg, cfg["out"])
+            def word_level_of(run: Run):
+                return wordenc.TrainableAdapterWordLevel(source) if cfg["unfreeze_word"] else source
+        echo_config(cfg, cfg["out"])
 
-    if arch == "mfc":
-        preds = [p for _tag, train, _dev, test in runs
-                 for p in stance_mod.mfc_predict([e.label for e in train], test)]
-    elif arch in ("word", "word-hist"):
-        preds = [p for _tag, train, dev, test in runs
-                 for p in stance_mod.word_baseline(
-                     train, dev, test, source.vectors, fcfg, with_history=arch == "word-hist",
-                     hidden1=cfg["head_hidden1"], hidden2=cfg["head_hidden2"])]
-    else:
-        preds = _melt_predictions(cfg, fcfg, template, word_level_of, word_meta, history_lens,
-                                  runs)
+        if arch == "mfc":
+            preds = [p for _tag, train, _dev, test in runs
+                     for p in stance_mod.mfc_predict([e.label for e in train], test)]
+        elif arch in ("word", "word-hist"):
+            preds = [p for _tag, train, dev, test in runs
+                     for p in stance_mod.word_baseline(
+                         train, dev, test, source.vectors, fcfg, with_history=arch == "word-hist",
+                         hidden1=cfg["head_hidden1"], hidden2=cfg["head_hidden2"])]
+        else:
+            preds = _melt_predictions(cfg, fcfg, template, word_level_of, word_meta, history_lens,
+                                      runs)
     _write_csv(os.path.join(cfg["out"], "predictions.csv"), PREDICTION_HEADER,
                _prediction_rows(preds))
     print(f"wrote {len(preds)} {arch} predictions")

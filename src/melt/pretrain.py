@@ -11,6 +11,7 @@ lowest dev MSE (earliest epoch on ties).
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field
@@ -127,7 +128,8 @@ def _forward_masked(model: MeltModel, batch: Sequence[SequenceChunk],
 
 def make_dev_plans(dev_chunks: Sequence[SequenceChunk],
                    vectors: Mapping[str, np.ndarray], seed: int) -> List[MaskPlan]:
-    """Fixed dev mask plans, rolled once from the derived dev seed."""
+    """Fixed dev mask plans, rolled once from ``seed``; pre-training derives it
+    as ``PretrainConfig.seed ^ DEV_SEED_SALT``."""
     rng = np.random.default_rng(seed)
     pool = [m.message_id for c in dev_chunks for m in c.real_messages()]
     return [apply_masking(c, rng, vectors, pool) for c in dev_chunks]
@@ -161,12 +163,14 @@ def evaluate_dev(model: MeltModel, dev_chunks: Sequence[SequenceChunk],
 
 def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
           dev_chunks: Sequence[SequenceChunk], vectors: Mapping[str, np.ndarray],
-          config: PretrainConfig) -> PretrainResult:
+          config: PretrainConfig, dev_plans: Sequence[MaskPlan]) -> PretrainResult:
     """Run the masked-reconstruction loop and track the best-dev epoch.
 
     Every epoch trains on ``train_chunks`` in order, drawing masks and
     dropout from a generator seeded ``seed ^ epoch``, and none stops the run
-    early. The model keeps the last epoch's values, ``best_params`` the best's.
+    early. Every epoch scores ``dev_chunks`` under the same ``dev_plans``
+    (``make_dev_plans``). The model keeps the last epoch's values,
+    ``best_params`` the best's.
 
     The word level is frozen by construction: only message-transformer
     parameters are registered with the optimizer, and the pooled vectors are
@@ -179,7 +183,6 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
         raise ValueError("training set is empty")
     opt = AdamW(model.named_parameters(), base_lr=config.base_lr,
                 weight_decay=config.weight_decay)
-    dev_plans = make_dev_plans(dev_chunks, vectors, seed=config.seed ^ DEV_SEED_SALT)
     steps: List[StepRecord] = []
 
     def train_batch(batch, rng, step):
@@ -339,38 +342,80 @@ def _is_manifest_entry(entry) -> bool:
             and all(isinstance(n, int) and n >= 0 for n in entry[1]))
 
 
-def load_params(path) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Header and parameter blocks; the arrays are read-only views of the bytes read."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-        if not line.endswith(b"\n"):
-            raise CheckpointError("checkpoint header line is incomplete")
-        try:
-            header = json.loads(line)
-        except json.JSONDecodeError:
-            raise CheckpointError("checkpoint header is not valid JSON") from None
-        if header.get("version") != CHECKPOINT_VERSION:
+def _read_manifest(fh) -> Tuple[dict, List[Tuple[str, tuple]]]:
+    """The header and the (name, shape) blocks of the checkpoint open in ``fh``.
+
+    Reads from the start of the file and leaves ``fh`` at the first block.
+    The file must hold exactly the blocks the manifest lists, so no block
+    is allocated for a file too short to fill it.
+    """
+    fh.seek(0)
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise CheckpointError("checkpoint header line is incomplete")
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError:
+        raise CheckpointError("checkpoint header is not valid JSON") from None
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {header.get('version')!r}, "
+            f"this build reads version {CHECKPOINT_VERSION}")
+    manifest = header.get("manifest")
+    if not isinstance(manifest, list):
+        raise CheckpointError("checkpoint header lacks a manifest")
+    blocks = []
+    end, offset = os.fstat(fh.fileno()).st_size, len(line)
+    for i, entry in enumerate(manifest):
+        if not _is_manifest_entry(entry):
             raise CheckpointError(
-                f"checkpoint version {header.get('version')!r}, "
-                f"this build reads version {CHECKPOINT_VERSION}")
-        manifest = header.get("manifest")
-        if not isinstance(manifest, list):
-            raise CheckpointError("checkpoint header lacks a manifest")
-        params: Dict[str, np.ndarray] = {}
-        for i, entry in enumerate(manifest):
-            if not _is_manifest_entry(entry):
-                raise CheckpointError(
-                    f"manifest entry {i} is not a [name, shape] pair: {json.dumps(entry)}")
-            name, shape = entry[0], tuple(entry[1])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 4)
-            if len(raw) != count * 4:
-                raise CheckpointError(
-                    f"checkpoint ends mid-block for parameter '{name}'")
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape)
-        if fh.read(1):
-            raise CheckpointError("trailing bytes after the last manifest block")
-    return header, params
+                f"manifest entry {i} is not a [name, shape] pair: {json.dumps(entry)}")
+        name, shape = entry[0], tuple(entry[1])
+        offset += 4 * math.prod(shape)
+        if offset > end:
+            raise CheckpointError(f"checkpoint ends mid-block for parameter '{name}'")
+        blocks.append((name, shape))
+    if offset < end:
+        raise CheckpointError("trailing bytes after the last manifest block")
+    return header, blocks
+
+
+def _read_blocks(fh, arrays: Sequence[Tuple[str, np.ndarray]]) -> None:
+    """Read each block's bytes straight into its named float32 array, in order.
+
+    The blocks are little-endian, so a big-endian array is byteswapped in
+    place after its read.
+    """
+    for name, out in arrays:
+        if out.dtype.str not in ("<f4", ">f4"):
+            raise CheckpointError(f"parameter '{name}' is {out.dtype}, not float32")
+        if fh.readinto(out) != out.nbytes:
+            raise CheckpointError(f"checkpoint ends mid-block for parameter '{name}'")
+        if out.dtype.str == ">f4":
+            out.byteswap(inplace=True)
+
+
+def load_params(source) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Header and parameter blocks of the checkpoint at a path or open in a binary file."""
+    if isinstance(source, (str, bytes, os.PathLike)):
+        with open(source, "rb") as fh:
+            return load_params(fh)
+    header, blocks = _read_manifest(source)
+    arrays = [(name, np.empty(shape, dtype="<f4")) for name, shape in blocks]
+    _read_blocks(source, arrays)
+    return header, dict(arrays)
+
+
+def read_params_into(fh, model: MeltModel) -> None:
+    """Read the checkpoint open in ``fh`` into the model's own arrays; none is allocated.
+
+    The manifest must list the model's parameters, in order and by shape.
+    """
+    _header, blocks = _read_manifest(fh)
+    named = model.named_parameters()
+    if blocks != [(name, p.data.shape) for name, p in named]:
+        raise CheckpointError("manifest does not match this model layout")
+    _read_blocks(fh, [(name, p.data) for name, p in named])
 
 
 def save_checkpoint(path, model: MeltModel, *, dev_mse: float, epoch: int, seed: int,
@@ -393,9 +438,12 @@ def save_checkpoint(path, model: MeltModel, *, dev_mse: float, epoch: int, seed:
     save_params(path, header, named)
 
 
-def load_checkpoint(path) -> Tuple[MeltModel, dict]:
-    """Rebuild a model whose forward outputs are bit-identical to the saved one."""
-    header, params = load_params(path)
+def load_checkpoint(source) -> Tuple[MeltModel, dict]:
+    """Rebuild a model whose forward outputs are bit-identical to the saved one.
+
+    ``source`` is a path or a binary file open on the checkpoint.
+    """
+    header, params = load_params(source)
     if not isinstance(header.get("config"), dict):
         raise CheckpointError("checkpoint header lacks a 'config' object")
     try:

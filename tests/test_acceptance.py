@@ -216,13 +216,13 @@ def test_criterion_05_pretraining_efficacy():
     config = MeltConfig(n_layers=2, d_model=32, ff_dim=64, n_heads=4, dropout=0.1,
                         max_seq=40)
     model = MeltModel(config, seed=1337)
+    plans = make_dev_plans(held_chunks, vectors, seed=1337 ^ 0x5EED)
     result = train(model, train_chunks, held_chunks, vectors,
                    PretrainConfig(base_lr=4e-3, weight_decay=0.1, warmup_steps=20,
-                                  epochs=5, batch_size=1, seed=1337))
+                                  epochs=5, batch_size=1, seed=1337), plans)
     assert result.steps[200].loss < result.steps[0].loss
 
     load_params_into(model, result.best_params)
-    plans = make_dev_plans(held_chunks, vectors, seed=1337 ^ 0x5EED)
     model_mse = evaluate_dev(model, held_chunks, plans, vectors)
 
     global_mean = np.mean([vectors[m.message_id] for c in train_chunks
@@ -272,9 +272,11 @@ def test_criterion_06_finetuning_learnability():
     config = MeltConfig(n_layers=2, d_model=32, ff_dim=64, n_heads=4, dropout=0.1,
                         max_seq=40)
     model = MeltModel(config, seed=1337)
-    pres = train(model, chunks[len(chunks) // 10:], chunks[:len(chunks) // 10], vectors,
+    dev = chunks[:len(chunks) // 10]
+    pres = train(model, chunks[len(chunks) // 10:], dev, vectors,
                  PretrainConfig(base_lr=4e-3, weight_decay=0.1, warmup_steps=20,
-                                epochs=2, batch_size=10, seed=1337))
+                                epochs=2, batch_size=10, seed=1337),
+                 make_dev_plans(dev, vectors, seed=1337 ^ 0x5EED))
     load_params_into(model, pres.best_params)
 
     word_level = TrainableHashWordLevel(encoder)
@@ -360,11 +362,12 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
                         max_seq=40)
     pconfig = PretrainConfig(base_lr=4e-3, weight_decay=0.1, warmup_steps=10,
                              epochs=2, batch_size=4, seed=1337)
+    plans = make_dev_plans(chunks[:3], vectors, seed=1337 ^ 0x5EED)
 
     paths = []
     for run in ("one", "two"):
         model = MeltModel(config, seed=1337)
-        result = train(model, chunks[3:], chunks[:3], vectors, pconfig)
+        result = train(model, chunks[3:], chunks[:3], vectors, pconfig, plans)
         path = tmp_path / f"ckpt_{run}.melt"
         save_checkpoint(path, model, dev_mse=result.best_dev_mse,
                         epoch=result.best_epoch, seed=1337, params=result.best_params)
@@ -375,12 +378,11 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
     x = np.random.default_rng(0).uniform(-1, 1, (2, 40, 16)).astype(np.float32)
     attn = np.ones((2, 40), dtype=bool)
     reference = MeltModel(config, seed=1337)
-    result = train(reference, chunks[3:], chunks[:3], vectors, pconfig)
+    result = train(reference, chunks[3:], chunks[:3], vectors, pconfig, plans)
     load_params_into(reference, result.best_params)
     np.testing.assert_array_equal(loaded.forward(Tensor(x.copy()), attn).data,
                                   reference.forward(Tensor(x.copy()), attn).data)
 
-    plans = make_dev_plans(chunks[:3], vectors, seed=1337 ^ 0x5EED)
     assert abs(header["dev_mse"] - evaluate_dev(loaded, chunks[:3], plans, vectors)) < 1e-6
     report_line(9, "determinism-and-persistence")
 

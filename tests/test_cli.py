@@ -957,6 +957,10 @@ class TestJobs:
         assert not (out_dir / "predictions.csv").exists()
 
 
+# a model the fine-tuning flags of finetune_args accept
+CKPT_CONFIG = MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2)
+
+
 class TestPerTargetRuns:
     """Every run goes in sorted target order on one worker model, made once per command."""
 
@@ -966,6 +970,12 @@ class TestPerTargetRuns:
         write_stance_jsonl(path, stance_corpus(
             180, n_history=6, seed=33, split_fracs=(0.6, 0.2),
             targets=("abortion", "climate", "feminism")))
+        return path
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "start.melt"
+        save_checkpoint(path, MeltModel(CKPT_CONFIG, seed=5), dev_mse=0.0, epoch=1, seed=5)
         return path
 
     def test_rand_init_draws_the_encoder_once_per_command(self, tmp_path, monkeypatch,
@@ -1002,8 +1012,8 @@ class TestPerTargetRuns:
         out_dir = tmp_path / "ft"
         assert main(finetune_args(three_targets, out_dir, "--checkpoint", str(ckpt),
                                   "--unfreeze-word", "--jobs", "1")) == 0
-        # one model for the checkpoint load, one for the worker
-        assert (len(drawn), len(copied)) == (0, 2)
+        # the model the checkpoint loads into is the worker
+        assert (len(drawn), len(copied)) == (0, 1)
         assert len(os.listdir(out_dir)) == 5  # config, predictions, a snapshot per target
 
     @pytest.mark.parametrize("extra,refills", [((), 2), (("--history-len", "2,4"), 5)],
@@ -1021,6 +1031,93 @@ class TestPerTargetRuns:
         monkeypatch.setattr(pretrain_mod, "load_params_into", counting_load)
         assert main(finetune_args(three_targets, tmp_path / "ft", "--rand-init", *extra)) == 0
         assert len(loads) == refills
+
+    def test_every_run_starts_from_the_checkpoints_bytes_in_set_ups_model(
+            self, tmp_path, monkeypatch, three_targets, checkpoint):
+        # the first run trains in the arrays set-up loaded; every later run,
+        # at each history length, is read back from the file
+        import melt.cli as cli
+        import melt.stance as stance
+        from melt.pretrain import load_params
+        _, blocks = load_params(checkpoint)
+        load, finetune = cli.load_checkpoint, stance.finetune
+        loaded, starts = [], []
+
+        def recording_load(source):
+            model, header = load(source)
+            loaded.append({name: p.data for name, p in model.named_parameters()})
+            return model, header
+
+        def recording_finetune(model, *args, **kwargs):
+            starts.append([(name, p.data, p.data.tobytes())
+                           for name, p in model.named_parameters()])
+            return finetune(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_checkpoint", recording_load)
+        monkeypatch.setattr(stance, "finetune", recording_finetune)
+        assert main(finetune_args(three_targets, tmp_path / "ft", "--checkpoint",
+                                  str(checkpoint), "--history-len", "2,4")) == 0
+        assert len(loaded) == 1 and len(starts) == 6
+        assert all(data is loaded[0][name] for name, data, _ in starts[0])
+        for start in starts:
+            assert [name for name, _, _ in start] == list(blocks)
+            assert all(raw == blocks[name].tobytes() for name, _, raw in start)
+
+    def test_one_copy_of_the_start_weights_lives_beside_the_snapshot(
+            self, tmp_path, monkeypatch, three_targets, checkpoint):
+        # numpy traces its data blocks in its own tracemalloc domain; the
+        # encoder's blocks above 1 KiB have sizes no other array at a run's
+        # start has, so their total counts the copies of the weights
+        import tracemalloc
+        import melt.stance as stance
+        arrays = [p.data for _, p in load_checkpoint(checkpoint)[0].named_parameters()]
+        sizes = {a.nbytes for a in arrays if a.nbytes > 1024}
+        per_copy = sum(a.nbytes for a in arrays if a.nbytes in sizes)
+        numpy_blocks = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        copies, finetune = [], stance.finetune
+
+        def counting_finetune(*args, **kwargs):
+            traces = tracemalloc.take_snapshot().filter_traces([numpy_blocks]).traces
+            copies.append(sum(t.size for t in traces if t.size in sizes) / per_copy)
+            return finetune(*args, **kwargs)
+
+        monkeypatch.setattr(stance, "finetune", counting_finetune)
+        tracemalloc.start()
+        try:
+            assert main(finetune_args(three_targets, tmp_path / "ft", "--checkpoint",
+                                      str(checkpoint))) == 0
+        finally:
+            tracemalloc.stop()
+        assert copies == [1, 2, 2]  # the model; then the model and the snapshot
+
+    @pytest.mark.parametrize("changed", ["size", "mtime"])
+    def test_checkpoint_rewritten_in_place_during_the_first_run_is_input_error(
+            self, tmp_path, monkeypatch, capsys, three_targets, checkpoint, changed):
+        import melt.stance as stance
+        other = tmp_path / "other.melt"
+        save_checkpoint(other, MeltModel(CKPT_CONFIG, seed=6), dev_mse=0.0, epoch=1, seed=6,
+                        extra={"note": "a longer header"} if changed == "size" else None)
+        finetune, before = stance.finetune, []
+
+        def rewriting_finetune(*args, **kwargs):
+            if not before:
+                before.append(os.stat(checkpoint))
+                with open(checkpoint, "r+b") as fh:  # the same file, not a new one
+                    fh.write(other.read_bytes())
+                    fh.truncate()
+                if changed == "mtime":  # later by more than any clock tick
+                    os.utime(checkpoint, ns=(before[0].st_atime_ns,
+                                             before[0].st_mtime_ns + 10 ** 9))
+            return finetune(*args, **kwargs)
+
+        monkeypatch.setattr(stance, "finetune", rewriting_finetune)
+        assert main(finetune_args(three_targets, tmp_path / "ft", "--checkpoint",
+                                  str(checkpoint))) == 2
+        field = "st_mtime_ns" if changed == "mtime" else "st_size"
+        was, now = getattr(before[0], field), getattr(os.stat(checkpoint), field)
+        assert was != now
+        assert (f"checkpoint {checkpoint} changed after set-up loaded it: "
+                f"{changed} was {was}, is {now}") in capsys.readouterr().err
 
     def test_no_finished_runs_model_lives_while_the_next_trains(self, tmp_path, monkeypatch,
                                                                 three_targets):
@@ -1264,6 +1361,7 @@ class TestSetUpThenWrite:
         ("pretrain", ("--heads", "3"), "d_model (16) must be divisible by n_heads (3)"),
         ("pretrain", ("--word-encoder", "bogus"),
          "--word-encoder must be 'hash' or 'precomputed:<path>', got 'bogus'"),
+        ("pretrain", "null-row", "line 2: manifest row names no message"),
         ("finetune", ("--rand-init", "--lr", "0.01"),
          "lr must be within [6e-6, 3e-3], got 0.01"),
         ("finetune", ("--rand-init", "--weight-decay", "0"),
@@ -1276,9 +1374,9 @@ class TestSetUpThenWrite:
          "lr must be within [6e-6, 3e-3], got 0.01"),
         ("evaluate", "unknown-id",
          "predictions reference ids absent from the gold file: ghost-id"),
-    ], ids=["prep-bad-line", "dropout-1", "heads-3", "pretrain-word-encoder", "lr",
-            "weight-decay", "history-len", "targets", "stance-bad-line", "word-lr",
-            "evaluate-unknown-id"])
+    ], ids=["prep-bad-line", "dropout-1", "heads-3", "pretrain-word-encoder",
+            "manifest-null-row", "lr", "weight-decay", "history-len", "targets",
+            "stance-bad-line", "word-lr", "evaluate-unknown-id"])
     def test_input_error_leaves_no_output_directory(self, tmp_path, corpus_file, stance_file,
                                                     capsys, command, extra, message):
         out_dir = tmp_path / "out"
@@ -1287,10 +1385,16 @@ class TestSetUpThenWrite:
                                                                  tmp_path / "bad.jsonl")),
                     "--out", str(out_dir)]
         elif command == "pretrain":
-            prep_dir = run_prep(tmp_path, corpus_file)
-            argv = ["pretrain", "--corpus", str(corpus_file),
-                    "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
-                    *MODEL_FLAGS, "--epochs", "1", *extra]
+            manifest = run_prep(tmp_path, corpus_file) / "manifest.jsonl"
+            if extra == "null-row":
+                first, second, *rest = manifest.read_text().splitlines()
+                row = json.loads(second)
+                null_row = json.dumps({"user_id": row["user_id"],
+                                       "slots": [None] * len(row["slots"])})
+                manifest.write_text("\n".join([first, null_row, *rest]) + "\n")
+                extra = ()
+            argv = ["pretrain", "--corpus", str(corpus_file), "--manifest", str(manifest),
+                    "--out", str(out_dir), *MODEL_FLAGS, "--epochs", "1", *extra]
         elif command == "finetune" and extra == "bad-stance":
             argv = finetune_args(with_bad_second_line(stance_file, tmp_path / "bad.jsonl"),
                                  out_dir, "--rand-init")
@@ -1305,6 +1409,26 @@ class TestSetUpThenWrite:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seed,code", [("1", 2), ("2", 2), ("3", 0)])
+    def test_dev_plans_that_select_no_slot_leave_no_output_directory(self, tmp_path, capsys,
+                                                                     seed, code):
+        # 4 users of 2 messages give 2 dev chunks of 2 real slots each under
+        # --dev-fraction 0.5, and the dev plans of seeds 1 and 2 select none of them
+        corpus = tmp_path / "tiny.jsonl"
+        write_corpus_jsonl(corpus, marker_corpus(n_users=4, n_msgs=2, seed=4))
+        prep_dir = tmp_path / "prep"
+        assert main(["prep", "--corpus", str(corpus), "--out", str(prep_dir),
+                     "--seq-len", "8"]) == 0
+        out_dir = tmp_path / "pre"
+        assert main(["pretrain", "--corpus", str(corpus),
+                     "--manifest", str(prep_dir / "manifest.jsonl"), "--out", str(out_dir),
+                     *MODEL_FLAGS, "--seq-len", "8", "--dev-fraction", "0.5",
+                     "--epochs", "1", "--seed", seed]) == code
+        if code:
+            assert "the dev mask plans select no slot of the 2 dev chunks" in \
+                capsys.readouterr().err
+        assert out_dir.exists() == (code == 0)
 
 
 class TestConfigResolution:

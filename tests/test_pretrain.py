@@ -4,10 +4,10 @@ import pytest
 from melt import pretrain as pretrain_mod
 from melt.corpus import Action, MaskPlan, build_chunks
 from melt.model import MeltConfig, MeltModel, embed_batch
-from melt.pretrain import (CheckpointError, PretrainConfig,
+from melt.pretrain import (DEV_SEED_SALT, CheckpointError, PretrainConfig,
                            TrainingDivergedError, _forward_masked, _input_rows,
                            evaluate_dev, load_checkpoint, load_params_into, make_dev_plans,
-                           masked_loss, save_checkpoint, train)
+                           masked_loss, save_checkpoint)
 from melt import tensor as T
 from melt.tensor import Tensor, backward, gather_rows, reshape
 from melt.wordenc import HashEmbeddingEncoder, compute_message_vectors
@@ -23,6 +23,13 @@ def small_setup(n_users=8, n_msgs=50, d=16, seed=5):
         by_user.setdefault(m.user_id, []).append(m)
     chunks = [c for u in sorted(by_user) for c in build_chunks(by_user[u])]
     return enc, vectors, chunks
+
+
+def train(model, train_chunks, dev_chunks, vectors, config):
+    """``pretrain.train`` under the dev plans ``melt pretrain`` draws for ``config``."""
+    return pretrain_mod.train(model, train_chunks, dev_chunks, vectors, config,
+                              make_dev_plans(dev_chunks, vectors,
+                                             seed=config.seed ^ DEV_SEED_SALT))
 
 
 def small_model(d=16, dropout=0.1):
@@ -510,6 +517,31 @@ class TestLoadWithoutInit:
             assert p.data.dtype == np.float32
             assert p.data.tobytes() == source[name].astype(np.float32).tobytes(), name
             assert not np.shares_memory(p.data, source[name])
+
+    @pytest.mark.parametrize("order", ["<f4", ">f4"], ids=["little-endian", "big-endian"])
+    def test_read_params_into_fills_the_models_own_arrays(self, tmp_path, order):
+        # big-endian arrays stand in for a big-endian host's float32
+        from melt.pretrain import read_params_into
+        path = tmp_path / "m.melt"
+        save_checkpoint(path, small_model(), dev_mse=0.0, epoch=1, seed=7)
+        model = MeltModel(small_model().config, seed=8)
+        for _, p in model.named_parameters():
+            p.data = p.data.astype(order)
+        arrays = [p.data for _, p in model.named_parameters()]
+        with open(path, "rb") as fh:
+            read_params_into(fh, model)
+        for (name, want), (_, got), array in zip(small_model().named_parameters(),
+                                                 model.named_parameters(), arrays):
+            assert got.data is array and got.data.dtype.str == order, name
+            np.testing.assert_array_equal(got.data, want.data)
+
+    def test_read_params_into_rejects_another_layout(self, tmp_path):
+        from melt.pretrain import read_params_into
+        path = tmp_path / "m.melt"
+        save_checkpoint(path, small_model(), dev_mse=0.0, epoch=1, seed=7)
+        with open(path, "rb") as fh, \
+                pytest.raises(CheckpointError, match="does not match this model layout"):
+            read_params_into(fh, small_model(d=8))
 
     def test_manifest_naming_a_missing_parameter_rejected(self, tmp_path):
         from melt.pretrain import load_params, save_params
