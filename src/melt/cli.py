@@ -172,8 +172,10 @@ def _add_options(parser: argparse.ArgumentParser, opts) -> None:
 
 
 def _parse_env(raw: str, typ):
-    if typ == "flag":
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+    if typ == "flag":  # any other word raises KeyError
+        words = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+        return words[raw.strip().lower()]
     return typ(raw)
 
 
@@ -225,7 +227,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> Config:
             try:
                 resolved[name] = _parse_env(os.environ[env_key], typ)
                 given.add(name)
-            except ValueError:
+            except (KeyError, ValueError):
                 raise CliError(f"cannot parse env var {env_key}={os.environ[env_key]!r}") from None
     for name in known:
         value = getattr(args, name, None)
@@ -236,6 +238,10 @@ def resolve_config(command: str, args: argparse.Namespace) -> Config:
     for name in REQUIRED[command]:
         if resolved.get(name) is None:
             raise CliError(f"'{command}' requires --{name.replace('_', '-')}")
+    for name, (typ, _default) in known.items():
+        value = resolved[name]
+        if typ is float and value is not None and not np.isfinite(value):
+            raise CliError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
     for name, (low, high) in BOUNDS.items():
         value = resolved.get(name)
         if name in known and (value < low or (high is not None and value > high)):
@@ -247,7 +253,7 @@ def resolve_config(command: str, args: argparse.Namespace) -> Config:
 
 
 def echo_config(cfg: dict, out_dir: Optional[str]) -> None:
-    text = json.dumps(cfg, indent=2, sort_keys=True)
+    text = json.dumps(cfg, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -544,9 +550,9 @@ def _parse_history(cfg: dict) -> List[Optional[int]]:
 def _model_template(cfg: Config, hold: ExitStack) -> Tuple[Template, Optional[dict]]:
     """The worker model and its refill, and the word meta its checkpoint records.
 
-    With ``--rand-init`` the start weights are drawn once from the seed and
-    kept beside the worker, which the refill copies them back into; there
-    is no word meta to match. Otherwise the worker is the model the
+    With ``--rand-init`` the worker is the model drawn once from the seed,
+    and a copy of its drawn weights is kept for the refill to copy back;
+    there is no word meta to match. Otherwise the worker is the model the
     checkpoint loads into, and its model config is written into ``cfg``; a
     model option set to another value is rejected. The checkpoint stays
     open in ``hold``, and the refill reads its blocks back into the worker,
@@ -554,9 +560,8 @@ def _model_template(cfg: Config, hold: ExitStack) -> Tuple[Template, Optional[di
     when it was loaded.
     """
     if cfg["rand_init"]:
-        drawn = MeltModel(_melt_config(cfg), seed=cfg["seed"])
-        params = {name: p.data for name, p in drawn.named_parameters()}
-        model = MeltModel(drawn.config, params=params)
+        model = MeltModel(_melt_config(cfg), seed=cfg["seed"])
+        params = {name: p.data.copy() for name, p in model.named_parameters()}
         return (model, lambda: pretrain_mod.load_params_into(model, params)), None
     if not cfg["checkpoint"]:
         raise CliError("provide --checkpoint or pass --rand-init")

@@ -38,7 +38,7 @@ row by row, so packing is exact math:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,36 +94,27 @@ def _gaussian(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return out
 
 
-def copy_param(name: str, src, out: np.ndarray) -> np.ndarray:
-    """Copy ``src`` into the parameter array ``out``, whose shape it must have; returns ``out``."""
-    src = np.asarray(src)
-    if src.shape != out.shape:
-        raise ValueError(f"parameter '{name}' shape {src.shape} != {out.shape}")
-    np.copyto(out, src)
-    return out
-
-
 ParamMaker = Callable[..., Tensor]
 
 
-def _param_maker(seed: int, params: Optional[Mapping[str, np.ndarray]], dtype,
-                 made: List[Tuple[str, Tensor]]) -> ParamMaker:
+def _param_maker(seed: Optional[int], dtype, made: List[Tuple[str, Tensor]]) -> ParamMaker:
     """``make(name, shape, fill=None)`` builds one parameter and appends it to ``made``.
 
-    With ``params`` it copies ``params[name]``. Otherwise it draws
-    N(0, INIT_STD^2) from a generator seeded with ``seed`` when ``fill`` is
-    None, in blocks straight into the parameter (``_gaussian``), or fills
-    the constant; constants draw nothing, so the draw order is the order of
-    the Gaussian parameters alone. ``made`` lists every parameter once, in
-    the order made: the owner's ``named_parameters``.
+    It draws N(0, INIT_STD^2) from a generator seeded with ``seed`` when
+    ``fill`` is None, in blocks straight into the parameter (``_gaussian``),
+    or fills the constant; constants draw nothing, so the draw order is the
+    order of the Gaussian parameters alone. With ``seed`` None it neither
+    draws nor fills: every parameter is left as ``np.empty`` made it, for a
+    caller that fills them all. ``made`` lists every parameter once, in the
+    order made: the owner's ``named_parameters``.
     """
-    if seed < 0:
+    if seed is not None and seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed) if params is None else None
+    rng = None if seed is None else np.random.default_rng(seed)
 
     def make(name: str, shape: tuple, fill: Optional[float] = None) -> Tensor:
-        if params is not None:
-            data = copy_param(name, params[name], np.empty(shape, dtype=dtype))
+        if rng is None:
+            data = np.empty(shape, dtype=dtype)
         elif fill is None:
             data = _gaussian(rng, shape, dtype)
         else:
@@ -232,18 +223,14 @@ class EncoderLayer:
 class MeltModel:
     """Message-level transformer parameters and forward pass."""
 
-    def __init__(self, config: MeltConfig, seed: int = 1337, dtype=np.float32,
-                 params: Optional[Mapping[str, np.ndarray]] = None):
-        """Parameters drawn from ``seed``, or copied from ``params``.
-
-        ``params`` maps every name of ``named_parameters`` to an array; a
-        model built from it draws no random numbers.
-        """
+    def __init__(self, config: MeltConfig, seed: Optional[int] = 1337, dtype=np.float32):
+        """Parameters drawn from ``seed``; with ``seed`` None, unfilled and undrawn,
+        for a caller that fills every one, as ``pretrain.load_params_into`` does."""
         self.config = config
         self.dtype = dtype
         d = config.d_model
         self._params: List[Tuple[str, Tensor]] = []
-        make = _param_maker(seed, params, dtype, self._params)
+        make = _param_maker(seed, dtype, self._params)
         self.pos_embedding = make("pos_embedding", (config.max_seq, d))
         self.mask_vector = make("mask_vector", (d,))
         self.pad_vector = make("pad_vector", (d,))

@@ -59,7 +59,7 @@ class StanceHead:
     def __init__(self, input_dim: int, hidden1: int = 768, hidden2: int = 384,
                  seed: int = 0, dtype=np.float32):
         self._params: List[Tuple[str, Tensor]] = []
-        make = _param_maker(seed, None, dtype, self._params)
+        make = _param_maker(seed, dtype, self._params)
         self.w1 = make("cls.w1", (input_dim, hidden1))
         self.b1 = make("cls.b1", (hidden1,), 0.0)
         self.w2 = make("cls.w2", (hidden1, hidden2))

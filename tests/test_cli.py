@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import melt
-from melt.cli import main
+from melt.cli import COMMAND_OPTS, REQUIRED, main
 from melt.model import MeltConfig, MeltModel
 from melt.pretrain import load_checkpoint, save_checkpoint
 from melt.wordenc import (HashEmbeddingEncoder, compute_message_vectors, fnv1a_64,
@@ -961,6 +961,22 @@ class TestJobs:
 CKPT_CONFIG = MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2)
 
 
+def count_models(monkeypatch):
+    """Lists that each MeltModel made from now on joins: drawn from a seed, or undrawn."""
+    import inspect
+    init = MeltModel.__init__
+    drawn, undrawn = [], []
+
+    def counted_init(self, *args, **kwargs):
+        bound = inspect.signature(init).bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        (undrawn if bound.arguments["seed"] is None else drawn).append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MeltModel, "__init__", counted_init)
+    return drawn, undrawn
+
+
 class TestPerTargetRuns:
     """Every run goes in sorted target order on one worker model, made once per command."""
 
@@ -980,17 +996,10 @@ class TestPerTargetRuns:
 
     def test_rand_init_draws_the_encoder_once_per_command(self, tmp_path, monkeypatch,
                                                           three_targets):
-        init = MeltModel.__init__
-        drawn, copied = [], []
-
-        def counted_init(self, *args, params=None, **kwargs):
-            (drawn if params is None else copied).append(1)
-            init(self, *args, params=params, **kwargs)
-
-        monkeypatch.setattr(MeltModel, "__init__", counted_init)
+        drawn, undrawn = count_models(monkeypatch)
         out_dir = tmp_path / "ft"
         assert main(finetune_args(three_targets, out_dir, "--rand-init", "--jobs", "1")) == 0
-        assert (len(drawn), len(copied)) == (1, 1)  # the template, the worker
+        assert (len(drawn), len(undrawn)) == (1, 0)  # the drawn model is the worker
         assert sorted(os.listdir(out_dir)) == [
             "config.json", "predictions.csv", "snapshot_abortion.melt",
             "snapshot_climate.melt", "snapshot_feminism.melt"]
@@ -1001,26 +1010,19 @@ class TestPerTargetRuns:
         model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2), seed=5)
         ckpt = tmp_path / "m.melt"
         save_checkpoint(ckpt, model, dev_mse=0.0, epoch=1, seed=5)
-        init = MeltModel.__init__
-        drawn, copied = [], []
-
-        def counted_init(self, *args, params=None, **kwargs):
-            (drawn if params is None else copied).append(1)
-            init(self, *args, params=params, **kwargs)
-
-        monkeypatch.setattr(MeltModel, "__init__", counted_init)
+        drawn, undrawn = count_models(monkeypatch)
         out_dir = tmp_path / "ft"
         assert main(finetune_args(three_targets, out_dir, "--checkpoint", str(ckpt),
                                   "--unfreeze-word", "--jobs", "1")) == 0
         # the model the checkpoint loads into is the worker
-        assert (len(drawn), len(copied)) == (0, 1)
+        assert (len(drawn), len(undrawn)) == (0, 1)
         assert len(os.listdir(out_dir)) == 5  # config, predictions, a snapshot per target
 
     @pytest.mark.parametrize("extra,refills", [((), 2), (("--history-len", "2,4"), 5)],
                              ids=["one-length", "sweep"])
     def test_only_later_runs_refill_the_worker_model(self, tmp_path, monkeypatch,
                                                      three_targets, extra, refills):
-        # the worker model is built from the template, so the first run trains as built
+        # the worker is the drawn model, so the first run trains as drawn
         import melt.pretrain as pretrain_mod
         loads, load = [], pretrain_mod.load_params_into
 
@@ -1131,8 +1133,7 @@ class TestPerTargetRuns:
             made.append(weakref.ref(self))
 
         def counting_finetune(*args, **kwargs):
-            # the first model made is the template's source
-            alive_at_entry.append(sum(1 for ref in made[1:] if ref() is not None
+            alive_at_entry.append(sum(1 for ref in made if ref() is not None
                                       and ref().named_parameters()))
             return finetune(*args, **kwargs)
 
@@ -1342,6 +1343,82 @@ class TestOptionBounds:
         err = capsys.readouterr().err
         assert f"{option} must be" in err and f"got {value}" in err
         assert not (out_dir / "predictions.csv").exists()
+
+
+FLOAT_OPTIONS = [(command, name) for command, opts in COMMAND_OPTS.items()
+                 for name, typ, _default, _help in opts if typ is float]
+FLAG_OPTIONS = [(command, name) for command, opts in COMMAND_OPTS.items()
+                for name, typ, _default, _help in opts if typ == "flag"]
+
+
+class TestOptionValues:
+    """A float option that is not finite, or a flag's MELT_* value that is not a boolean
+    word, exits 2 in set-up, naming the option, and leaves no output directory."""
+
+    def argv(self, tmp_path, corpus_file, stance_file, command, out_dir, option, *extra):
+        """The command's arguments, without any flag that would set ``option``."""
+        if command == "pretrain":
+            manifest = run_prep(tmp_path, corpus_file) / "manifest.jsonl"
+            argv = ["pretrain", "--corpus", str(corpus_file), "--manifest", str(manifest),
+                    "--out", str(out_dir), *MODEL_FLAGS, "--epochs", "1"]
+        else:
+            argv = finetune_args(stance_file, out_dir, "--rand-init")
+        if option in argv:
+            del argv[argv.index(option):argv.index(option) + 2]
+        return argv + list(extra)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("channel", ["flag", "env", "file"])
+    @pytest.mark.parametrize("command,name", FLOAT_OPTIONS,
+                             ids=[f"{c}-{n}" for c, n in FLOAT_OPTIONS])
+    def test_non_finite_float_option(self, tmp_path, corpus_file, stance_file, monkeypatch,
+                                     capsys, command, name, channel, value):
+        option = "--" + name.replace("_", "-")
+        out_dir = tmp_path / "out"
+        extra = [option, value] if channel == "flag" else []
+        if channel == "env":
+            monkeypatch.setenv("MELT_" + name.upper(), value)
+        elif channel == "file":  # json writes NaN and Infinity, and json.load reads them
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({name: float(value)}))
+            extra = ["--config", str(cfg_path)]
+        assert main(self.argv(tmp_path, corpus_file, stance_file, command, out_dir, option,
+                              *extra)) == 2
+        assert f"{option} must be a finite number, got {value}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_echo_is_strict_json(self, tmp_path):
+        from melt.cli import echo_config
+        with pytest.raises(ValueError):
+            echo_config({"grad_clip": float("nan")}, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_flag_env_value_not_a_boolean_word(self, tmp_path, stance_file, monkeypatch,
+                                               capsys):
+        monkeypatch.setenv("MELT_UNFREEZE_WORD", "ture")
+        out_dir = tmp_path / "out"
+        assert main(finetune_args(stance_file, out_dir, "--rand-init")) == 2
+        assert "cannot parse env var MELT_UNFREEZE_WORD='ture'" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("raw,want", [
+        ("1", True), (" TRUE ", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), (" no", False), ("OFF", False),
+        ("ture", None), ("", None), ("2", None), ("y", None),
+    ])
+    @pytest.mark.parametrize("command,name", FLAG_OPTIONS,
+                             ids=[f"{c}-{n}" for c, n in FLAG_OPTIONS])
+    def test_flag_env_words(self, monkeypatch, command, name, raw, want):
+        from melt.cli import CliError, build_parser, resolve_config
+        monkeypatch.setenv("MELT_" + name.upper(), raw)
+        args = build_parser().parse_args([command])
+        if want is None:
+            with pytest.raises(CliError, match=f"cannot parse env var MELT_{name.upper()}="):
+                resolve_config(command, args)
+        else:
+            for required in REQUIRED[command]:
+                setattr(args, required, "x")
+            assert resolve_config(command, args)[name] is want
 
 
 def with_bad_second_line(path, copy):

@@ -737,23 +737,3 @@ class TestInit:
             named = owner.named_parameters()
             assert len({name for name, _ in named}) == len(named)
             assert [id(p) for _, p in named] == [id(p) for p in self.held(owner)]
-
-    def test_from_params_copies_them_and_draws_nothing(self, small_config, monkeypatch):
-        import melt.model as model_mod
-        source = {n: p.data for n, p in MeltModel(small_config, seed=5).named_parameters()}
-
-        def no_draw(*args):
-            raise AssertionError("a model built from params drew random weights")
-
-        monkeypatch.setattr(model_mod, "_gaussian", no_draw)
-        model = MeltModel(small_config, seed=99, params=source)
-        for name, p in model.named_parameters():
-            assert p.data.tobytes() == source[name].tobytes(), name
-            assert p.data.dtype == np.float32 and p.requires_grad
-            assert not np.shares_memory(p.data, source[name]), name
-
-    def test_from_params_rejects_a_wrong_shape(self, small_config):
-        source = {n: p.data for n, p in MeltModel(small_config, seed=5).named_parameters()}
-        source["layers.1.w1"] = np.zeros((3, 3), dtype=np.float32)
-        with pytest.raises(ValueError, match="layers.1.w1"):
-            MeltModel(small_config, params=source)

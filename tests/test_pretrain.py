@@ -376,7 +376,7 @@ class TestCheckpoint:
 
     def test_load_params_shape_mismatch(self, tmp_path):
         model = small_model()
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(ValueError, match="parameter 'pos_embedding' shape"):
             load_params_into(model, {name: np.zeros((1, 1), dtype=np.float32)
                                      for name, _ in model.named_parameters()})
 
@@ -551,6 +551,17 @@ class TestLoadWithoutInit:
         renamed = [("renamed" if n == "head.b" else n, a) for n, a in params.items()]
         header.pop("manifest")
         save_params(path, header, renamed)
+        with pytest.raises(CheckpointError, match="does not match this model layout"):
+            load_checkpoint(path)
+
+    def test_manifest_changing_a_parameters_shape_rejected(self, tmp_path):
+        from melt.pretrain import load_params, save_params
+        path = tmp_path / "m.melt"
+        save_checkpoint(path, small_model(), dev_mse=0.0, epoch=1, seed=7)
+        header, params = load_params(path)
+        params["head.b"] = np.zeros(3, dtype=np.float32)
+        header.pop("manifest")
+        save_params(path, header, list(params.items()))
         with pytest.raises(CheckpointError, match="does not match this model layout"):
             load_checkpoint(path)
 
