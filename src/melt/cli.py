@@ -6,7 +6,8 @@ checks every option, reads and checks every input and builds what the run
 shares; then the command echoes its fully-resolved configuration to stdout
 and to <out>/config.json; then it runs and writes its outputs. So a command
 that set-up rejects exits 2 without making <out>, and rerunning with the
-echoed file reproduces the outputs byte for byte. Fine-tuning from a
+echoed file reproduces the outputs byte for byte, on the same numpy and
+BLAS build with the same BLAS thread count. Fine-tuning from a
 checkpoint records the checkpoint's model config, and a model option set to
 another value exits 2.
 

@@ -243,9 +243,6 @@ class MeltModel:
         """Every parameter, named, in the order ``__init__`` made them."""
         return list(self._params)
 
-    def parameter_count(self) -> int:
-        return sum(p.size for _, p in self.named_parameters())
-
     def forward(self, x: Tensor, attn_mask: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 rows: Optional[np.ndarray] = None) -> Tensor:

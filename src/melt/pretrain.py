@@ -68,7 +68,6 @@ EpochLog = List[Tuple[int, float, float]]  # (epoch, mean train loss, dev score)
 
 @dataclass
 class PretrainResult:
-    model: MeltModel
     best_epoch: int
     best_dev_mse: float
     best_params: Dict[str, np.ndarray]
@@ -204,7 +203,7 @@ def train(model: MeltModel, train_chunks: Sequence[SequenceChunk],
         batch_size=config.batch_size,
         epoch_order=lambda epoch: (train_chunks, np.random.default_rng(config.seed ^ epoch)),
         train_batch=train_batch, dev_score=dev_mse, dev_name="dev MSE")
-    return PretrainResult(model, best_epoch, best_dev_mse, best_params, steps,
+    return PretrainResult(best_epoch, best_dev_mse, best_params, steps,
                           [EpochRecord(epoch, dev) for epoch, _, dev in history])
 
 
@@ -458,7 +457,7 @@ def load_checkpoint(source) -> Tuple[MeltModel, dict]:
         raise CheckpointError("checkpoint header lacks a 'config' object")
     try:
         config = MeltConfig(**header["config"])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # an unknown key, or a value the model rejects
         raise CheckpointError(f"checkpoint 'config' does not fit: {exc}") from None
     model = MeltModel(config, seed=None)
     _check_layout([(name, tuple(shape)) for name, shape in header["manifest"]], model)

@@ -51,10 +51,8 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
+def _as_array(data) -> np.ndarray:
     arr = np.asarray(data)
-    if dtype is not None:
-        return np.ascontiguousarray(arr, dtype=dtype)
     if arr.dtype in _FLOAT_DTYPES:
         return arr
     return arr.astype(np.float32)
@@ -70,8 +68,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._node: Optional[_Node] = None
@@ -92,53 +90,12 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # Arithmetic sugar; scalars are promoted to constants of the same dtype.
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_ensure(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes: Sequence[int]) -> "Tensor":
-        return transpose(self, axes)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 TensorLike = Union[Tensor, np.ndarray, float, int, list]
@@ -289,7 +246,7 @@ def backward(loss: Tensor) -> None:
     over it raises RuntimeError.
 
     Gradient arrays are shared, not copied: a pass-through rule (add,
-    reshape, transpose, sum) hands on its incoming array or a view of it,
+    reshape, transpose) hands on its incoming array or a view of it,
     so one array can be the ``grad`` of several tensors. Treat every
     ``grad`` as read-only; nothing here modifies one in place.
     """
@@ -328,17 +285,6 @@ def add(a: TensorLike, b: TensorLike) -> Tensor:
     return _from_op(a.data + b.data, (a, b), back)
 
 
-def sub(a: TensorLike, b: TensorLike) -> Tensor:
-    a = _ensure(a)
-    b = _ensure(b, a.dtype)
-    a_shape, b_shape = a.shape, b.shape
-
-    def back(g):
-        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
-
-    return _from_op(a.data - b.data, (a, b), back)
-
-
 def mul(a: TensorLike, b: TensorLike) -> Tensor:
     """Elementwise product; each side keeps the other operand only if it needs a gradient."""
     a = _ensure(a)
@@ -352,13 +298,6 @@ def mul(a: TensorLike, b: TensorLike) -> Tensor:
                 None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return _from_op(a.data * b.data, (a, b), back)
-
-
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        return (-g,)
-
-    return _from_op(-a.data, (a,), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -478,30 +417,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         return (g.transpose(inverse),)
 
     return _from_op(a.data.transpose(axes), (a,), back)
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a_shape = a.shape
-
-    def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a_shape),)
-
-    return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a_shape = a.shape
-    count = a.size if axis is None else a.shape[axis]
-
-    def back(g):
-        scaled = g / count
-        if axis is not None and not keepdims:
-            scaled = np.expand_dims(scaled, axis)
-        return (np.broadcast_to(scaled, a_shape),)
-
-    return _from_op(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
 
 
 # ---------------------------------------------------------------------------

@@ -125,17 +125,6 @@ class VectorFileError(ValueError):
     """Malformed vector file; message carries the offending line number."""
 
 
-def write_vector_file(path, dim: int, items: Iterable[tuple]) -> None:
-    """Write `#dim=<d>` then one `id TAB hex(little-endian float32s)` per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#dim={dim}\n")
-        for message_id, vec in items:
-            data = np.asarray(vec, dtype="<f4")
-            if data.shape != (dim,):
-                raise ValueError(f"vector for '{message_id}' has shape {data.shape}, want ({dim},)")
-            fh.write(f"{message_id}\t{data.tobytes().hex()}\n")
-
-
 def _hashed_lines(fh, digest) -> Iterator[str]:
     """Each line of the binary file ``fh`` as text, its bytes added to ``digest`` first."""
     for raw in fh:
@@ -227,9 +216,6 @@ class FrozenWordLevel:
         self.dim = dim
         self.vectors = vectors
         self.sha256 = sha256
-
-    def trainable_params(self) -> list:
-        return []
 
     def batch_vectors(self, messages: Sequence) -> Tensor:
         rows = np.stack([self.vectors[m.message_id] for m in messages])

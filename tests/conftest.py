@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from melt import tensor as T
 from melt.model import MeltConfig
 from melt.tensor import Tensor, tape
 
@@ -18,6 +19,20 @@ def tiny_config():
 @pytest.fixture
 def small_config():
     return MeltConfig(n_layers=2, d_model=32, ff_dim=64, n_heads=4, dropout=0.1, max_seq=40)
+
+
+def total(t: Tensor) -> Tensor:
+    """The sum of every entry of ``t``, a 0-d tensor whose gradient is all ones.
+
+    The tests' scalar loss: no command sums a tensor, so the op lives here.
+    """
+    shape = t.shape
+    return T._from_op(np.asarray(t.data.sum()), (t,), lambda g: (np.broadcast_to(g, shape),))
+
+
+def mean(t: Tensor) -> Tensor:
+    """The mean of every entry of ``t``, a 0-d tensor."""
+    return total(t) * (1.0 / t.size)
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:

@@ -11,12 +11,15 @@ hash-embedded message vectors carry known structure:
   an ambiguity ceiling while history-aware ones can separate fully.
 - uninformative_corpus: label-independent filler text with an imbalanced
   label prior.
+
+The writers put corpora, stance files and precomputed vector files on disk
+in the formats the CLI reads.
 """
 
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -126,3 +129,14 @@ def write_stance_jsonl(path, examples: Sequence[StanceExample]) -> None:
                                  "timestamp": t.timestamp, "text": t.text,
                                  "label": ex.label, "stance_target": ex.stance_target,
                                  "split": ex.split}) + "\n")
+
+
+def write_vector_file(path, dim: int, items: Iterable[tuple]) -> None:
+    """Write `#dim=<d>` then one `id TAB hex(little-endian float32s)` per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"#dim={dim}\n")
+        for message_id, vec in items:
+            data = np.asarray(vec, dtype="<f4")
+            if data.shape != (dim,):
+                raise ValueError(f"vector for '{message_id}' has shape {data.shape}, want ({dim},)")
+            fh.write(f"{message_id}\t{data.tobytes().hex()}\n")

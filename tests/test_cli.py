@@ -12,10 +12,9 @@ import melt
 from melt.cli import COMMAND_OPTS, REQUIRED, main
 from melt.model import MeltConfig, MeltModel
 from melt.pretrain import load_checkpoint, save_checkpoint
-from melt.wordenc import (HashEmbeddingEncoder, compute_message_vectors, fnv1a_64,
-                          tokenize, write_vector_file)
+from melt.wordenc import HashEmbeddingEncoder, compute_message_vectors, fnv1a_64, tokenize
 from synthdata import (marker_corpus, split_examples, stance_corpus,
-                       write_corpus_jsonl, write_stance_jsonl)
+                       write_corpus_jsonl, write_stance_jsonl, write_vector_file)
 
 # the word baselines read these; the message encoder reads them and the rest of MODEL_FLAGS
 WORD_FLAGS = ["--d-model", "16", "--word-buckets", "256", "--word-seed", "3"]
@@ -739,8 +738,9 @@ class TestFinetune:
     @pytest.mark.parametrize("field,edit", [
         ("config", lambda header: header.pop("config")),
         ("bogus", lambda header: header["config"].update(bogus=1)),
+        ("dropout", lambda header: header["config"].update(dropout=1.5)),
         ("manifest", lambda header: header["manifest"][0].pop()),
-    ], ids=["no-config", "unknown-config-key", "entry-without-shape"])
+    ], ids=["no-config", "unknown-config-key", "config-value-rejected", "entry-without-shape"])
     def test_malformed_checkpoint_header_is_input_error(self, tmp_path, stance_file, capsys,
                                                         field, edit):
         model = MeltModel(MeltConfig(n_layers=1, d_model=16, ff_dim=32, n_heads=2), seed=0)

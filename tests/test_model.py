@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import total
 from melt import model as model_mod
 from melt.corpus import Action, MaskPlan, RawMessage, SequenceChunk
 from melt.model import MeltConfig, MeltModel, embed_batch
@@ -127,7 +128,7 @@ class TestEmbed:
             for _, p in model.named_parameters():
                 p.grad = None
             x = build()
-            backward((x * weights).sum())
+            backward(total(x * weights))
             runs.append([x.data.tobytes()] + [np.asarray(p.grad).tobytes() for p in
                          (model.mask_vector, model.pad_vector, model.pos_embedding)])
         assert runs[0] == runs[1]
@@ -291,7 +292,7 @@ class TestParameterCount:
     def test_within_two_percent_of_reference(self, layers, target):
         model = MeltModel(MeltConfig(n_layers=layers, d_model=768, ff_dim=2048,
                                      n_heads=8), seed=0)
-        count = model.parameter_count()
+        count = sum(p.size for _, p in model.named_parameters())
         assert abs(count - target) / target < 0.02
 
     def test_exact_layout_arithmetic(self):
@@ -302,7 +303,7 @@ class TestParameterCount:
         per_layer = 4 * (d * d + d) + (d * ff + ff) + (ff * d + d) + 4 * d
         expected = 40 * d + 2 * d + L * per_layer + d * d + d
         model = MeltModel(MeltConfig(n_layers=L, d_model=d, ff_dim=ff, n_heads=8), seed=0)
-        assert model.parameter_count() == expected
+        assert sum(p.size for _, p in model.named_parameters()) == expected
 
     def test_manifest_order_is_stable(self, tiny_config):
         names_a = [n for n, _ in MeltModel(tiny_config, seed=0).named_parameters()]
@@ -375,7 +376,7 @@ def run_both(model, x, attn, rows, train, weights=None):
             out = gather_rows(out, read_of_every(attn, rows))
         grads = None
         if weights is not None:
-            backward((out * Tensor(weights)).sum())
+            backward(total(out * Tensor(weights)))
             grads = {name: np.asarray(p.grad) for name, p in model.named_parameters()
                      if name.startswith("layers.")}
             grads["x"] = np.asarray(xt.grad)
@@ -432,7 +433,7 @@ class TestSelectedRows:
             # the same generator seed each call keeps the dropout masks fixed
             out = model.forward(Tensor(x), attn, train=True, rng=np.random.default_rng(9),
                                 rows=rows)
-            return (out * weights).sum()
+            return total(out * weights)
 
         backward(loss())
         for name, p in model.named_parameters():
@@ -499,7 +500,7 @@ def forward_pair(model, x, attn, read, train, weights=None):
             out = gather_rows(out, np.flatnonzero(read[wider]))
         grads = None
         if weights is not None:
-            backward((out * Tensor(weights)).sum())
+            backward(total(out * Tensor(weights)))
             grads = {n: np.asarray(p.grad) for n, p in model.named_parameters()
                      if p.grad is not None}
         results.append((out.data, rng, grads))
@@ -656,7 +657,7 @@ class TestPackedMemory:
         tracemalloc.start()
         try:
             out = forward(model, xt, attn, True, np.random.default_rng(4))
-            backward((out * out).sum())
+            backward(total(out * out))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

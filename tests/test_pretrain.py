@@ -40,21 +40,21 @@ def small_model(d=16, dropout=0.1):
 class TestMaskedLoss:
     def test_identity_is_zero(self):
         x = np.random.default_rng(0).uniform(-1, 1, (3, 4)).astype(np.float32)
-        assert masked_loss(Tensor(x), x.copy()).item() == 0.0
+        assert float(masked_loss(Tensor(x), x.copy()).data) == 0.0
 
     def test_mean_of_per_slot_mses(self):
         # slot MSEs 1.0 and 3.0 average to 2.0
         preds = Tensor(np.array([[1.0, -1.0], [3.0, 3.0]], dtype=np.float32))
         targets = np.array([[0.0, 0.0], [np.sqrt(3) + 3, 3 - np.sqrt(3)]], dtype=np.float32)
-        assert masked_loss(preds, targets).item() == pytest.approx(2.0, rel=1e-6)
+        assert float(masked_loss(preds, targets).data) == pytest.approx(2.0, rel=1e-6)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(1)
         p = rng.uniform(-1, 1, (5, 3)).astype(np.float32)
         t = rng.uniform(-1, 1, (5, 3)).astype(np.float32)
         perm = rng.permutation(5)
-        assert masked_loss(Tensor(p), t).item() == pytest.approx(
-            masked_loss(Tensor(p[perm]), t[perm]).item(), rel=1e-6)
+        assert float(masked_loss(Tensor(p), t).data) == pytest.approx(
+            float(masked_loss(Tensor(p[perm]), t[perm]).data), rel=1e-6)
 
     def test_misalignment_rejected(self):
         with pytest.raises(ValueError, match="misaligned"):
@@ -62,7 +62,7 @@ class TestMaskedLoss:
 
     def test_empty_selection_contributes_nothing(self):
         out = masked_loss(Tensor(np.zeros((0, 4))), np.zeros((0, 4)))
-        assert out.item() == 0.0 and not out.requires_grad
+        assert float(out.data) == 0.0 and not out.requires_grad
 
 
 class TestTrain:
@@ -359,6 +359,22 @@ class TestCheckpoint:
         path = self.roundtrip(tmp_path, small_model(), dev_mse=0.0, epoch=1, seed=0)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("dropout", 1.5, "dropout must be in"),
+        ("n_heads", 3, "must be divisible by n_heads"),
+        ("width", 16, "unexpected keyword argument 'width'"),
+    ])
+    def test_config_the_model_rejects_is_a_checkpoint_error(self, tmp_path, key, value,
+                                                              message):
+        from melt.pretrain import load_params, save_params
+        path = self.roundtrip(tmp_path, small_model(d=16), dev_mse=0.0, epoch=1, seed=0)
+        header, params = load_params(path)
+        header["config"][key] = value
+        header.pop("manifest")
+        save_params(path, header, list(params.items()))
+        with pytest.raises(CheckpointError, match=f"'config' does not fit: .*{message}"):
             load_checkpoint(path)
 
     def test_header_dev_mse_matches_reevaluation(self, tmp_path):

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import total
 from melt.corpus import RawMessage
 from melt.tensor import Tensor, backward
 from melt.wordenc import (EMPTY_TOKEN, FrozenWordLevel, HashEmbeddingEncoder,
                           TrainableAdapterWordLevel, TrainableHashWordLevel, VectorFileError,
                           compute_message_vectors, fnv1a_64, load_precomputed,
-                          tokenize, write_vector_file)
+                          tokenize)
+from synthdata import write_vector_file
 
 
 WHITESPACE = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())  # all 29
@@ -260,7 +262,7 @@ class TestTrainableWordLevels:
         wl = TrainableHashWordLevel(enc)
         msgs = [RawMessage("u", "m0", 0, "alpha beta"), RawMessage("u", "m1", 1, "alpha")]
         rows = wl.batch_vectors(msgs)
-        backward(rows.sum())
+        backward(total(rows))
         assert wl.table.grad is not None
         touched = np.abs(wl.table.grad).sum(axis=1) > 0
         assert touched.sum() == 2  # alpha and beta buckets
@@ -299,7 +301,7 @@ class TestTrainableWordLevels:
         weights = np.random.default_rng(0).standard_normal((len(batch), 4)).astype(dtype)
         for wl in (whole, compact):
             rows = wl.batch_vectors(batch)
-            backward((rows * Tensor(weights)).sum())
+            backward(total(rows * Tensor(weights)))
         assert compact.batch_vectors(batch).data.tobytes() == \
             whole.batch_vectors(batch).data.tobytes()
         assert compact.table.grad.tobytes() == \
@@ -332,7 +334,3 @@ class TestTrainableWordLevels:
         wl = TrainableAdapterWordLevel(frozen)
         msgs = [RawMessage("u", "m0", 0, "ignored")]
         np.testing.assert_array_equal(wl.batch_vectors(msgs).data[0], [1.0, 2.0, 3.0])
-
-    def test_frozen_level_has_no_trainables(self):
-        wl = FrozenWordLevel(2, {"m0": np.zeros(2, dtype=np.float32)})
-        assert wl.trainable_params() == []
