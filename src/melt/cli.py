@@ -686,7 +686,11 @@ def cmd_finetune(cfg: Config) -> int:
         runs = _plan_runs(examples, _resolve_targets(cfg, examples), arch, cfg["pooled"])
         if cfg["unfreeze_word"] and isinstance(source, HashEmbeddingEncoder):
             # A trainable hash table pools its own rows, so none are pooled here,
-            # and each run's table holds only the rows its messages reach.
+            # and each run's table holds only the rows its messages reach. Set-up
+            # draws every run's rows, so no run draws one.
+            source.encode(corpus_mod.all_messages(
+                [e for run in runs for split in run[1:] for e in split]))
+
             def word_level_of(run: Run):
                 return wordenc.TrainableHashWordLevel(
                     source, corpus_mod.all_messages([e for split in run[1:] for e in split]))

@@ -460,31 +460,41 @@ def gather_bl(a: Tensor, b_idx, l_idx) -> Tensor:
     return _from_op(a.data[b_idx, l_idx], (a,), back)
 
 
-def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
-    """Mean of the rows of ``a`` per segment id. Empty segments yield zeros.
+_POOL_BLOCK = 128  # segments pooled at a time: their sums stay in cache across the steps
 
-    Each segment adds its rows to zero in index order, as ``np.add.at``
-    would, so the sums are bit-identical to it. Step k adds the k-th row of
-    every segment that has one: the loop runs as often as the longest
-    segment has rows, not once per row.
+
+def pool_segments(table: np.ndarray, ids, lengths) -> np.ndarray:
+    """Mean of the rows of 2-d ``table`` per segment, their ids laid end to end; empty ones are 0.
+
+    Each segment adds its rows to zero in order, as ``np.add.at`` would, so
+    the sums are bit-identical to it. ``_POOL_BLOCK`` segments go at a time:
+    step k adds the k-th row of each that has one, then one divide ends them.
     """
+    ids, lengths = np.asarray(ids), np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    out = np.zeros((len(lengths), table.shape[1]), dtype=table.dtype)
+    for lo in range(0, len(lengths), _POOL_BLOCK):
+        sums = out[lo:lo + _POOL_BLOCK]
+        n, s = lengths[lo:lo + _POOL_BLOCK], starts[lo:lo + _POOL_BLOCK]
+        every = int(n.min())
+        for k in range(int(n.max())):
+            live = slice(None) if k < every else np.flatnonzero(n > k)
+            sums[live] += table[ids[s[live] + k]]
+        sums /= np.maximum(n, 1).astype(table.dtype)[:, None]
+    return out
+
+
+def segment_mean(a: Tensor, segment_ids, n_segments: int) -> Tensor:
+    """Mean of the rows of ``a`` per segment id (``pool_segments``). Empty segments yield zeros."""
     seg = np.asarray(segment_ids)
     n_rows = np.bincount(seg, minlength=n_segments)
-    safe = np.maximum(n_rows.astype(a.data.dtype), 1.0)
-    order = np.argsort(seg, kind="stable")
-    starts = np.cumsum(n_rows) - n_rows
-    sums = np.zeros((n_segments,) + a.shape[1:], dtype=a.data.dtype)
-    for k in range(int(n_rows.max(initial=0))):
-        live = np.flatnonzero(n_rows > k)
-        sums[live] += a.data[order[starts[live] + k]]
-
-    per_segment = safe.reshape((-1,) + (1,) * (a.ndim - 1))
+    per_segment = np.maximum(n_rows, 1).astype(a.data.dtype)[:, None]
 
     def back(g):
         # divide per segment, then spread: one row-sized array, same values
         return ((g / per_segment)[seg],)
 
-    return _from_op(sums / per_segment, (a,), back)
+    return _from_op(pool_segments(a.data, np.argsort(seg, kind="stable"), n_rows), (a,), back)
 
 
 def scatter_rows(rows: Tensor, b_idx, l_idx, batch: int, length: int) -> Tensor:

@@ -6,7 +6,8 @@ provided — a deterministic hash-embedding table, and a file of vectors
 computed externally (one vector per message id), which loads into a
 ``FrozenWordLevel``. ``compute_message_vectors`` pools or looks up every
 message's vector once; both sides of the pipeline (the reconstruction label
-and the model input) read that one vector.
+and the model input) read that one vector. Hash pooling is one
+``HashEmbeddingEncoder.encode`` pass, then ``tensor.pool_segments``.
 
 For fine-tuning with an unfrozen word level, thin trainable wrappers expose
 the same per-message vectors as autodiff tensors: gradients flow into the
@@ -18,11 +19,12 @@ from __future__ import annotations
 import hashlib
 import re
 import string
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, gather_rows, matmul, segment_mean
+from .tensor import Tensor, gather_rows, matmul, pool_segments, segment_mean
 
 EMPTY_TOKEN = "<empty>"
 DEFAULT_TOKEN_SEQ_LEN = 50
@@ -76,8 +78,8 @@ class HashEmbeddingEncoder:
 
     Each bucket's row is ``draw_row(seed, bucket, dim)``: never updated, so
     encoding is a pure function of the tokens. A row is drawn the first time
-    a token hashes to its bucket and kept in a bucket -> row memo, so the
-    whole (buckets, dim) table is never built.
+    a token hashes to its bucket, into one table that a bucket -> index map
+    addresses, so the whole (buckets, dim) table is never built.
     """
 
     def __init__(self, dim: int = 768, buckets: int = 65536, seed: int = 1337):
@@ -89,9 +91,10 @@ class HashEmbeddingEncoder:
         self.dim = dim
         self.buckets = buckets
         self.seed = seed
-        # token -> bucket and bucket -> row
+        # token -> bucket, and bucket -> index of its row in _table
         self._bucket_of: Dict[str, int] = {}
-        self._row_of: Dict[int, np.ndarray] = {}
+        self._index_of: Dict[int, int] = {}
+        self._table = np.empty((0, dim), dtype=np.float32)
 
     def token_ids(self, tokens: List[str]) -> List[int]:
         """Bucket of each token; each distinct token is hashed once per encoder."""
@@ -104,16 +107,28 @@ class HashEmbeddingEncoder:
             ids.append(bucket)
         return ids
 
-    def rows(self, buckets: List[int]) -> np.ndarray:
+    def rows(self, buckets: Sequence[int]) -> np.ndarray:
         """The rows of ``buckets``, in order, drawing those not yet reached."""
-        memo = self._row_of
-        try:
-            return np.array([memo[bucket] for bucket in buckets])
-        except KeyError:
-            for bucket in buckets:
-                if bucket not in memo:
-                    memo[bucket] = draw_row(self.seed, bucket, self.dim)
-            return np.array([memo[bucket] for bucket in buckets])
+        index_of = self._index_of
+        new = [bucket for bucket in dict.fromkeys(buckets) if bucket not in index_of]
+        if new:
+            drawn = np.empty((len(new), self.dim), dtype=np.float32)
+            for i, bucket in enumerate(new):
+                drawn[i] = draw_row(self.seed, bucket, self.dim)
+                index_of[bucket] = len(self._table) + i
+            self._table = np.concatenate((self._table, drawn)) if len(self._table) else drawn
+        return self._table[[index_of[bucket] for bucket in buckets]]
+
+    def encode(self, messages: Iterable) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
+        """One tokenize-and-bucket pass: the sorted buckets that ``messages``' distinct texts
+        reach, their rows as one compact table, and each text's rows as indices into it."""
+        texts = list(dict.fromkeys(msg.text for msg in messages))
+        ids = [self.token_ids(tokenize(text)) for text in texts]
+        buckets, flat = np.unique(np.fromiter(chain.from_iterable(ids), np.intp),
+                                  return_inverse=True)
+        ends = np.cumsum([len(i) for i in ids]).tolist()
+        return buckets, self.rows(buckets.tolist()), {
+            text: flat[end - len(i):end] for text, i, end in zip(texts, ids, ends)}
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +199,22 @@ def compute_message_vectors(messages: Iterable, source) -> Dict[str, np.ndarray]
     """Map message_id -> pooled d-dim vector for every message.
 
     ``source`` is either a HashEmbeddingEncoder, whose rows for a message's
-    tokens are averaged, or a FrozenWordLevel, whose vectors are looked up
-    (a message it lacks raises ValueError naming the id).
+    tokens are averaged (the vectors are rows of one (n, d) array), or a
+    FrozenWordLevel, whose vectors are looked up (a message it lacks raises
+    ValueError naming the id).
     """
-    out: Dict[str, np.ndarray] = {}
     if isinstance(source, FrozenWordLevel):
+        out: Dict[str, np.ndarray] = {}
         for msg in messages:
             if msg.message_id not in source.vectors:
                 raise ValueError(f"no precomputed vector for message id '{msg.message_id}'")
             out[msg.message_id] = source.vectors[msg.message_id]
         return out
-    for msg in messages:
-        out[msg.message_id] = source.rows(source.token_ids(tokenize(msg.text))).mean(axis=0)
-    return out
+    messages = list(messages)
+    _, table, rows_of = source.encode(messages)
+    ids = [rows_of[msg.text] for msg in messages]
+    pooled = pool_segments(table, np.concatenate([np.empty(0, np.int64), *ids]), [*map(len, ids)])
+    return dict(zip((msg.message_id for msg in messages), pooled))
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +243,29 @@ class FrozenWordLevel:
 class TrainableHashWordLevel:
     """Hash-table word level with gradients enabled on the table itself.
 
-    The trainable table holds only the rows of ``buckets``: the sorted
-    distinct buckets that ``messages`` hash to, or every bucket when
-    ``messages`` is None, which draws the encoder's every row. A run reads no other row, so no other row is
-    copied, decayed or snapshotted, and the gathered rows, their gradients
-    and their AdamW updates are those of the same rows of the whole table.
-    Each distinct text's row ids are worked out once: at construction for
-    ``messages``, at first use otherwise.
+    The trainable table holds only the rows of ``buckets``, the sorted
+    distinct buckets that ``messages`` hash to. A run reads no other row, so
+    no other row is copied, decayed or snapshotted, and the gathered rows,
+    their gradients and their AdamW updates are those of the same rows of
+    the whole table. Each distinct text's row ids are worked out once, at
+    construction; a message whose text was not among them raises
+    ValueError naming its id.
     """
 
-    def __init__(self, encoder: HashEmbeddingEncoder, messages: Optional[Iterable] = None):
+    def __init__(self, encoder: HashEmbeddingEncoder, messages: Iterable):
         self.dim = encoder.dim
-        self.encoder = encoder
-        self._rows_of: Dict[str, np.ndarray] = {}
-        if messages is None:
-            self.buckets = np.arange(encoder.buckets)
-        else:
-            ids = {text: np.array(encoder.token_ids(tokenize(text)))
-                   for text in dict.fromkeys(msg.text for msg in messages)}
-            self.buckets = np.unique(np.concatenate(list(ids.values())))
-            self._rows_of = {text: np.searchsorted(self.buckets, i) for text, i in ids.items()}
-        self.table = Tensor(encoder.rows(self.buckets.tolist()), requires_grad=True)
+        self.buckets, table, self._rows_of = encoder.encode(messages)
+        self.table = Tensor(table, requires_grad=True)
 
     def trainable_params(self) -> list:
         return [("word.table", self.table)]
 
-    def _rows(self, msg) -> np.ndarray:
-        rows = self._rows_of.get(msg.text)
-        if rows is None:
-            if len(self.buckets) < self.encoder.buckets:
-                raise ValueError(f"message '{msg.message_id}' is not among those "
-                                 "the word level's table was built for")
-            rows = self._rows_of[msg.text] = np.array(self.encoder.token_ids(tokenize(msg.text)))
-        return rows
-
     def batch_vectors(self, messages: Sequence) -> Tensor:
-        rows = [self._rows(msg) for msg in messages]
+        unknown = [msg.message_id for msg in messages if msg.text not in self._rows_of]
+        if unknown:
+            raise ValueError(f"message '{unknown[0]}' is not among those "
+                             "the word level's table was built for")
+        rows = [self._rows_of[msg.text] for msg in messages]
         segments = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
         return segment_mean(gather_rows(self.table, np.concatenate(rows)), segments,
                             len(rows))
@@ -282,5 +287,4 @@ class TrainableAdapterWordLevel:
         return [("word.adapter", self.adapter)]
 
     def batch_vectors(self, messages: Sequence) -> Tensor:
-        rows = np.stack([self.frozen.vectors[m.message_id] for m in messages])
-        return matmul(Tensor(rows), self.adapter)
+        return matmul(self.frozen.batch_vectors(messages), self.adapter)

@@ -30,6 +30,20 @@ def total(t: Tensor) -> Tensor:
     return T._from_op(np.asarray(t.data.sum()), (t,), lambda g: (np.broadcast_to(g, shape),))
 
 
+def whole_table_level(encoder, messages):
+    """A hash word level over every bucket's row, ``encoder.rows(range(buckets))``.
+
+    The reference for the compact table that ``TrainableHashWordLevel``
+    builds: each of ``messages`` reads its rows at its buckets' own indices.
+    """
+    from melt.wordenc import TrainableHashWordLevel
+    level = TrainableHashWordLevel(encoder, messages)
+    level._rows_of = {text: level.buckets[rows] for text, rows in level._rows_of.items()}
+    level.buckets = np.arange(encoder.buckets)
+    level.table = Tensor(encoder.rows(range(encoder.buckets)), requires_grad=True)
+    return level
+
+
 def mean(t: Tensor) -> Tensor:
     """The mean of every entry of ``t``, a 0-d tensor."""
     return total(t) * (1.0 / t.size)

@@ -279,7 +279,7 @@ def test_criterion_06_finetuning_learnability():
                  make_dev_plans(dev, vectors, seed=1337 ^ 0x5EED))
     load_params_into(model, pres.best_params)
 
-    word_level = TrainableHashWordLevel(encoder)
+    word_level = TrainableHashWordLevel(encoder, all_messages(examples))
     head = StanceHead(32, hidden1=64, hidden2=32, seed=7)
     cfg = FinetuneConfig(lr=1e-3, weight_decay=1e-2, batch_size=10,
                          unfreeze_word=True, max_epochs=12, patience=4, seed=7)

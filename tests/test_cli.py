@@ -903,19 +903,45 @@ class TestHashRows:
                                   "--word-buckets", "65536", *extra)) == 0
         assert sorted(drawn) == self.reached(all_messages(ingest_stance_jsonl(stance_file)))
 
-    def test_unfrozen_runs_over_two_targets_draw_each_row_once(self, tmp_path, drawn):
-        from collections import Counter
+    def test_unfrozen_runs_over_two_targets_draw_each_row_once(self, tmp_path, drawn,
+                                                               monkeypatch):
+        # every row is drawn in set-up, before the first run's table is built
+        import melt.wordenc as wordenc
+        from melt.corpus import all_messages
+        examples = stance_corpus(120, n_history=6, seed=33, split_fracs=(0.6, 0.2),
+                                 targets=("abortion", "climate"))
         stance_path = tmp_path / "two.jsonl"
-        write_stance_jsonl(stance_path, stance_corpus(
-            120, n_history=6, seed=33, split_fracs=(0.6, 0.2),
-            targets=("abortion", "climate")))
+        write_stance_jsonl(stance_path, examples)
+        at_start, init = [], wordenc.TrainableHashWordLevel.__init__
+
+        def counted(self, *args, **kwargs):
+            at_start.append(len(drawn))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(wordenc.TrainableHashWordLevel, "__init__", counted)
         out_dir = tmp_path / "ft"
         assert main(finetune_args(stance_path, out_dir, "--rand-init", "--unfreeze-word",
                                   "--word-buckets", "65536")) == 0
         assert sorted(os.listdir(out_dir)) == ["config.json", "predictions.csv",
                                                "snapshot_abortion.melt",
                                                "snapshot_climate.melt"]
-        assert drawn and set(Counter(drawn).values()) == {1}
+        assert sorted(drawn) == self.reached(all_messages(examples))
+        assert at_start == [len(drawn)] * 2
+
+    def test_frozen_vectors_are_rows_of_one_array(self, tmp_path, stance_file, monkeypatch):
+        import melt.wordenc as wordenc
+        held, init = [], wordenc.FrozenWordLevel.__init__
+
+        def kept(self, dim, vectors, sha256=None):
+            held.append(vectors)
+            init(self, dim, vectors, sha256)
+
+        monkeypatch.setattr(wordenc.FrozenWordLevel, "__init__", kept)
+        assert main(finetune_args(stance_file, tmp_path / "ft", "--rand-init")) == 0
+        (vectors,) = held
+        base = next(iter(vectors.values())).base
+        assert base is not None and base.shape == (len(vectors), 16)
+        assert all(vec.base is base for vec in vectors.values())
 
     def test_checkpoint_from_the_whole_table_scheme_rejected(self, tmp_path, stance_file,
                                                             capsys):

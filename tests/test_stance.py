@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import whole_table_level
 from melt import stance
 from melt.corpus import RawMessage, StanceExample
 from melt.model import MeltConfig, MeltModel
@@ -178,7 +179,7 @@ class TestFreezing:
     def test_unfrozen_word_level_updates(self):
         examples, enc, vectors = setup_world(30)
         train, dev, _ = split_examples(examples)
-        wl = TrainableHashWordLevel(enc)
+        wl = TrainableHashWordLevel(enc, all_messages(examples))
         before = wl.table.data.copy()
         model = MeltModel(CFG, seed=3)
         head = StanceHead(D, hidden1=8, hidden2=4, seed=3)
@@ -205,7 +206,8 @@ class TestFreezing:
         head = StanceHead(D, hidden1=8, hidden2=4, seed=3)
         cfg = FinetuneConfig(lr=1e-3, batch_size=5, max_epochs=1, patience=1, seed=3,
                              dropout=0.05, unfreeze_word=True)
-        finetune(model, head, TrainableHashWordLevel(enc), train, dev, cfg)
+        finetune(model, head, TrainableHashWordLevel(enc, all_messages(examples)), train, dev,
+                 cfg)
         assert swept and all(size > 60 for size, _ in swept)
         assert [pinned for _, pinned in swept] == [[]] * len(swept)
 
@@ -228,7 +230,7 @@ class TestEarlyStopping:
     def test_unfrozen_table_holds_best_epoch_bytes(self, monkeypatch):
         examples, enc, _ = setup_world(40)
         train, dev, _ = split_examples(examples)
-        wl = TrainableHashWordLevel(enc)
+        wl = TrainableHashWordLevel(enc, all_messages(examples))
         at_dev_eval = []
         mean_loss = stance._mean_loss
 
@@ -274,7 +276,7 @@ class TestCompactHashTable:
         examples, enc, _ = setup_world(40)
         train, dev, test = split_examples(examples)
         runs = []
-        for word_level in (TrainableHashWordLevel(enc),
+        for word_level in (whole_table_level(enc, all_messages(examples)),
                            TrainableHashWordLevel(enc, all_messages(examples))):
             model = MeltModel(CFG, seed=4)
             head = StanceHead(D, hidden1=8, hidden2=4, seed=4)

@@ -541,6 +541,34 @@ def test_segment_mean_is_bit_identical_to_add_at(dtype):
     assert t.grad.tobytes() == (g[seg] / counts[seg][:, None]).tobytes()
 
 
+class TestPoolSegments:
+    """``pool_segments`` equals a per-message ``table[ids].mean(axis=0)``, byte for byte."""
+
+    # 1, 2, 12 and 50 tokens, 59 words cut to 50 tokens, and an <empty> text
+    TEXTS = [" ".join(f"w{i}" for i in range(n)) for n in (1, 2, 12, 50, 59)] + ["  "]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [1, T._POOL_BLOCK - 1, T._POOL_BLOCK, T._POOL_BLOCK + 1,
+                                       3 * T._POOL_BLOCK + 1])
+    def test_equals_the_per_message_mean(self, count, dtype):
+        from melt.wordenc import HashEmbeddingEncoder, tokenize
+        enc = HashEmbeddingEncoder(dim=24, buckets=96, seed=2)
+        table = enc.rows(range(96)).astype(dtype)
+        rng = np.random.default_rng(count)
+        texts = [self.TEXTS[i] for i in rng.permutation(np.arange(count) % len(self.TEXTS))]
+        ids = [enc.token_ids(tokenize(text)) for text in texts]
+        lengths = [len(i) for i in ids]
+        assert count < len(self.TEXTS) or sorted(set(lengths)) == [1, 2, 12, 50]
+        out = T.pool_segments(table, np.concatenate(ids), lengths)
+        want = np.stack([table[i].mean(axis=0) for i in ids])
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+
+    def test_a_segment_of_no_rows_is_zero(self):
+        table = np.arange(12, dtype=np.float32).reshape(4, 3)
+        out = T.pool_segments(table, np.array([3, 1, 2]), [2, 0, 1])
+        assert out.tolist() == [[6.0, 7.0, 8.0], [0.0, 0.0, 0.0], [6.0, 7.0, 8.0]]
+
+
 def test_dropout_scaling_and_eval_identity():
     x = Tensor(np.ones(10000), requires_grad=True)
     out = dropout(x, 0.25, np.random.default_rng(0), train=True)

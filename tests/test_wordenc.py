@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import total
+from conftest import total, whole_table_level
 from melt.corpus import RawMessage
 from melt.tensor import Tensor, backward
 from melt.wordenc import (EMPTY_TOKEN, FrozenWordLevel, HashEmbeddingEncoder,
@@ -259,8 +259,8 @@ def test_label_and_input_share_one_code_path():
 class TestTrainableWordLevels:
     def test_hash_table_receives_gradients(self):
         enc = HashEmbeddingEncoder(dim=4, buckets=32, seed=0)
-        wl = TrainableHashWordLevel(enc)
         msgs = [RawMessage("u", "m0", 0, "alpha beta"), RawMessage("u", "m1", 1, "alpha")]
+        wl = TrainableHashWordLevel(enc, msgs)
         rows = wl.batch_vectors(msgs)
         backward(total(rows))
         assert wl.table.grad is not None
@@ -273,7 +273,7 @@ class TestTrainableWordLevels:
         msgs = [RawMessage("u", f"m{i}", i, " ".join(f"w{w}" for w in rng.integers(0, 300, n)))
                 for i, n in enumerate([0, 1, 2, 3, 7, 30, 50, 59])]
         want = compute_message_vectors(msgs, enc)
-        for wl in (TrainableHashWordLevel(enc), TrainableHashWordLevel(enc, msgs)):
+        for wl in (whole_table_level(enc, msgs), TrainableHashWordLevel(enc, msgs)):
             got = wl.batch_vectors(msgs).data
             assert got.tobytes() == np.stack([want[m.message_id] for m in msgs]).tobytes()
 
@@ -287,14 +287,13 @@ class TestTrainableWordLevels:
         assert wl.buckets.tolist() == want
         assert len(wl.table.data) == len(want)
         assert wl.table.data.tobytes() == enc.rows(want).tobytes()
-        assert TrainableHashWordLevel(enc).table.data.tobytes() == \
-            enc.rows(list(range(512))).tobytes()
+        assert wl.table.data.tobytes() == enc.rows(range(512))[want].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_and_gradients_are_those_of_the_whole_table(self, dtype):
         enc = HashEmbeddingEncoder(dim=4, buckets=512, seed=0)
         batch = [self.MESSAGES[i] for i in (3, 0, 1, 0, 2)]
-        whole = TrainableHashWordLevel(enc)
+        whole = whole_table_level(enc, self.MESSAGES)
         compact = TrainableHashWordLevel(enc, self.MESSAGES)
         for wl in (whole, compact):
             wl.table = Tensor(wl.table.data.astype(dtype), requires_grad=True)
