@@ -43,7 +43,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .corpus import Action, MaskPlan, SequenceChunk
-from .tensor import (Tensor, dropout, gather_bl, gather_rows, gelu, layer_norm,
+from .tensor import (Tensor, dropout, feed_forward, gather_bl, gather_rows, layer_norm,
                      linear, matmul, reshape, scatter_rows, softmax, transpose)
 
 INIT_STD = 0.02
@@ -188,8 +188,8 @@ class EncoderLayer:
         h = xq + dropout(self._attend(x, xq, attn_bias, slots, out, n_heads, p_drop, train, rng),
                          p_drop, rng, train, row_shape, keep_rows)
         h = layer_norm(h, self.ln1_g, self.ln1_b)
-        h = h + dropout(linear(gelu(linear(h, self.w1, self.b1)), self.w2, self.b2), p_drop,
-                        rng, train, row_shape, keep_rows)
+        h = h + dropout(feed_forward(h, self.w1, self.b1, self.w2, self.b2), p_drop, rng, train,
+                        row_shape, keep_rows)
         return layer_norm(h, self.ln2_g, self.ln2_b)
 
     def _attend(self, x: Tensor, xq: Tensor, attn_bias: Tensor,

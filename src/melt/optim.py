@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -94,18 +94,17 @@ class AdamW:
 
     The learning rate for each step is supplied by the caller (the training
     loops pass the warm-up schedule); ``base_lr`` is used when omitted.
+    A parameter's state, its zeroed moments, is made at its first update,
+    so the moments take memory that backward has just freed, and a
+    parameter that never gets a gradient never gets moments.
     """
 
     def __init__(self, params: Sequence[Tuple[str, Tensor]], base_lr: float = 4e-3,
                  weight_decay: float = 0.1):
         self.params = list(params)
         self.base_lr = base_lr
-        self.states = {
-            name: AdamWState(m=np.zeros(p.data.shape, dtype=p.data.dtype),
-                             v=np.zeros(p.data.shape, dtype=p.data.dtype),
-                             weight_decay=weight_decay)
-            for name, p in self.params
-        }
+        self.weight_decay = weight_decay
+        self.states: Dict[str, AdamWState] = {}
 
     def step(self, lr: float | None = None) -> None:
         """Update every parameter that received a gradient.
@@ -119,5 +118,10 @@ class AdamW:
         for name, p in self.params:
             if p.grad is None:
                 continue
-            adamw_step(p.data, p.grad, self.states[name], lr, name=name)
+            state = self.states.get(name)
+            if state is None:
+                state = self.states[name] = AdamWState(
+                    m=np.zeros(p.data.shape, dtype=p.data.dtype),
+                    v=np.zeros(p.data.shape, dtype=p.data.dtype), weight_decay=self.weight_decay)
+            adamw_step(p.data, p.grad, state, lr, name=name)
             p.grad = None  # consumed; a later backward must repopulate it

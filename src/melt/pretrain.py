@@ -330,7 +330,7 @@ def save_params(path, header: dict, named_params: Sequence[Tuple[str, np.ndarray
             fh.write(json.dumps(header).encode("utf-8"))
             fh.write(b"\n")
             for _, arr in named_params:
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f4"))  # from its own buffer
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

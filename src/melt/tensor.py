@@ -37,7 +37,7 @@ __all__ = [
     "scatter_rows",
     "softmax",
     "layer_norm",
-    "gelu",
+    "feed_forward",
     "sigmoid",
     "dropout",
     "mse_loss",
@@ -628,30 +628,55 @@ def _erf(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian-error-linear unit, 0.5 * x * (1 + erf(x / sqrt(2))).
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(gelu(linear(x, w1, b1)), w2, b2)`` over (m, k) rows, as one record.
 
-    Forward and backward each reuse one buffer; the in-place steps keep the
-    operation order of the formula, so the results are bit-identical to it.
-    ``erf`` is ``_erf``, bit-identical to scipy's.
+    GELU is the exact 0.5 * u * (1 + erf(u / sqrt(2))) of the (m, f)
+    pre-activation ``u``, with ``_erf`` bit-identical to scipy's ``erf``.
+    The rule keeps ``x`` (for dW1), ``u``, its ``cdf`` and the two weights.
+    The activation ``u * cdf`` is freed once the second GEMM has read it,
+    and backward recomputes it into ``cdf``'s buffer for dW2, after the
+    GELU derivative has read ``cdf``. Both are dropped before the (m, f)
+    ``g @ w2.T`` is made. Under ``no_grad`` no rule keeps ``u`` and
+    ``cdf``, so they go before the second GEMM, as they did with three
+    ops. Each step keeps the operation order of the three ops, so values
+    and gradients are bit-identical to them.
     """
-    x_data = x.data
-    cdf = x_data * _INV_SQRT2
+    if (x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != x.shape[1]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"feed_forward needs (m, k) @ (k, f) + (f,), then @ (f, n) + (n,), "
+                         f"got {x.shape} @ {w1.shape} + {b1.shape}, @ {w2.shape} + {b2.shape}")
+    u = x.data @ w1.data
+    u += b1.data
+    cdf = u * _INV_SQRT2
     _erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
+    act = u * cdf
+    if not _recording:
+        u = cdf = None
+    out = act @ w2.data
+    out += b2.data
+
+    rows = x.data if w1.requires_grad else None
+    w1_data = w1.data if x.requires_grad else None
+    w2_data = w2.data
 
     def back(g):
-        dx = x_data * -0.5
-        dx *= x_data
-        np.exp(dx, out=dx)
-        dx *= _INV_SQRT2PI
-        dx *= x_data
-        dx += cdf
-        dx *= g
-        return (dx,)
+        nonlocal u, cdf
+        du = u * -0.5  # the GELU derivative, cdf + u * pdf(u)
+        du *= u
+        np.exp(du, out=du)
+        du *= _INV_SQRT2PI
+        du *= u
+        du += cdf
+        gw2 = np.multiply(u, cdf, out=cdf).T @ g  # the activation, remade in cdf's buffer
+        u = cdf = None
+        du *= g @ w2_data.T
+        return (None if w1_data is None else du @ w1_data.T,
+                None if rows is None else rows.T @ du, du.sum(axis=0), gw2, g.sum(axis=0))
 
-    return _from_op(x_data * cdf, (x,), back)
+    return _from_op(out, (x, w1, b1, w2, b2), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -91,8 +91,9 @@ class HashEmbeddingEncoder:
         self.dim = dim
         self.buckets = buckets
         self.seed = seed
-        # token -> bucket, and bucket -> index of its row in _table
+        # token -> bucket, text -> its tokens' buckets, and bucket -> index of its row in _table
         self._bucket_of: Dict[str, int] = {}
+        self._ids_of: Dict[str, List[int]] = {}
         self._index_of: Dict[int, int] = {}
         self._table = np.empty((0, dim), dtype=np.float32)
 
@@ -121,9 +122,16 @@ class HashEmbeddingEncoder:
 
     def encode(self, messages: Iterable) -> Tuple[np.ndarray, np.ndarray, Dict[str, np.ndarray]]:
         """One tokenize-and-bucket pass: the sorted buckets that ``messages``' distinct texts
-        reach, their rows as one compact table, and each text's rows as indices into it."""
+        reach, their rows as one compact table, and each text's rows as indices into it.
+
+        A text's buckets are kept, so a later ``encode`` tokenizes no text a second time.
+        """
         texts = list(dict.fromkeys(msg.text for msg in messages))
-        ids = [self.token_ids(tokenize(text)) for text in texts]
+        ids_of = self._ids_of
+        for text in texts:
+            if text not in ids_of:
+                ids_of[text] = self.token_ids(tokenize(text))
+        ids = [ids_of[text] for text in texts]
         buckets, flat = np.unique(np.fromiter(chain.from_iterable(ids), np.intp),
                                   return_inverse=True)
         ends = np.cumsum([len(i) for i in ids]).tolist()

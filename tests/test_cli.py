@@ -1221,6 +1221,25 @@ class TestPerTargetRuns:
         assert (out_dir / "snapshot_abortion.melt").exists()
         assert (out_dir / "snapshot_climate.melt").exists()
 
+    def test_unfrozen_hash_tokenizes_each_text_once(self, tmp_path, monkeypatch):
+        # set-up's encode keeps every text's buckets, so no run tokenizes a text again
+        from collections import Counter
+        import melt.wordenc as wordenc
+        stance_path = tmp_path / "two.jsonl"
+        write_stance_jsonl(stance_path, stance_corpus(
+            120, n_history=6, seed=33, split_fracs=(0.6, 0.2),
+            targets=("abortion", "climate")))
+        seen = Counter()
+
+        def counting(text, *args):
+            seen[text] += 1
+            return tokenize(text, *args)
+
+        monkeypatch.setattr(wordenc, "tokenize", counting)
+        assert main(finetune_args(stance_path, tmp_path / "ft", "--rand-init",
+                                  "--unfreeze-word")) == 0
+        assert seen and set(seen.values()) == {1}
+
 
 class TestEvaluate:
     def perfect_predictions(self, tmp_path, stance_file):

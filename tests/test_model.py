@@ -603,7 +603,7 @@ class TestPackedRows:
 
 def _padded_layer(layer, x, attn_bias, n_heads, p_drop, train, rng, rows=None):
     """Reference: the encoder layer over every slot, PAD included, as it ran before packing."""
-    from melt.tensor import (dropout, gather_bl, gelu, layer_norm, linear, matmul,
+    from melt.tensor import (dropout, feed_forward, gather_bl, layer_norm, linear, matmul,
                              softmax, transpose)
     b, length, d = x.shape
     dh = d // n_heads
@@ -631,7 +631,8 @@ def _padded_layer(layer, x, attn_bias, n_heads, p_drop, train, rng, rows=None):
     attn_out = dropout(linear(ctx, layer.wo, layer.bo), p_drop, rng, train, row_shape,
                        keep_rows)
     x = layer_norm(xq + attn_out, layer.ln1_g, layer.ln1_b)
-    ff = linear(gelu(linear(x, layer.w1, layer.b1)), layer.w2, layer.b2)
+    ff = reshape(feed_forward(reshape(x, (-1, d)), layer.w1, layer.b1, layer.w2, layer.b2),
+                 x.shape)
     ff = dropout(ff, p_drop, rng, train, row_shape, keep_rows)
     return layer_norm(x + ff, layer.ln2_g, layer.ln2_b)
 

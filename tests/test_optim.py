@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,24 @@ def test_optimizer_skips_parameters_without_gradients():
     assert used.data[0] != 1.0
     assert unused.data[0] == 5.0
     assert used.grad is None  # consumed
+
+
+def test_moments_are_made_at_a_parameters_first_update():
+    big = Tensor(np.ones((256, 1024), dtype=np.float32), requires_grad=True)
+    idle = Tensor(np.ones(4, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        opt = AdamW([("big", big), ("idle", idle)], weight_decay=0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert opt.states == {} and peak < big.data.nbytes // 64
+    big.grad = np.ones_like(big.data)
+    opt.step()
+    assert list(opt.states) == ["big"]
+    state = opt.states["big"]
+    assert (state.t, state.weight_decay, state.m.dtype, state.v.shape) == \
+        (1, 0.05, np.float32, big.shape)
 
 
 class TestWarmupLr:

@@ -396,6 +396,21 @@ class TestCheckpoint:
             load_params_into(model, {name: np.zeros((1, 1), dtype=np.float32)
                                      for name, _ in model.named_parameters()})
 
+    def test_save_writes_each_block_from_its_own_buffer(self, tmp_path):
+        import tracemalloc
+        from melt.pretrain import save_params
+        block = np.random.default_rng(3).standard_normal((512, 512)).astype("<f4")
+        tail = np.arange(6, dtype=np.float64).reshape(2, 3)  # converted to float32 on write
+        tracemalloc.start()
+        try:
+            save_params(tmp_path / "big.melt", {"version": 1}, [("a", block), ("b", tail)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes // 4
+        blob = (tmp_path / "big.melt").read_bytes()
+        assert blob.endswith(block.tobytes() + tail.astype("<f4").tobytes())
+
     def test_failed_save_leaves_no_partial_file(self, tmp_path):
         from melt.pretrain import save_params
 

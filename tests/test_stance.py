@@ -189,6 +189,28 @@ class TestFreezing:
         assert not np.array_equal(wl.table.data, before)
 
 
+    def test_mask_vector_gets_no_moments(self, monkeypatch):
+        # fine-tuning reads neither the mask vector nor the reconstruction head, so they get
+        # no gradient and AdamW makes them no state
+        made = []
+
+        class Recording(stance.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(stance, "AdamW", Recording)
+        examples, _, vectors = setup_world(30)
+        train, dev, _ = split_examples(examples)
+        model = MeltModel(CFG, seed=3)
+        head = StanceHead(D, hidden1=8, hidden2=4, seed=3)
+        cfg = FinetuneConfig(lr=1e-3, batch_size=5, max_epochs=1, patience=1, seed=3)
+        finetune(model, head, FrozenWordLevel(D, vectors), train, dev, cfg)
+        (opt,) = made
+        names = {name for name, _ in opt.params}
+        assert "mask_vector" in names
+        assert set(opt.states) == names - {"mask_vector", "head.w", "head.b"}
+
     def test_unfrozen_step_records_pin_no_intermediate_tensor(self, monkeypatch):
         from conftest import pinned_tensors
         from melt.tensor import backward, tape

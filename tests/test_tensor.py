@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from conftest import max_rel_err, mean, numeric_grad, total
 from melt import tensor as T
 from melt.tensor import (ShapeError, Tensor, backward, cross_entropy, dropout,
-                         gather_bl, gather_rows, gelu,
-                         layer_norm, mse_loss, no_grad, scatter_rows, segment_mean,
+                         feed_forward, gather_bl, gather_rows,
+                         layer_norm, linear, mse_loss, no_grad, scatter_rows, segment_mean,
                          sigmoid, softmax, tape)
 
 
@@ -412,7 +412,8 @@ GRAD_CASES = {
     "softmax": (lambda a: total(T.mul(softmax(a, axis=-1), _W["w34"])), [(3, 4)]),
     "layer_norm": (lambda x, g, b: total(T.mul(layer_norm(x, g, b), _W["w25"])),
                    [(2, 5), (5,), (5,)]),
-    "gelu": (lambda a: total(gelu(a)), [(4, 4)]),
+    "feed_forward": (lambda *a: total(T.mul(feed_forward(*a), _W["w34"])),
+                     [(3, 2), (2, 5), (5,), (5, 4), (4,)]),
     "sigmoid": (lambda a: mean(sigmoid(a)), [(4, 4)]),
     "mse": (lambda a, b: mse_loss(a, b), [(3, 4), (3, 4)]),
     "cross_entropy": (lambda a: cross_entropy(a, np.array([0, 2, 1])), [(3, 3)]),
@@ -459,19 +460,68 @@ def test_forward_ops_stay_finite_on_finite_inputs():
         assert np.isfinite(out.data).all(), name
 
 
+@pytest.mark.parametrize("rows", [0, 1, 37])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_gelu_is_bit_identical_to_its_formula(dtype):
+def test_feed_forward_is_bit_identical_to_its_formula(dtype, rows):
     erf = pytest.importorskip("scipy.special").erf
     rng = np.random.default_rng(13)
-    x = (rng.standard_normal((6, 50)) * 3).astype(dtype)
-    g = rng.standard_normal((6, 50)).astype(dtype)
-    cdf = 0.5 * (1.0 + erf(x * T._INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * T._INV_SQRT2PI
-    t = Tensor(x, requires_grad=True)
-    out = gelu(t)
+    x, w1, b1, w2, b2, g = (rng.standard_normal(shape).astype(dtype) for shape in
+                            ((rows, 6), (6, 50), (50,), (50, 5), (5,), (rows, 5)))
+    u = x @ w1 + b1
+    cdf = 0.5 * (1.0 + erf(u * T._INV_SQRT2))
+    pdf = np.exp(-0.5 * u * u) * T._INV_SQRT2PI
+    du = (g @ w2.T) * (cdf + u * pdf)
+    ts = [Tensor(a, requires_grad=True) for a in (x, w1, b1, w2, b2)]
+    out = feed_forward(*ts)
     backward(total(T.mul(out, Tensor(g))))
-    assert out.data.tobytes() == (x * cdf).tobytes()
-    assert t.grad.tobytes() == (g * (cdf + x * pdf)).tobytes()
+    assert out.data.tobytes() == ((u * cdf) @ w2 + b2).tobytes()
+    for t, want in zip(ts, (du @ w1.T, x.T @ du, du.sum(axis=0), (u * cdf).T @ g, g.sum(axis=0))):
+        assert t.grad.dtype == dtype and t.grad.tobytes() == want.tobytes()
+
+
+def _gelu(x):
+    """GELU as its own op, as it was before ``feed_forward``: the reference for its memory."""
+    x_data = x.data
+    cdf = x_data * T._INV_SQRT2
+    T._erf(cdf, cdf)
+    cdf += 1.0
+    cdf *= 0.5
+
+    def back(g):
+        dx = x_data * -0.5
+        dx *= x_data
+        np.exp(dx, out=dx)
+        dx *= T._INV_SQRT2PI
+        dx *= x_data
+        dx += cdf
+        dx *= g
+        return (dx,)
+
+    return T._from_op(x_data * cdf, (x,), back)
+
+
+def test_feed_forward_peaks_one_activation_below_the_three_ops():
+    # ff >> d, so the (m, ff) arrays are nearly all of the memory either form takes; small
+    # weights keep |u| <= 1, where _erf needs no per-value work beyond its block buffers
+    m, d, ff = 512, 4, 1024
+    rng = np.random.default_rng(8)
+    arrays = [rng.standard_normal(shape) * 0.15 for shape in ((m, d), (d, ff), (ff,), (ff, d),
+                                                              (d,))]
+
+    def run(forward):
+        ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            backward(total(forward(*ts)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, [t.grad for t in ts]
+
+    composed, want = run(lambda x, w1, b1, w2, b2: linear(_gelu(linear(x, w1, b1)), w2, b2))
+    fused, grads = run(feed_forward)
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in want]
+    assert composed - fused >= m * ff * 8
 
 
 def _erf_edges(dtype):
@@ -668,28 +718,30 @@ def test_repeated_forward_backward_bit_identical():
 
 class TestNoGrad:
     @staticmethod
-    def forward(w, g, b, x):
-        return softmax(layer_norm(gelu(T.matmul(x, w)), g, b), axis=-1)
+    def forward(w1, b1, w2, b2, g, b, x):
+        h = feed_forward(T.reshape(x, (15, 4)), w1, b1, w2, b2)
+        return softmax(layer_norm(T.reshape(h, (3, 5, 6)), g, b), axis=-1)
 
     @staticmethod
     def params(rng):
-        return (rand(rng, 4, 6), rand(rng, 6), rand(rng, 6),
-                Tensor(rng.uniform(-2, 2, (3, 5, 4)).astype(np.float32)))
+        return (rand(rng, 4, 8), rand(rng, 8), rand(rng, 8, 6), rand(rng, 6), rand(rng, 6),
+                rand(rng, 6), Tensor(rng.uniform(-2, 2, (3, 5, 4)).astype(np.float32)))
 
     def test_same_values_and_no_graph(self):
-        w, g, b, x = self.params(np.random.default_rng(0))
-        recorded = self.forward(w, g, b, x)
+        params = self.params(np.random.default_rng(0))
+        recorded = self.forward(*params)
         with no_grad():
-            bare = self.forward(w, g, b, x)
+            bare = self.forward(*params)
         assert recorded.requires_grad and recorded._node.parents
         assert not bare.requires_grad
         assert bare._node is None
         assert bare.data.tobytes() == recorded.data.tobytes()
 
     def test_recording_resumes_after_the_block_even_on_error(self):
-        w, g, b, x = self.params(np.random.default_rng(1))
+        params = self.params(np.random.default_rng(1))
         with pytest.raises(RuntimeError):
             with no_grad():
                 raise RuntimeError("inside")
-        backward(total(self.forward(w, g, b, x)))
-        assert w.grad is not None and np.abs(np.asarray(w.grad)).sum() > 0
+        backward(total(self.forward(*params)))
+        for p in params[:6]:
+            assert p.grad is not None and np.abs(np.asarray(p.grad)).sum() > 0

@@ -134,6 +134,28 @@ class TestHashEncoder:
         assert first == [fnv1a_64(t) % 64 for t in ("echo", ",", "delta", "echo")]
         assert second == first[2:]
 
+    def test_encode_tokenizes_each_distinct_text_once(self, monkeypatch):
+        import melt.wordenc as wordenc
+        seen = []
+
+        def counting(text, *args):
+            seen.append(text)
+            return tokenize(text, *args)
+
+        monkeypatch.setattr(wordenc, "tokenize", counting)
+        first = [RawMessage("u", "m0", 0, "alpha beta"), RawMessage("u", "m1", 1, "gamma")]
+        later = [RawMessage("u", "m2", 2, "gamma"), RawMessage("u", "m3", 3, "delta, alpha"),
+                 RawMessage("u", "m4", 4, "alpha beta"), RawMessage("u", "m5", 5, "")]
+        enc = HashEmbeddingEncoder(dim=4, buckets=64, seed=0)
+        enc.encode(first)
+        got = enc.encode(later)
+        assert sorted(seen) == sorted(["alpha beta", "gamma", "delta, alpha", ""])
+        want = HashEmbeddingEncoder(dim=4, buckets=64, seed=0).encode(later)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        assert list(got[2]) == list(want[2])
+        assert all(got[2][t].tobytes() == want[2][t].tobytes() for t in want[2])
+        assert enc.encode([])[0].size == 0
+
     def test_frozen_purity_over_corpus(self):
         enc = HashEmbeddingEncoder(dim=8, buckets=64, seed=5)
         msgs = [RawMessage("u", f"m{i}", i, f"word{i} shared") for i in range(20)]
